@@ -751,7 +751,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_output(text_out, out)
         return 0
     except (ConfigError, DataError, NumericalError, ValueError) as exc:
-        code = 4 if isinstance(exc, NumericalError) else 3 if isinstance(exc, DataError) else 2
+        # LinAlgError subclasses ValueError but is a LAPACK failure, not a bad config.
+        numerical = isinstance(exc, (NumericalError, np.linalg.LinAlgError))
+        code = 4 if numerical else 3 if isinstance(exc, DataError) else 2
         error_report = {
             "error": {
                 "stage": _STAGE.name,

@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .hermitian import ProductStructure, eig_reconstruct, kron_rearrange
 
 __all__ = [
     "Kernel",
@@ -261,6 +263,11 @@ class TimeSeriesSample:
         return self.data.shape[1]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SequentialSDO:
     """Sequential spectral density estimates on the (u, omega, eta) grid.
@@ -270,6 +277,12 @@ class SequentialSDO:
     from the first k observations of the window. The eta = 1 slices are
     projected onto the PSD cone (a no-op for PSD kernels like Parzen, up to
     roundoff recorded in ``diagnostics["psd_clip_max"]``).
+
+    The measures share one decomposition per tensor: ``eigenvalues``,
+    ``eigensystem`` and ``separable_scores`` are computed on first use, each
+    by one batched LAPACK call, and kept read-only for the object's lifetime,
+    so every measure and every order reads the same bits. The cached
+    eigenvectors take as much memory as the tensor itself.
     """
 
     tensor: np.ndarray
@@ -281,6 +294,28 @@ class SequentialSDO:
     kernel_name: str = "parzen"
     grid_weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """(M, K, N, p) eigenvalues of every slice, descending, from one ``eigvalsh``."""
+        return _read_only(np.linalg.eigvalsh(self.tensor)[..., ::-1])
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, vectors) of every slice from one ``eigh``, eigenvalues ascending."""
+        vals, vecs = np.linalg.eigh(self.tensor)
+        return _read_only(vals), _read_only(vecs)
+
+    def separable_scores(self, ps: ProductStructure) -> np.ndarray:
+        """(M, K, N, min(p1^2, p2^2)) singular values of every slice's Kronecker
+        rearrangement, descending, from one ``svd`` per product structure."""
+        scores = self._scores.get(ps)
+        if scores is None:
+            rearranged = kron_rearrange(self.tensor, ps)
+            scores = _read_only(np.linalg.svd(rearranged, compute_uv=False))
+            self._scores[ps] = scores
+        return scores
 
     @property
     def m(self) -> int:
@@ -408,12 +443,12 @@ def estimate_sequential_sdo(
                 upper = np.tensordot(coef[1:], s_cum[1:], axes=(0, 0))
                 f += upper + upper.conj().transpose(0, 2, 1)
             f /= ks
-            f = (f + f.conj().transpose(0, 2, 1)) / 2.0
+            # c0 S0 + U + U^H over a real k is already Hermitian bit for bit.
             # PSD projection of the full-window slice; slices at eta < 1 stay raw.
             vals, vecs = np.linalg.eigh(f[-1])
             if vals[0] < 0:
                 clip_max = max(clip_max, -float(vals[0]))
-                f[-1] = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+                f[-1] = eig_reconstruct(vecs, np.maximum(vals, 0.0))
                 f[-1] = (f[-1] + f[-1].conj().T) / 2.0
             tensor[i, j] = f
     return SequentialSDO(

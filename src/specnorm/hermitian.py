@@ -30,6 +30,7 @@ __all__ = [
     "matrix_sqrt_psd",
     "sqrt_distance",
     "kron_rearrange",
+    "eig_reconstruct",
     "svd_descending",
     "frechet_derivative",
 ]
@@ -56,8 +57,7 @@ class EigenSystem:
     near_tie_flags: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * self.values) @ v.conj().T
+        return eig_reconstruct(self.vectors, self.values)
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ def psd_project(a: np.ndarray) -> np.ndarray:
     es = eigh_descending(a)
     if bool(np.all(es.values >= 0)):
         return hermitian_part(np.asarray(a))
-    clamped = np.maximum(es.values, 0.0)
-    return hermitian_part((es.vectors * clamped) @ es.vectors.conj().T)
+    return hermitian_part(eig_reconstruct(es.vectors, np.maximum(es.values, 0.0)))
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -165,8 +164,7 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"matrix is not positive semidefinite (lambda_min = {lam_min:.3e})"
         )
-    root = np.sqrt(np.maximum(es.values, 0.0))
-    return hermitian_part((es.vectors * root) @ es.vectors.conj().T)
+    return hermitian_part(eig_reconstruct(es.vectors, np.sqrt(np.maximum(es.values, 0.0))))
 
 
 def sqrt_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -175,22 +173,44 @@ def sqrt_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def kron_rearrange(a: np.ndarray, ps: ProductStructure) -> np.ndarray:
-    """Rearrange a (p1*p2) x (p1*p2) matrix into the (p1^2) x (p2^2) layout.
+    """Rearrange (p1*p2) x (p1*p2) matrices into the (p1^2) x (p2^2) layout.
 
     Entry A[(i-1)p2+j, (k-1)p2+l] moves to R[(i-1)p1+k, (j-1)p2+l] (1-based).
     The map is a linear Frobenius isometry, and A = X (x) Y becomes the rank-1
     matrix vec(X) vec(Y)^T, so the singular values of R are the separable
-    component scores of A.
+    component scores of A. Batches over leading axes.
 
     :raises ValueError: if p1 * p2 does not match the matrix dimension.
     """
     a = np.asarray(a)
     p1, p2 = ps.p1, ps.p2
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != p1 * p2:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or a.shape[-1] != p1 * p2:
         raise ValueError(
             f"product structure ({p1}, {p2}) incompatible with matrix of shape {a.shape}"
         )
-    return a.reshape(p1, p2, p1, p2).transpose(0, 2, 1, 3).reshape(p1 * p1, p2 * p2)
+    lead = a.shape[:-2]
+    r = a.reshape(*lead, p1, p2, p1, p2)
+    k = len(lead)
+    order = tuple(range(k)) + (k, k + 2, k + 1, k + 3)
+    return r.transpose(order).reshape(*lead, p1 * p1, p2 * p2)
+
+
+def eig_reconstruct(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(w) V† from eigenvector columns V and weights w.
+
+    Batches over leading axes. A batch is rebuilt with ``matmul`` one
+    leading-axis slice at a time into one preallocated output, so no
+    temporary is larger than a slice. The result is not symmetrized; wrap it
+    in :func:`hermitian_part` where exact symmetry is needed.
+    """
+    if vectors.ndim == 2:
+        return (vectors * values) @ vectors.conj().T
+    p = vectors.shape[-2]
+    out = np.empty(vectors.shape[:-1] + (p,), dtype=np.result_type(vectors, values))
+    for i in range(vectors.shape[0]):
+        v = vectors[i]
+        np.matmul(v * values[i][..., None, :], v.conj().swapaxes(-1, -2), out=out[i])
+    return out
 
 
 def svd_descending(a: np.ndarray) -> SingularSystem:

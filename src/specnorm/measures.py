@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .estimator import SequentialSDO
-from .hermitian import TIE_TOL, ProductStructure, eigh_descending
+from .hermitian import TIE_TOL, ProductStructure, eig_reconstruct, eigh_descending, kron_rearrange
 
 __all__ = [
     "SequentialFunctional",
@@ -99,11 +99,6 @@ def as_result(seq: SequentialFunctional) -> DeviationResult:
     )
 
 
-def _eigvals_descending(tensor: np.ndarray) -> np.ndarray:
-    """Batched Hermitian eigenvalues, descending along the last axis."""
-    return np.linalg.eigvalsh(tensor)[..., ::-1]
-
-
 def _available(sdo: SequentialSDO) -> np.ndarray:
     """Fractions with at least p window observations; earlier partial
     estimates have rank too low for spectral functionals and are marked
@@ -139,7 +134,7 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     p = sdo.p
     if not 1 <= d <= p:
         raise ValueError(f"d = {d} must lie in [1, {p}]")
-    raw = _eigvals_descending(sdo.tensor)
+    raw = sdo.eigenvalues
     vals = np.maximum(raw, 0.0)
     num = vals[..., :d].sum(axis=-1).mean(axis=(0, 1))
     den = vals.sum(axis=-1).mean(axis=(0, 1))
@@ -155,19 +150,6 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
         kind="tvdfpca", d=d, eta=sdo.eta_points, values=values, valid=valid,
         f_exponent=3, g_exponent=2, diagnostics=diag,
     )
-
-
-def _rearranged(tensor: np.ndarray, ps: ProductStructure) -> np.ndarray:
-    """Batched Kronecker rearrangement of (..., p1 p2, p1 p2) to (..., p1^2, p2^2)."""
-    p1, p2 = ps.p1, ps.p2
-    lead = tensor.shape[:-2]
-    if tensor.shape[-1] != p1 * p2 or tensor.shape[-2] != p1 * p2:
-        raise ValueError(
-            f"product structure ({p1}, {p2}) incompatible with operator dimension {tensor.shape[-1]}"
-        )
-    r = tensor.reshape(*lead, p1, p2, p1, p2)
-    order = tuple(range(len(lead))) + tuple(len(lead) + i for i in (0, 2, 1, 3))
-    return r.transpose(order).reshape(*lead, p1 * p1, p2 * p2)
 
 
 def tvdpsca_sequential(
@@ -187,7 +169,7 @@ def tvdpsca_sequential(
     d_cap = min(ps.p1**2, ps.p2**2)
     if not 1 <= d <= d_cap:
         raise ValueError(f"d = {d} must lie in [1, min(p1^2, p2^2) = {d_cap}]")
-    scores = np.linalg.svd(_rearranged(sdo.tensor, ps), compute_uv=False)
+    scores = sdo.separable_scores(ps)
     num = (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
     den = (np.abs(sdo.tensor) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1))
     valid = (den > 0) & _available(sdo)
@@ -205,15 +187,14 @@ def tvdpsca_sequential(
     )
 
 
-def _psd_projected(tensor: np.ndarray) -> tuple[np.ndarray, float]:
-    """Batched PSD projection; returns the projected tensor and max clamp size."""
-    vals, vecs = np.linalg.eigh(tensor)
-    clip = max(0.0, -float(vals.min()))
-    if clip == 0.0:
-        return tensor, 0.0
-    clamped = np.maximum(vals, 0.0)
-    proj = np.einsum("...ij,...j,...kj->...ik", vecs, clamped, vecs.conj())
-    return proj, clip
+def _canonical_parts(f: np.ndarray, d: int, p1: int) -> tuple[np.ndarray, ...]:
+    """Per slice: the d-th eigenvalues of both diagonal blocks (clamped at 0)
+    and the d-th singular value of the off-diagonal block."""
+    p2 = f.shape[-1] - p1
+    lam1 = np.maximum(np.linalg.eigvalsh(f[..., :p1, :p1])[..., p1 - d], 0.0)
+    lam2 = np.maximum(np.linalg.eigvalsh(f[..., p1:, p1:])[..., p2 - d], 0.0)
+    sig = np.linalg.svd(f[..., :p1, p1:], compute_uv=False)[..., d - 1]
+    return lam1, lam2, sig
 
 
 def coherence_sequential(
@@ -234,15 +215,12 @@ def coherence_sequential(
     if not 1 <= d <= min(ps.p1, ps.p2):
         raise ValueError(f"d = {d} must lie in [1, min(p1, p2) = {min(ps.p1, ps.p2)}]")
     p1 = ps.p1
-    proj, clip = _psd_projected(sdo.tensor)
-    f11 = proj[..., :p1, :p1]
-    f22 = proj[..., p1:, p1:]
-    f12 = proj[..., :p1, p1:]
-    lam1 = np.maximum(_eigvals_descending(f11)[..., d - 1], 0.0)
-    lam2 = np.maximum(_eigvals_descending(f22)[..., d - 1], 0.0)
-    sig = np.linalg.svd(f12, compute_uv=False)[..., d - 1]
-    tr1 = np.einsum("...ii->...", f11).real
-    tr2 = np.einsum("...ii->...", f22).real
+    vals, vecs = sdo.eigensystem
+    clip = max(0.0, -float(vals.min()))
+    proj = sdo.tensor if clip == 0.0 else eig_reconstruct(vecs, np.maximum(vals, 0.0))
+    lam1, lam2, sig = _canonical_parts(proj, d, p1)
+    tr1 = np.einsum("...ii->...", proj[..., :p1, :p1]).real
+    tr2 = np.einsum("...ii->...", proj[..., p1:, p1:]).real
     defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
@@ -266,6 +244,16 @@ def coherence_sequential(
     )
 
 
+def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
+    """Square roots of the PSD-clamped slices restricted to their d leading
+    components, from eigenpairs in ascending order."""
+    roots = np.sqrt(np.maximum(vals, 0.0))
+    p = vals.shape[-1]
+    if d < p:
+        roots[..., : p - d] = 0.0  # ascending order: drop the p - d smallest
+    return eig_reconstruct(vecs, roots)
+
+
 def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     """Dispersion of d-restricted square roots around their time average.
 
@@ -285,14 +273,11 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
             f"stationarity measure expects the full band [0, pi], got ({a:.6g}, {b:.6g})",
             stacklevel=2,
         )
-    vals, vecs = np.linalg.eigh(sdo.tensor)
+    vals, vecs = sdo.eigensystem
     clip = max(0.0, -float(vals.min()))
-    roots = np.sqrt(np.maximum(vals, 0.0))
-    if d < p:
-        roots[..., : p - d] = 0.0  # ascending order: drop the p - d smallest
-    s = np.einsum("...ij,...j,...kj->...ik", vecs, roots, vecs.conj())
-    centered = s - s.mean(axis=0, keepdims=True)
-    q = (np.abs(centered) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1))
+    s = _restricted_roots(vals, vecs, d)
+    s -= s.mean(axis=0, keepdims=True)
+    q = (np.abs(s) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1))
     desc = np.maximum(vals[..., ::-1], 0.0)
     diag = {"psd_clip_max": clip, "near_tie_count": _tie_count(desc, d)}
     return SequentialFunctional(
@@ -320,8 +305,7 @@ def rank_restrict(a: np.ndarray, d: int) -> np.ndarray:
             f"eigenvalue near-tie at the rank boundary d = {d}; restriction is ill-conditioned",
             stacklevel=2,
         )
-    v = es.vectors[:, :d]
-    return (v * es.values[:d]) @ v.conj().T
+    return eig_reconstruct(es.vectors[:, :d], es.values[:d])
 
 
 def _truth_tensor(
@@ -366,32 +350,24 @@ def measure_population(
     w_u = gl_w / 2.0
     tensor = _truth_tensor(truth, us, k_omega, band)
     if kind == "tvdfpca":
-        vals = np.maximum(_eigvals_descending(tensor), 0.0)
+        vals = np.maximum(np.linalg.eigvalsh(tensor)[..., ::-1], 0.0)
         num = (w_u @ vals[..., :d].sum(-1)).mean()
         return float(num / (w_u @ vals.sum(-1)).mean())
     if kind == "tvdpsca":
         if ps is None:
             raise ValueError("tvdpsca requires a product structure")
-        scores = np.linalg.svd(_rearranged(tensor, ps), compute_uv=False)
+        scores = np.linalg.svd(kron_rearrange(tensor, ps), compute_uv=False)
         den = (w_u @ (np.abs(tensor) ** 2).sum(axis=(-2, -1))).mean()
         return float((w_u @ (scores[..., :d] ** 2).sum(-1)).mean() / den)
     if kind == "coherence":
         if ps is None:
             raise ValueError("coherence requires a direct-sum structure")
-        p1 = ps.p1
-        lam1 = np.maximum(_eigvals_descending(tensor[..., :p1, :p1])[..., d - 1], 0.0)
-        lam2 = np.maximum(_eigvals_descending(tensor[..., p1:, p1:])[..., d - 1], 0.0)
-        sig = np.linalg.svd(tensor[..., :p1, p1:], compute_uv=False)[..., d - 1]
+        lam1, lam2, sig = _canonical_parts(tensor, d, ps.p1)
         if not bool(np.all(lam1 > 0) and np.all(lam2 > 0)):
             raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
         return float((w_u @ (sig / np.sqrt(lam1 * lam2))).mean())
     if kind == "stationarity":
-        vals, vecs = np.linalg.eigh(tensor)
-        roots = np.sqrt(np.maximum(vals, 0.0))
-        p = tensor.shape[-1]
-        if d < p:
-            roots[..., : p - d] = 0.0
-        s = np.einsum("...ij,...j,...kj->...ik", vecs, roots, vecs.conj())
+        s = _restricted_roots(*np.linalg.eigh(tensor), d)
         mean_s = np.tensordot(w_u, s, axes=(0, 0))[None]
         dev_sq = (np.abs(s - mean_s) ** 2).sum(axis=(-2, -1))
         return float((w_u @ dev_sq).mean())

@@ -347,6 +347,49 @@ def test_main_degenerate_spectrum_exits_4_with_measure_stage(tmp_path, capsys):
     assert err["stage"] == "measure" and err["type"] == "NumericalError"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_main_lapack_failure_exits_4(tmp_path, capsys):
+    sim_cfg = write_cfg(tmp_path, name="sim.cfg", process="iid", T=1024, p=4)
+    data_path = tmp_path / "series.csv"
+    assert run_main(capsys, "simulate", "--config", sim_cfg, "--out", str(data_path))[0] == 0
+    data = np.loadtxt(data_path, delimiter=",", skiprows=1)
+    huge = write_csv(tmp_path, data * 1e160, name="huge.csv")
+    cfg = write_cfg(tmp_path, input=huge, measure="tvdfpca", quantile_r=10_000, quantile_n=500)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 4
+    err = json.loads(out)["error"]
+    assert err["stage"] == "estimate" and err["type"] == "LinAlgError"
+
+
+def count_tensor_decompositions(monkeypatch, ndim=5):
+    """Count numpy.linalg decompositions whose input is a full (M, K, N, ., .) stack."""
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            if np.ndim(a) == ndim:
+                counts[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_order_selection_decomposes_the_tensor_once(tmp_path, capsys, monkeypatch):
+    counts = count_tensor_decompositions(monkeypatch)
+    cfg = write_cfg(tmp_path, **{**INFER_KEYS, "p": 4, "nu": 0.6, "d_max": 4})
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 0 and len(json.loads(out)["order"]["stats"]) >= 1
+    assert counts["eigh"] + counts["eigvalsh"] == 1
+    counts = count_tensor_decompositions(monkeypatch)
+    cfg = write_cfg(tmp_path, process="iid", T=1024, p=4, measure="tvdpsca", p1=2, p2=2,
+                    nu=0.6, d_max=4, quantile_r=10_000, quantile_n=500)
+    code, out = run_main(capsys, "select-d", "--config", cfg)
+    assert code == 0 and len(json.loads(out)["stats"]) >= 1
+    assert counts == {"eigh": 0, "eigvalsh": 0, "svd": 1}
+
+
 def test_main_select_d_requires_nu_and_d_max(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **INFER_KEYS)
     code, out = run_main(capsys, "select-d", "--config", cfg)

@@ -167,11 +167,16 @@ def test_pointwise_evaluation_is_continuous_off_grid():
 
 def test_estimates_are_hermitian_and_full_window_slice_psd():
     sample = white_noise(256, 3, seed=6)
-    plan = sn.default_bandwidth_plan(256)
-    sdo = sn.estimate_sequential_sdo(sample, plan)
-    assert np.allclose(sdo.tensor, np.conj(np.swapaxes(sdo.tensor, -1, -2)), atol=0)
-    final = sdo.tensor[:, :, -1]
-    assert np.linalg.eigvalsh(final).min() >= -1e-12
+    clips = []
+    for kernel in (sn.PARZEN, sn.FLAT_TOP):
+        plan = sn.default_bandwidth_plan(256, kernel=kernel)
+        sdo = sn.estimate_sequential_sdo(sample, plan, kernel=kernel)
+        # exactly Hermitian, bit for bit, including the PSD-projected eta = 1 slices
+        assert np.array_equal(sdo.tensor, np.conj(np.swapaxes(sdo.tensor, -1, -2)))
+        final = sdo.tensor[:, :, -1]
+        assert np.linalg.eigvalsh(final).min() >= -1e-12
+        clips.append(sdo.diagnostics["psd_clip_max"])
+    assert clips[1] > 0  # the flat-top kernel is not PSD, so the projection ran
 
 
 def test_white_noise_recovers_flat_spectrum():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
+from specnorm.hermitian import eig_reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,64 @@ def test_as_result_carries_point_estimate(iid_sdo):
     assert res.point_estimate == pth.values[-1]
     assert res.sequential is pth
     assert res.diagnostics == pth.diagnostics
+
+
+def fresh_copy(sdo):
+    """The same estimate with empty spectral caches."""
+    return sn.SequentialSDO(
+        tensor=sdo.tensor, u_points=sdo.u_points, omega_points=sdo.omega_points,
+        eta_points=sdo.eta_points, band=sdo.band, plan=sdo.plan,
+    )
+
+
+def assert_same_path(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.valid, b.valid)
+    assert a.diagnostics == b.diagnostics
+
+
+def test_measures_do_not_depend_on_what_filled_the_caches():
+    rng = np.random.default_rng(16)
+    data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
+    plan = sn.default_bandwidth_plan(1024)
+    sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
+    ps = sn.ProductStructure(2, 2)
+    alone = sn.stationarity_sequential(fresh_copy(sdo), 2)
+    shared = fresh_copy(sdo)
+    sn.coherence_sequential(shared, 1, ps)
+    assert_same_path(sn.stationarity_sequential(shared, 2), alone)
+    alone = sn.tvdfpca_sequential(fresh_copy(sdo), 2)
+    shared = fresh_copy(sdo)
+    for d in range(1, sdo.p + 1):
+        sn.tvdfpca_sequential(shared, d)
+    assert_same_path(sn.tvdfpca_sequential(shared, 2), alone)
+    alone = sn.tvdpsca_sequential(fresh_copy(sdo), 2, ps)
+    shared = fresh_copy(sdo)
+    sn.tvdpsca_sequential(shared, 1, ps)
+    assert_same_path(sn.tvdpsca_sequential(shared, 2, ps), alone)
+
+
+def test_cached_spectra_are_read_only():
+    sdo = analytic_sdo(np.diag([4.0, 3.0, 2.0, 1.0]))
+    vals, vecs = sdo.eigensystem
+    cached = (sdo.eigenvalues, vals, vecs, sdo.separable_scores(sn.ProductStructure(2, 2)))
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert sdo.eigensystem[1] is vecs  # computed once, then shared
+    assert np.array_equal(sdo.eigenvalues[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
+
+
+def test_eig_reconstruct_matches_einsum_form():
+    rng = np.random.default_rng(17)
+    b = rng.standard_normal((3, 4, 5, 6, 6)) + 1j * rng.standard_normal((3, 4, 5, 6, 6))
+    vals, vecs = np.linalg.eigh(b @ np.conj(np.swapaxes(b, -1, -2)))
+    weights = np.sqrt(vals)
+    expected = np.einsum("...ij,...j,...kj->...ik", vecs, weights, vecs.conj())
+    got = eig_reconstruct(vecs, weights)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    single = eig_reconstruct(vecs[0, 0, 0], weights[0, 0, 0])
+    assert np.max(np.abs(single - expected[0, 0, 0])) <= 1e-12 * np.max(np.abs(expected))
 
 
 @settings(max_examples=25, deadline=None)
