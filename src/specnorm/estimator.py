@@ -278,11 +278,11 @@ class SequentialSDO:
     projected onto the PSD cone (a no-op for PSD kernels like Parzen, up to
     roundoff recorded in ``diagnostics["psd_clip_max"]``).
 
-    The measures share one decomposition per tensor: ``eigenvalues``,
-    ``eigensystem`` and ``separable_scores`` are computed on first use, each
-    by one batched LAPACK call, and kept read-only for the object's lifetime,
-    so every measure and every order reads the same bits. The cached
-    eigenvectors take as much memory as the tensor itself.
+    The measures share one decomposition per tensor: ``eigenvalues`` and
+    ``separable_scores`` are computed on first use, each by one batched
+    LAPACK call, and kept read-only, so every order reads the same bits.
+    The tensor is made read-only on construction so the caches cannot go
+    stale.
     """
 
     tensor: np.ndarray
@@ -294,27 +294,24 @@ class SequentialSDO:
     kernel_name: str = "parzen"
     grid_weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _read_only(self.tensor)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """(M, K, N, p) eigenvalues of every slice, descending, from one ``eigvalsh``."""
         return _read_only(np.linalg.eigvalsh(self.tensor)[..., ::-1])
 
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, vectors) of every slice from one ``eigh``, eigenvalues ascending."""
-        vals, vecs = np.linalg.eigh(self.tensor)
-        return _read_only(vals), _read_only(vecs)
-
     def separable_scores(self, ps: ProductStructure) -> np.ndarray:
         """(M, K, N, min(p1^2, p2^2)) singular values of every slice's Kronecker
-        rearrangement, descending, from one ``svd`` per product structure."""
-        scores = self._scores.get(ps)
-        if scores is None:
-            rearranged = kron_rearrange(self.tensor, ps)
-            scores = _read_only(np.linalg.svd(rearranged, compute_uv=False))
-            self._scores[ps] = scores
+        rearrangement, descending, from one ``svd``; kept for the last product
+        structure asked for."""
+        if self._last_scores is not None and self._last_scores[0] == ps:
+            return self._last_scores[1]
+        scores = _read_only(np.linalg.svd(kron_rearrange(self.tensor, ps), compute_uv=False))
+        object.__setattr__(self, "_last_scores", (ps, scores))
         return scores
 
     @property

@@ -215,7 +215,7 @@ def coherence_sequential(
     if not 1 <= d <= min(ps.p1, ps.p2):
         raise ValueError(f"d = {d} must lie in [1, min(p1, p2) = {min(ps.p1, ps.p2)}]")
     p1 = ps.p1
-    vals, vecs = sdo.eigensystem
+    vals, vecs = np.linalg.eigh(sdo.tensor)
     clip = max(0.0, -float(vals.min()))
     proj = sdo.tensor if clip == 0.0 else eig_reconstruct(vecs, np.maximum(vals, 0.0))
     lam1, lam2, sig = _canonical_parts(proj, d, p1)
@@ -273,7 +273,7 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
             f"stationarity measure expects the full band [0, pi], got ({a:.6g}, {b:.6g})",
             stacklevel=2,
         )
-    vals, vecs = sdo.eigensystem
+    vals, vecs = np.linalg.eigh(sdo.tensor)
     clip = max(0.0, -float(vals.min()))
     s = _restricted_roots(vals, vecs, d)
     s -= s.mean(axis=0, keepdims=True)

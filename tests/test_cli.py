@@ -348,13 +348,12 @@ def test_main_degenerate_spectrum_exits_4_with_measure_stage(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_main_lapack_failure_exits_4(tmp_path, capsys):
-    sim_cfg = write_cfg(tmp_path, name="sim.cfg", process="iid", T=1024, p=4)
-    data_path = tmp_path / "series.csv"
-    assert run_main(capsys, "simulate", "--config", sim_cfg, "--out", str(data_path))[0] == 0
-    data = np.loadtxt(data_path, delimiter=",", skiprows=1)
-    huge = write_csv(tmp_path, data * 1e160, name="huge.csv")
-    cfg = write_cfg(tmp_path, input=huge, measure="tvdfpca", quantile_r=10_000, quantile_n=500)
+def test_main_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def failing_eigh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    cfg = write_cfg(tmp_path, **INFER_KEYS)
     code, out = run_main(capsys, "infer", "--config", cfg)
     assert code == 4
     err = json.loads(out)["error"]

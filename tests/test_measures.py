@@ -263,10 +263,6 @@ def test_measures_do_not_depend_on_what_filled_the_caches():
     plan = sn.default_bandwidth_plan(1024)
     sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
     ps = sn.ProductStructure(2, 2)
-    alone = sn.stationarity_sequential(fresh_copy(sdo), 2)
-    shared = fresh_copy(sdo)
-    sn.coherence_sequential(shared, 1, ps)
-    assert_same_path(sn.stationarity_sequential(shared, 2), alone)
     alone = sn.tvdfpca_sequential(fresh_copy(sdo), 2)
     shared = fresh_copy(sdo)
     for d in range(1, sdo.p + 1):
@@ -278,14 +274,16 @@ def test_measures_do_not_depend_on_what_filled_the_caches():
     assert_same_path(sn.tvdpsca_sequential(shared, 2, ps), alone)
 
 
-def test_cached_spectra_are_read_only():
-    sdo = analytic_sdo(np.diag([4.0, 3.0, 2.0, 1.0]))
-    vals, vecs = sdo.eigensystem
-    cached = (sdo.eigenvalues, vals, vecs, sdo.separable_scores(sn.ProductStructure(2, 2)))
-    for arr in cached:
+def test_cached_spectra_and_tensor_are_read_only():
+    tensor = np.broadcast_to(np.diag([4.0, 3.0, 2.0, 1.0]) + 0j, (2, 2, 3, 4, 4)).copy()
+    sdo = sn.SequentialSDO.from_tensor(tensor)
+    assert sdo.tensor is tensor  # wrapped without a copy, so the caller's array is frozen
+    ps = sn.ProductStructure(2, 2)
+    scores = sdo.separable_scores(ps)
+    for arr in (tensor, sdo.tensor, sdo.eigenvalues, scores):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    assert sdo.eigensystem[1] is vecs  # computed once, then shared
+    assert sdo.separable_scores(ps) is scores  # computed once, then shared
     assert np.array_equal(sdo.eigenvalues[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
 
 
