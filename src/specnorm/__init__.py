@@ -40,7 +40,6 @@ from .estimator import (
 from .hermitian import (
     EigenSystem,
     ProductStructure,
-    SingularSystem,
     eigh_descending,
     frechet_derivative,
     hermitian_part,
@@ -49,7 +48,6 @@ from .hermitian import (
     psd_project,
     require_hermitian,
     sqrt_distance,
-    svd_descending,
 )
 from .inference import (
     ALPHA_GRID,
@@ -79,9 +77,7 @@ from .inference import (
 )
 from .measures import (
     SCALING_EXPONENTS,
-    DeviationResult,
     SequentialFunctional,
-    as_result,
     coherence_sequential,
     measure_population,
     rank_restrict,
@@ -106,7 +102,6 @@ __all__ = [
     "DataError",
     "NumericalError",
     "EigenSystem",
-    "SingularSystem",
     "ProductStructure",
     "hermitian_part",
     "require_hermitian",
@@ -115,7 +110,6 @@ __all__ = [
     "matrix_sqrt_psd",
     "sqrt_distance",
     "kron_rearrange",
-    "svd_descending",
     "frechet_derivative",
     "Kernel",
     "PARZEN",
@@ -129,8 +123,6 @@ __all__ = [
     "estimate_sequential_sdo",
     "sequential_estimate_at",
     "SequentialFunctional",
-    "DeviationResult",
-    "as_result",
     "SCALING_EXPONENTS",
     "tvdfpca_sequential",
     "tvdpsca_sequential",

@@ -11,7 +11,8 @@ Subcommands: ``simulate`` (emit CSV), ``estimate`` (spectral tensor summary),
 ``select-d`` (order selection), ``quantiles`` (build/cache a pivot table).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error. Failures are reported as an error JSON with the pipeline stage tag.
+error. Failures are reported as an error JSON with the pipeline stage tag
+(``config``, ``data``, ``estimate``, ``measure`` or ``inference``).
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, DataError, NumericalError
 from .estimator import (
-    BandwidthPlan,
     SequentialSDO,
     TimeSeriesSample,
     default_bandwidth_plan,
@@ -39,6 +40,7 @@ from .estimator import (
 from .hermitian import ProductStructure
 from .inference import (
     DEFAULT_QUANTILE_SEED,
+    OrderSelection,
     PivotLaw,
     confidence_interval,
     estimate_dstar,
@@ -135,47 +137,14 @@ def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(s, key) for s in items)
 
 
-def _parse_str(raw: str, key: str) -> str:
-    return raw
-
-
-_PARSERS = {
-    "input": _parse_str,
-    "process": _parse_str,
-    "T": _parse_int,
-    "p": _parse_int,
-    "burn_in": _parse_int,
-    "sigma_diag": _parse_floats,
-    "ar_coeff": _parse_float,
-    "sigma_eps_diag": _parse_floats,
-    "p1": _parse_int,
-    "p2": _parse_int,
-    "sigma_x_diag": _parse_floats,
-    "sigma_y_diag": _parse_floats,
-    "coupling": _parse_float,
-    "alpha": _parse_float,
-    "kappa": _parse_float,
-    "kernel": _parse_str,
-    "m": _parse_int,
-    "k_omega": _parse_int,
-    "band_lo": _parse_float,
-    "band_hi": _parse_float,
-    "measure": _parse_str,
-    "d": _parse_int,
-    "d_max": _parse_int,
-    "level_alpha": _parse_float,
-    "delta": _parse_float,
-    "nu": _parse_float,
-    "d0": _parse_int,
-    "quantile_r": _parse_int,
-    "quantile_n": _parse_int,
-    "quantile_seed": _parse_int,
-    "f_exp": _parse_int,
-    "g_exp": _parse_int,
-    "seed": _parse_int,
-    "threads": _parse_int,
-    "out": _parse_str,
+# One parser per RunConfig field, chosen by its annotation (optional or not).
+_PARSER_BY_TYPE = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "tuple[float, ...]": _parse_floats,
+    "str": lambda raw, key: raw,
 }
+_PARSERS = {f.name: _PARSER_BY_TYPE[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -254,18 +223,18 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.k_omega is not None and cfg.k_omega < 1:
         raise ConfigError(f"k_omega = {cfg.k_omega} must be at least 1")
     if cfg.measure in ("tvdpsca", "coherence"):
-        if _product_structure(cfg) is None:
-            raise ConfigError(f"measure = {cfg.measure}: product structure required (keys p1, p2)")
+        _require_ps(cfg)
 
 
-def _product_structure(cfg: RunConfig) -> ProductStructure | None:
+def _require_ps(cfg: RunConfig) -> ProductStructure:
+    """The factor dimensions (p1, p2), given or read off the factor diagonals."""
     p1, p2 = cfg.p1, cfg.p2
     if p1 is None and cfg.sigma_x_diag is not None:
         p1 = len(cfg.sigma_x_diag)
     if p2 is None and cfg.sigma_y_diag is not None:
         p2 = len(cfg.sigma_y_diag)
     if p1 is None or p2 is None:
-        return None
+        raise ConfigError(f"measure = {cfg.measure}: product structure required (keys p1, p2)")
     if p1 < 1 or p2 < 1:
         raise ConfigError("p1 and p2 must be at least 1")
     return ProductStructure(p1=p1, p2=p2)
@@ -280,42 +249,45 @@ def ingest_csv(path: str) -> TimeSeriesSample:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
-
-    def _numeric(cell: str) -> bool:
-        try:
-            float(cell)
-        except ValueError:
-            return False
-        return True
-
-    start = 0
-    if not all(_numeric(c) for c in rows[0]):
-        start = 1
+    start = 0 if all(_is_number(c) for c in rows[0]) else 1
     data_rows = rows[start:]
     if not data_rows:
         raise DataError(f"{path}: no data rows")
-    p = len(data_rows[0])
-    values = np.empty((len(data_rows), p))
-    for i, row in enumerate(data_rows):
-        if len(row) != p:
-            raise DataError(
-                f"{path}: ragged row {start + i + 1} has {len(row)} cells, expected {p}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                x = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {start + i + 1}, column {j + 1}: {cell!r}"
-                ) from None
-            if not math.isfinite(x):
-                raise DataError(
-                    f"{path}: non-finite value at row {start + i + 1}, column {j + 1}: {cell!r}"
-                )
-            values[i, j] = x
+    try:
+        values = np.array(data_rows, dtype=float)
+    except ValueError:
+        _check_cells(path, data_rows, start)
+        raise
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(
+            f"{path}: non-finite value at row {start + i + 1}, column {j + 1}: {data_rows[i][j]!r}"
+        )
     if len(data_rows) < 64:
         raise DataError(f"{path}: need at least 64 rows, got {len(data_rows)}")
     return TimeSeriesSample(data=values)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_cells(path: str, rows: list[list[str]], start: int) -> None:
+    """Raise DataError at the first ragged row, non-numeric or non-finite cell."""
+    p = len(rows[0])
+    for i, row in enumerate(rows, start=start + 1):
+        if len(row) != p:
+            raise DataError(f"{path}: ragged row {i} has {len(row)} cells, expected {p}")
+        for j, cell in enumerate(row, start=1):
+            if not _is_number(cell):
+                raise DataError(f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}")
+            if not math.isfinite(float(cell)):
+                raise DataError(f"{path}: non-finite value at row {i}, column {j}: {cell!r}")
 
 
 def _diag_or_eye(diag: tuple[float, ...] | None, p: int | None, what: str) -> np.ndarray:
@@ -360,28 +332,38 @@ def build_process_spec(cfg: RunConfig) -> ProcessSpec:
     raise ConfigError(f"unknown process {cfg.process!r}")
 
 
-def _load_sample(cfg: RunConfig) -> TimeSeriesSample:
-    if cfg.input is not None:
-        return ingest_csv(cfg.input)
-    if cfg.process is not None:
-        return simulate(build_process_spec(cfg))
-    raise ConfigError("exactly one of 'input' and 'process' is required")
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Tag an exception leaving the block with the pipeline stage it left.
+
+    An exception already tagged keeps its tag, so the innermost stage wins;
+    :func:`main` reports untagged errors as stage ``config``.
+    """
+    try:
+        yield
+    except Exception as exc:
+        if not hasattr(exc, "stage"):
+            exc.stage = name
+        raise
 
 
-def _build_plan(cfg: RunConfig, t_len: int) -> BandwidthPlan:
-    return default_bandwidth_plan(
-        T=t_len, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel_by_name(cfg.kernel)
-    )
-
-
-def _build_sdo(cfg: RunConfig, sample: TimeSeriesSample, plan: BandwidthPlan) -> SequentialSDO:
-    return estimate_sequential_sdo(
-        sample,
-        plan,
-        kernel=kernel_by_name(cfg.kernel),
-        band=(cfg.band_lo, cfg.band_hi),
-        k_omega=cfg.k_omega,
-    )
+def _estimate(cfg: RunConfig) -> SequentialSDO:
+    """The stages every analysis shares: data, bandwidth plan, sequential estimate."""
+    with _stage("data"):
+        if cfg.input is not None:
+            sample = ingest_csv(cfg.input)
+        elif cfg.process is not None:
+            sample = simulate(build_process_spec(cfg))
+        else:
+            raise ConfigError("exactly one of 'input' and 'process' is required")
+    with _stage("estimate"):
+        kernel = kernel_by_name(cfg.kernel)
+        plan = default_bandwidth_plan(
+            T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel
+        )
+        return estimate_sequential_sdo(
+            sample, plan, kernel=kernel, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega
+        )
 
 
 def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunctional:
@@ -398,13 +380,6 @@ def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunct
     raise ConfigError(f"unknown measure {cfg.measure!r}")
 
 
-def _require_ps(cfg: RunConfig) -> ProductStructure:
-    ps = _product_structure(cfg)
-    if ps is None:
-        raise ConfigError(f"measure = {cfg.measure}: product structure required (keys p1, p2)")
-    return ps
-
-
 def _pivot_law(cfg: RunConfig, f_exp: int, g_exp: int) -> PivotLaw:
     return mc_quantiles(
         f_exp,
@@ -416,18 +391,17 @@ def _pivot_law(cfg: RunConfig, f_exp: int, g_exp: int) -> PivotLaw:
     )
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = {}
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = list(val)
-        echo[f.name] = val
-    return echo
+def _report(cfg: RunConfig, body: dict, seed: bool = True) -> dict:
+    """The report envelope: config echo, then ``body``, then seed and version."""
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    echo = {key: list(val) if isinstance(val, tuple) else val for key, val in values}
+    tail = {"seed": cfg.seed} if seed else {}
+    return {"config_echo": echo, **body, **tail, "version": __version__}
 
 
-def _plan_diagnostics(plan: BandwidthPlan, sdo: SequentialSDO) -> dict:
-    return {
+def _diagnostics(sdo: SequentialSDO, seq: SequentialFunctional | None = None) -> dict:
+    plan = sdo.plan
+    diagnostics = {
         "N": plan.N,
         "b_f": plan.b_f,
         "M": plan.M,
@@ -437,61 +411,54 @@ def _plan_diagnostics(plan: BandwidthPlan, sdo: SequentialSDO) -> dict:
         "plan_warnings": list(plan.warnings),
         "psd_clip_max": sdo.diagnostics.get("psd_clip_max", 0.0),
     }
+    if seq is not None:
+        diagnostics.update(seq.diagnostics)
+    return diagnostics
+
+
+def _order_stats(sel: OrderSelection) -> list[dict]:
+    return [
+        {"d": st.d, "estimate": st.estimate, "v": st.v, "statistic": st.statistic}
+        for st in sel.stats
+    ]
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Full inference pipeline; returns the report as a JSON-ready dict."""
-    _STAGE.set("data")
-    sample = _load_sample(cfg)
-    _STAGE.set("estimate")
-    plan = _build_plan(cfg, sample.T)
-    sdo = _build_sdo(cfg, sample, plan)
-    _STAGE.set("measure")
-    seq = _measure_path(cfg, sdo, cfg.d)
-    _STAGE.set("inference")
-    v = self_norm_V([seq]).values[0]
-    law = _pivot_law(cfg, seq.f_exponent, seq.g_exponent)
-    estimate = seq.point_estimate
-    delta = cfg.delta if cfg.delta is not None else 0.0
-    if v > 0:
-        pivot = (estimate - delta) / v
-    elif estimate > delta:
-        pivot = math.inf
-    elif estimate < delta:
-        pivot = -math.inf
-    else:
-        pivot = math.nan  # degenerate path exactly at the hypothesized value
-    ci = confidence_interval(estimate, v, law, cfg.level_alpha)
-    rel = relevant_test(estimate, v, law, delta, cfg.level_alpha)
-    order_block: dict = {"nu": None, "d_hat": None, "stats": []}
-    if cfg.nu is not None and cfg.d_max is not None:
-        if cfg.measure not in ("tvdfpca", "tvdpsca"):
-            raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
-        paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
-        sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
-        order_block = {
-            "nu": sel.nu,
-            "d_hat": sel.d_hat,
-            "stats": [
-                {"d": st.d, "estimate": st.estimate, "v": st.v, "statistic": st.statistic}
-                for st in sel.stats
-            ],
-        }
-    _STAGE.set("report")
-    diagnostics = _plan_diagnostics(plan, sdo)
-    diagnostics.update(seq.diagnostics)
-    return {
-        "config_echo": _config_echo(cfg),
+    sdo = _estimate(cfg)
+    with _stage("measure"):
+        seq = _measure_path(cfg, sdo, cfg.d)
+    with _stage("inference"):
+        v = self_norm_V([seq]).values[0]
+        law = _pivot_law(cfg, seq.f_exponent, seq.g_exponent)
+        estimate = seq.point_estimate
+        delta = cfg.delta if cfg.delta is not None else 0.0
+        if v > 0:
+            pivot = (estimate - delta) / v
+        elif estimate > delta:
+            pivot = math.inf
+        elif estimate < delta:
+            pivot = -math.inf
+        else:
+            pivot = math.nan  # degenerate path exactly at the hypothesized value
+        ci = confidence_interval(estimate, v, law, cfg.level_alpha)
+        rel = relevant_test(estimate, v, law, delta, cfg.level_alpha)
+        order_block: dict = {"nu": None, "d_hat": None, "stats": []}
+        if cfg.nu is not None and cfg.d_max is not None:
+            if cfg.measure not in ("tvdfpca", "tvdpsca"):
+                raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
+            paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
+            sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
+            order_block = {"nu": sel.nu, "d_hat": sel.d_hat, "stats": _order_stats(sel)}
+    return _report(cfg, {
         "estimate": estimate,
         "V": float(v),
         "pivot": float(pivot),
         "ci": {"level": ci.level, "lo": ci.lo, "hi": ci.hi},
         "relevant_test": {"delta": rel.delta, "quantile": rel.quantile, "reject": rel.reject},
         "order": order_block,
-        "diagnostics": diagnostics,
-        "seed": cfg.seed,
-        "version": __version__,
-    }
+        "diagnostics": _diagnostics(sdo, seq),
+    })
 
 
 def _json_number(x: float) -> str:
@@ -545,65 +512,34 @@ def dumps_report(obj: dict) -> str:
     return "".join(parts)
 
 
-class _Stage:
-    """Tracks the pipeline stage for error tagging."""
-
-    def __init__(self) -> None:
-        self.name = "config"
-
-    def set(self, name: str) -> None:
-        self.name = name
-
-
-_STAGE = _Stage()
-
-
 def _cmd_simulate(cfg: RunConfig) -> str:
-    _STAGE.set("data")
-    if cfg.process is None:
-        raise ConfigError("subcommand 'simulate' requires key 'process'")
-    sample = simulate(build_process_spec(cfg))
+    with _stage("data"):
+        if cfg.process is None:
+            raise ConfigError("subcommand 'simulate' requires key 'process'")
+        sample = simulate(build_process_spec(cfg))
     lines = [",".join(f"x{j + 1}" for j in range(sample.p))]
     for row in sample.data:
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"
 
 
-def _cmd_estimate(cfg: RunConfig) -> str:
-    _STAGE.set("data")
-    sample = _load_sample(cfg)
-    _STAGE.set("estimate")
-    plan = _build_plan(cfg, sample.T)
-    sdo = _build_sdo(cfg, sample, plan)
-    trace = np.einsum("mkii->mk", sdo.tensor[:, :, -1]).real
-    _STAGE.set("report")
-    report = {
-        "config_echo": _config_echo(cfg),
+def _cmd_estimate(cfg: RunConfig) -> dict:
+    sdo = _estimate(cfg)
+    return _report(cfg, {
         "shape": {"m": sdo.m, "k_omega": sdo.k_omega, "n_window": sdo.n_window, "p": sdo.p},
         "u_points": sdo.u_points,
         "omega_points": sdo.omega_points,
         "eta_points": sdo.eta_points,
-        "trace_eta1": trace,
-        "diagnostics": _plan_diagnostics(plan, sdo),
-        "seed": cfg.seed,
-        "version": __version__,
-    }
-    return dumps_report(report) + "\n"
+        "trace_eta1": np.einsum("mkii->mk", sdo.tensor[:, :, -1]).real,
+        "diagnostics": _diagnostics(sdo),
+    })
 
 
-def _cmd_measure(cfg: RunConfig) -> str:
-    _STAGE.set("data")
-    sample = _load_sample(cfg)
-    _STAGE.set("estimate")
-    plan = _build_plan(cfg, sample.T)
-    sdo = _build_sdo(cfg, sample, plan)
-    _STAGE.set("measure")
-    seq = _measure_path(cfg, sdo, cfg.d)
-    _STAGE.set("report")
-    diagnostics = _plan_diagnostics(plan, sdo)
-    diagnostics.update(seq.diagnostics)
-    report = {
-        "config_echo": _config_echo(cfg),
+def _cmd_measure(cfg: RunConfig) -> dict:
+    sdo = _estimate(cfg)
+    with _stage("measure"):
+        seq = _measure_path(cfg, sdo, cfg.d)
+    return _report(cfg, {
         "kind": seq.kind,
         "d": seq.d,
         "f_exponent": seq.f_exponent,
@@ -612,18 +548,11 @@ def _cmd_measure(cfg: RunConfig) -> str:
         "eta": seq.eta,
         "values": seq.values,
         "valid": seq.valid,
-        "diagnostics": diagnostics,
-        "seed": cfg.seed,
-        "version": __version__,
-    }
-    return dumps_report(report) + "\n"
+        "diagnostics": _diagnostics(sdo, seq),
+    })
 
 
-def _cmd_infer(cfg: RunConfig) -> str:
-    return dumps_report(run_pipeline(cfg)) + "\n"
-
-
-def _cmd_select_d(cfg: RunConfig) -> str:
+def _cmd_select_d(cfg: RunConfig) -> dict:
     if cfg.nu is None:
         raise ConfigError("subcommand 'select-d' requires key 'nu'")
     if cfg.d_max is None:
@@ -632,50 +561,35 @@ def _cmd_select_d(cfg: RunConfig) -> str:
     if measure not in ("tvdfpca", "tvdpsca"):
         raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
     cfg = replace(cfg, measure=measure)
-    _STAGE.set("data")
-    sample = _load_sample(cfg)
-    _STAGE.set("estimate")
-    plan = _build_plan(cfg, sample.T)
-    sdo = _build_sdo(cfg, sample, plan)
-    _STAGE.set("measure")
-    paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
-    _STAGE.set("inference")
-    law = _pivot_law(cfg, paths[0].f_exponent, paths[0].g_exponent)
-    sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
-    _STAGE.set("report")
-    diagnostics = _plan_diagnostics(plan, sdo)
-    report = {
-        "config_echo": _config_echo(cfg),
+    sdo = _estimate(cfg)
+    with _stage("measure"):
+        paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
+    with _stage("inference"):
+        law = _pivot_law(cfg, paths[0].f_exponent, paths[0].g_exponent)
+        sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
+    return _report(cfg, {
         "nu": sel.nu,
         "alpha": sel.alpha,
         "quantile": sel.quantile,
         "d_hat": sel.d_hat,
-        "stats": [
-            {"d": st.d, "estimate": st.estimate, "v": st.v, "statistic": st.statistic}
-            for st in sel.stats
-        ],
-        "diagnostics": diagnostics,
-        "seed": cfg.seed,
-        "version": __version__,
-    }
-    return dumps_report(report) + "\n"
+        "stats": _order_stats(sel),
+        "diagnostics": _diagnostics(sdo),
+    })
 
 
-def _cmd_quantiles(cfg: RunConfig) -> str:
-    _STAGE.set("inference")
-    if cfg.f_exp is not None and cfg.g_exp is not None:
-        f_exp, g_exp = cfg.f_exp, cfg.g_exp
-    elif cfg.measure is not None:
-        f_exp, g_exp = SCALING_EXPONENTS[cfg.measure]
-    else:
-        raise ConfigError("subcommand 'quantiles' requires 'measure' or 'f_exp' and 'g_exp'")
-    law = _pivot_law(cfg, f_exp, g_exp)
-    cache_file = pivot_cache_path(
-        f_exp, g_exp, cfg.quantile_r, cfg.quantile_n, cfg.quantile_seed
-    )
-    _STAGE.set("report")
-    report = {
-        "config_echo": _config_echo(cfg),
+def _cmd_quantiles(cfg: RunConfig) -> dict:
+    with _stage("inference"):
+        if cfg.f_exp is not None and cfg.g_exp is not None:
+            f_exp, g_exp = cfg.f_exp, cfg.g_exp
+        elif cfg.measure is not None:
+            f_exp, g_exp = SCALING_EXPONENTS[cfg.measure]
+        else:
+            raise ConfigError("subcommand 'quantiles' requires 'measure' or 'f_exp' and 'g_exp'")
+        law = _pivot_law(cfg, f_exp, g_exp)
+        cache_file = pivot_cache_path(
+            f_exp, g_exp, cfg.quantile_r, cfg.quantile_n, cfg.quantile_seed
+        )
+    return _report(cfg, {
         "f_exponent": law.f_exponent,
         "g_exponent": law.g_exponent,
         "replications": law.replications,
@@ -684,16 +598,15 @@ def _cmd_quantiles(cfg: RunConfig) -> str:
         "cache_file": str(cache_file),
         "alphas": law.alphas,
         "quantiles": law.quantiles,
-        "version": __version__,
-    }
-    return dumps_report(report) + "\n"
+    }, seed=False)
 
 
+# Each subcommand returns its CSV text or its report dict.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
     "measure": _cmd_measure,
-    "infer": _cmd_infer,
+    "infer": lambda cfg: run_pipeline(cfg),  # looked up per call, like every library name
     "select-d": _cmd_select_d,
     "quantiles": _cmd_quantiles,
 }
@@ -724,7 +637,6 @@ def _write_output(text: str, out: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _STAGE.set("config")
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -747,7 +659,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError("--threads must be at least 1")
             cfg = replace(cfg, threads=args.threads)
         out = args.out if args.out is not None else cfg.out
-        text_out = _COMMANDS[args.command](cfg)
+        result = _COMMANDS[args.command](cfg)
+        text_out = result if isinstance(result, str) else dumps_report(result) + "\n"
         _write_output(text_out, out)
         return 0
     except (ConfigError, DataError, NumericalError, ValueError) as exc:
@@ -756,7 +669,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = 4 if numerical else 3 if isinstance(exc, DataError) else 2
         error_report = {
             "error": {
-                "stage": _STAGE.name,
+                "stage": getattr(exc, "stage", "config"),
                 "type": type(exc).__name__,
                 "message": str(exc),
             },

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .hermitian import ProductStructure, eig_reconstruct, kron_rearrange
 
 __all__ = [
@@ -412,6 +412,8 @@ def estimate_sequential_sdo(
         ceil((b - a)/pi * N^kappa), matching frequency resolution to the
         smoothing bandwidth.
     :raises ConfigError: for invalid band, cell count, or plan/sample mismatch.
+    :raises NumericalError: if the data are so large that the lag products
+        overflow.
     """
     a, b = _validate_band(band)
     if plan.T != sample.T:
@@ -441,6 +443,12 @@ def estimate_sequential_sdo(
                 f += upper + upper.conj().transpose(0, 2, 1)
             f /= ks
             # c0 S0 + U + U^H over a real k is already Hermitian bit for bit.
+            # Lag sums are cumulative, so an overflow anywhere reaches eta = 1.
+            if not np.isfinite(f[-1]).all():
+                raise NumericalError(
+                    f"non-finite spectral estimate in window {i + 1}, frequency cell {j + 1}: "
+                    "the lag products of the data overflow"
+                )
             # PSD projection of the full-window slice; slices at eta < 1 stay raw.
             vals, vecs = np.linalg.eigh(f[-1])
             if vals[0] < 0:

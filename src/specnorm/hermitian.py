@@ -20,7 +20,6 @@ from .errors import NumericalError
 
 __all__ = [
     "EigenSystem",
-    "SingularSystem",
     "ProductStructure",
     "TIE_TOL",
     "hermitian_part",
@@ -31,7 +30,6 @@ __all__ = [
     "sqrt_distance",
     "kron_rearrange",
     "eig_reconstruct",
-    "svd_descending",
     "frechet_derivative",
 ]
 
@@ -58,18 +56,6 @@ class EigenSystem:
 
     def reconstruct(self) -> np.ndarray:
         return eig_reconstruct(self.vectors, self.values)
-
-
-@dataclass(frozen=True)
-class SingularSystem:
-    """SVD factors with singular values descending: A = left @ diag(values) @ right."""
-
-    values: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right
 
 
 @dataclass(frozen=True)
@@ -211,16 +197,6 @@ def eig_reconstruct(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
         v = vectors[i]
         np.matmul(v * values[i][..., None, :], v.conj().swapaxes(-1, -2), out=out[i])
     return out
-
-
-def svd_descending(a: np.ndarray) -> SingularSystem:
-    """Full SVD with singular values descending (LAPACK order retained)."""
-    a = np.asarray(a)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed for matrix of shape {a.shape}") from exc
-    return SingularSystem(values=s, left=u, right=vh)
 
 
 def frechet_derivative(

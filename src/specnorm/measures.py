@@ -37,8 +37,6 @@ from .hermitian import TIE_TOL, ProductStructure, eig_reconstruct, eigh_descendi
 
 __all__ = [
     "SequentialFunctional",
-    "DeviationResult",
-    "as_result",
     "tvdfpca_sequential",
     "tvdpsca_sequential",
     "coherence_sequential",
@@ -65,7 +63,8 @@ class SequentialFunctional:
     observations; ``valid`` marks fractions where the measure is well defined
     (rank-deficient partial estimates can make coherence undefined for small
     k). The pair (f_exponent, g_exponent) identifies the pivot law of the
-    self-normalized statistic built from this path.
+    self-normalized statistic built from this path. A non-finite point
+    estimate raises :class:`NumericalError`.
     """
 
     kind: str
@@ -77,26 +76,16 @@ class SequentialFunctional:
     g_exponent: int
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.point_estimate):
+            raise NumericalError(
+                f"{self.kind} estimate at eta = 1 is not finite ({self.point_estimate}): "
+                "the data scale over- or underflows; rescale the data"
+            )
+
     @property
     def point_estimate(self) -> float:
         return float(self.values[-1])
-
-
-@dataclass(frozen=True)
-class DeviationResult:
-    """Point estimate (the path value at eta = 1) plus its sequential path."""
-
-    point_estimate: float
-    sequential: SequentialFunctional
-    diagnostics: dict
-
-
-def as_result(seq: SequentialFunctional) -> DeviationResult:
-    return DeviationResult(
-        point_estimate=seq.point_estimate,
-        sequential=seq,
-        diagnostics=dict(seq.diagnostics),
-    )
 
 
 def _available(sdo: SequentialSDO) -> np.ndarray:

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import types
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,6 +130,44 @@ def test_parse_config_product_structure_inferred_from_factor_diagonals():
     assert cfg.sigma_x_diag == (2.0, 1.0)
 
 
+def field_type(name):
+    """The annotated type of a RunConfig field, without its Optional part."""
+    hint = typing.get_type_hints(RunConfig)[name]
+    if isinstance(hint, types.UnionType):
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    return typing.get_origin(hint) or hint
+
+
+# A value of each type that passes validation whichever key carries it.
+GOOD_VALUE = {int: ("3", 3), float: ("0.5", 0.5), tuple: ("0.5, 0.25", (0.5, 0.25))}
+GOOD_STR = {"process": "iid", "kernel": "flat_top", "measure": "tvdfpca"}
+BAD_VALUE = {
+    int: ("2.5", "expected an integer"),
+    float: ("x", "expected a number"),
+    tuple: ("1, x", "expected a number"),
+    str: ("", "empty value"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_parse_config_parses_each_key_to_its_annotated_type(name):
+    kind = field_type(name)
+    if kind is str:
+        raw = GOOD_STR.get(name, "some/path")
+        expected = raw
+    else:
+        raw, expected = GOOD_VALUE[kind]
+    extra = "T = 256\n" if name == "process" else ""
+    value = getattr(parse_config(f"{name} = {raw}\n{extra}"), name)
+    assert type(value) is kind and value == expected
+    if kind is tuple:
+        assert all(type(x) is float for x in value)
+    bad, frag = BAD_VALUE[kind]
+    with pytest.raises(ConfigError, match=frag) as err:
+        parse_config(f"{name} = {bad}\n")
+    assert repr(name) in str(err.value)
+
+
 def test_parse_config_numeric_ranges():
     for line, frag in [
         ("alpha = 1.5", "alpha = 1.5 must lie strictly between"),
@@ -159,7 +200,9 @@ def test_ingest_csv_header_autodetect(tmp_path):
     a = ingest_csv(with_header)
     b = ingest_csv(without)
     assert a.data.shape == (64, 2)
-    assert np.array_equal(a.data, b.data)
+    assert a.data.dtype == data.dtype
+    assert a.data.tobytes() == data.tobytes()  # 17 digits parse back bit for bit
+    assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_ingest_csv_ragged_row_reports_coordinates(tmp_path):
@@ -358,6 +401,61 @@ def test_main_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     err = json.loads(out)["error"]
     assert err["stage"] == "estimate" and err["type"] == "LinAlgError"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale, p, keys, stage",
+    [
+        (1e160, 2, dict(measure="stationarity"), "estimate"),
+        (1e100, 4, dict(measure="tvdpsca", p1=2, p2=2), "measure"),
+        (1e-100, 4, dict(measure="coherence", p1=2, p2=2), "measure"),
+    ],
+    ids=["x1e160-stationarity", "x1e100-tvdpsca", "x1e-100-coherence"],
+)
+def test_main_out_of_range_scale_exits_4(tmp_path, capsys, scale, p, keys, stage):
+    # Finite data whose spectral products leave the floating-point range must
+    # fail as a numerical error, never report NaN or Infinity with exit 0.
+    sigma = np.diag(np.arange(p, 0, -1.0))
+    data = sn.simulate(sn.IidSpec(T=256, sigma=sigma, seed=3)).data * scale
+    cfg = write_cfg(tmp_path, input=write_csv(tmp_path, data), quantile_r=10_000,
+                    quantile_n=500, **keys)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 4, out
+    err = json.loads(out)["error"]
+    assert err["stage"] == stage and err["type"] == "NumericalError"
+
+
+IID_256 = dict(process="iid", T=256, p=2)
+QUICK = dict(quantile_r=10_000, quantile_n=500)
+
+
+@pytest.mark.parametrize(
+    "command, keys, stage",
+    [
+        ("infer", dict(**IID_256, **QUICK), "measure"),
+        ("infer", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "inference"),
+        ("infer", dict(**IID_256, measure="tvdfpca", quantile_r=50), "inference"),
+        ("infer", dict(**IID_256, **QUICK, m=40, measure="tvdfpca"), "estimate"),
+        ("infer", dict(process="iid", T=256, measure="tvdfpca", **QUICK), "data"),
+        ("estimate", dict(**IID_256, m=40), "estimate"),
+        ("measure", dict(**IID_256), "measure"),
+        ("quantiles", dict(T=256), "inference"),
+        ("simulate", dict(T=256), "data"),
+        ("select-d", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
+    ],
+    ids=[
+        "infer-no-measure", "infer-order-stationarity", "infer-quantile-r-50", "infer-m-40",
+        "iid-without-p", "estimate-m-40", "measure-no-measure", "quantiles-no-exponents",
+        "simulate-without-process", "select-d-stationarity",
+    ],
+)
+def test_main_error_stage_table(tmp_path, capsys, command, keys, stage):
+    cfg = write_cfg(tmp_path, **keys)
+    code, out = run_main(capsys, command, "--config", cfg)
+    assert code == 2, out
+    err = json.loads(out)["error"]
+    assert (err["stage"], err["type"]) == (stage, "ConfigError")
 
 
 def count_tensor_decompositions(monkeypatch, ndim=5):

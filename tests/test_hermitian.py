@@ -110,14 +110,6 @@ def test_kron_rearrange_is_a_frobenius_isometry():
         sn.kron_rearrange(a, sn.ProductStructure(2, 2))
 
 
-def test_svd_descending_reconstructs():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    ss = sn.svd_descending(a)
-    assert np.all(np.diff(ss.values) <= 0)
-    assert np.allclose(ss.reconstruct(), a, atol=1e-12)
-
-
 def test_frechet_derivative_square_closed_form():
     rng = np.random.default_rng(9)
     a = rand_hermitian(rng, 5)

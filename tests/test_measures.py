@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
+from conftest import make_path
 from specnorm.hermitian import eig_reconstruct
 
 
@@ -235,12 +236,11 @@ def test_population_requires_structure_where_needed():
         sn.measure_population(lambda u, w: const, "coherence", d=1)
 
 
-def test_as_result_carries_point_estimate(iid_sdo):
-    pth = sn.tvdfpca_sequential(iid_sdo, 1)
-    res = sn.as_result(pth)
-    assert res.point_estimate == pth.values[-1]
-    assert res.sequential is pth
-    assert res.diagnostics == pth.diagnostics
+def test_non_finite_point_estimate_is_rejected():
+    for last in (math.nan, math.inf):
+        with pytest.raises(sn.NumericalError, match="not finite"):
+            make_path([0.5, last])
+    make_path([math.nan, 0.5])  # interior values are not checked
 
 
 def fresh_copy(sdo):
