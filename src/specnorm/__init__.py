@@ -53,7 +53,6 @@ from .inference import (
     ALPHA_GRID,
     DEFAULT_QUANTILE_SEED,
     ConfidenceInterval,
-    JointPivotLaw,
     JointTestResult,
     OrderLowerResult,
     OrderSelection,
@@ -133,7 +132,6 @@ __all__ = [
     "ALPHA_GRID",
     "DEFAULT_QUANTILE_SEED",
     "PivotLaw",
-    "JointPivotLaw",
     "mc_quantiles",
     "mc_quantiles_joint",
     "quantile_se",

@@ -63,12 +63,14 @@ from .simulate import (
     ProcessSpec,
     SeparableSpec,
     TvFar1Spec,
+    _check_coupling,
     simulate,
 )
 
 __all__ = ["RunConfig", "parse_config", "ingest_csv", "run_pipeline", "dumps_report", "main"]
 
 _MEASURES = ("tvdfpca", "tvdpsca", "coherence", "stationarity")
+_ORDERED = ("tvdfpca", "tvdpsca")  # the measures with an order d to select
 _PROCESSES = ("iid", "tvfar1", "separable", "coherent_pair")
 
 
@@ -224,6 +226,11 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"k_omega = {cfg.k_omega} must be at least 1")
     if cfg.measure in ("tvdpsca", "coherence"):
         _require_ps(cfg)
+    if cfg.nu is not None and cfg.d_max is not None and cfg.measure not in (None, *_ORDERED):
+        raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
+    if cfg.coupling is not None:
+        # the pair's coupling is c I, which passes CoherentPairSpec's rule exactly when [[c]] does
+        _check_coupling(np.array([[cfg.coupling]]), 1, 1, 0.0)
 
 
 def _require_ps(cfg: RunConfig) -> ProductStructure:
@@ -445,7 +452,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         rel = relevant_test(estimate, v, law, delta, cfg.level_alpha)
         order_block: dict = {"nu": None, "d_hat": None, "stats": []}
         if cfg.nu is not None and cfg.d_max is not None:
-            if cfg.measure not in ("tvdfpca", "tvdpsca"):
+            if cfg.measure not in _ORDERED:
                 raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
             paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
             sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
@@ -557,10 +564,7 @@ def _cmd_select_d(cfg: RunConfig) -> dict:
         raise ConfigError("subcommand 'select-d' requires key 'nu'")
     if cfg.d_max is None:
         raise ConfigError("subcommand 'select-d' requires key 'd_max'")
-    measure = cfg.measure if cfg.measure is not None else "tvdfpca"
-    if measure not in ("tvdfpca", "tvdpsca"):
-        raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
-    cfg = replace(cfg, measure=measure)
+    cfg = replace(cfg, measure=cfg.measure or "tvdfpca")
     sdo = _estimate(cfg)
     with _stage("measure"):
         paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
@@ -590,8 +594,8 @@ def _cmd_quantiles(cfg: RunConfig) -> dict:
             f_exp, g_exp, cfg.quantile_r, cfg.quantile_n, cfg.quantile_seed
         )
     return _report(cfg, {
-        "f_exponent": law.f_exponent,
-        "g_exponent": law.g_exponent,
+        "f_exponent": f_exp,
+        "g_exponent": g_exp,
         "replications": law.replications,
         "bm_steps": law.bm_steps,
         "quantile_seed": law.seed,

@@ -15,11 +15,15 @@ with B standard Brownian motion, f(eta) = eta^f, g(eta) = eta^g. All rate
 and nuisance-scale factors cancel in the ratio, so confidence intervals and
 tests use the estimate and V directly.
 
-Pivot quantiles are tabulated once by Monte Carlo on a fixed fine alpha grid
-and cached on disk in a plain text format; lookups interpolate the table, so
-runs with a warm or cold cache produce identical bytes. The Monte Carlo is
-chunked with a fixed chunk size and per-chunk generators, making results
-independent of the thread count.
+Pivot quantiles are tabulated by Monte Carlo on a fixed fine alpha grid into
+one law type, :class:`PivotLaw`. It holds either the scalar pivot T(f, g) or
+the joint pivot B(1)' U^{-1} B(1) of several paths, where B is a vector of
+independent Brownian motions and U the matrix form of the denominator
+integral. One chunk kernel draws the paths for both, so a one-pair joint law
+is the square of the scalar sample. Scalar tables are cached on disk in a
+plain text format; lookups interpolate the table, so runs with a warm or cold
+cache produce identical bytes. The Monte Carlo is chunked with a fixed chunk
+size and per-chunk generators, making results independent of the thread count.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "ALPHA_GRID",
     "DEFAULT_QUANTILE_SEED",
     "PivotLaw",
-    "JointPivotLaw",
     "mc_quantiles",
     "mc_quantiles_joint",
     "quantile_se",
@@ -73,13 +76,20 @@ DEFAULT_QUANTILE_SEED = 1_000_003
 
 _CHUNK = 2048  # replications per Monte Carlo chunk, fixed for determinism
 
+_Pairs = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class PivotLaw:
-    """Tabulated quantiles of the scalar self-normalized pivot."""
+    """Tabulated quantiles of a self-normalized pivot.
 
-    f_exponent: int
-    g_exponent: int
+    ``pairs`` holds one exponent pair (f, g) per path. A scalar law
+    (``joint=False``) has one pair; a joint law is the quadratic-form pivot
+    of ``len(pairs)`` paths.
+    """
+
+    pairs: _Pairs
+    joint: bool
     replications: int
     bm_steps: int
     seed: int
@@ -95,27 +105,15 @@ class PivotLaw:
         return float(np.interp(alpha, self.alphas, self.quantiles))
 
 
-@dataclass(frozen=True)
-class JointPivotLaw:
-    """Tabulated quantiles of the joint quadratic-form pivot."""
-
-    pairs: tuple[tuple[int, int], ...]
-    replications: int
-    bm_steps: int
-    seed: int
-    alphas: np.ndarray
-    quantiles: np.ndarray
-
-    def quantile(self, alpha: float) -> float:
-        lo, hi = float(self.alphas[0]), float(self.alphas[-1])
-        if not lo <= alpha <= hi:
-            raise ConfigError(
-                f"alpha = {alpha} outside the tabulated range [{lo}, {hi}]"
-            )
-        return float(np.interp(alpha, self.alphas, self.quantiles))
-
-
-def _validate_mc_args(replications: int, bm_steps: int, seed: int, threads: int) -> None:
+def _checked_pairs(
+    pairs: Sequence[tuple[int, int]], replications: int, bm_steps: int, seed: int, threads: int
+) -> _Pairs:
+    """The exponent pairs as ints, once they and the Monte Carlo arguments are valid."""
+    pairs = tuple((int(f), int(g)) for f, g in pairs)
+    if not pairs:
+        raise ConfigError("joint pivot needs at least one exponent pair")
+    if any(f < 0 or g < 0 for f, g in pairs):
+        raise ConfigError("scaling exponents must be non-negative integers")
     if replications < 10_000:
         raise ConfigError(f"replications = {replications} too small; need at least 10000")
     if bm_steps < 500:
@@ -124,48 +122,68 @@ def _validate_mc_args(replications: int, bm_steps: int, seed: int, threads: int)
         raise ConfigError("seed must be a non-negative integer")
     if threads < 1:
         raise ConfigError("threads must be at least 1")
+    return pairs
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    sizes = [_CHUNK] * (total // _CHUNK)
-    if total % _CHUNK:
-        sizes.append(total % _CHUNK)
-    return sizes
-
-
-def _scalar_chunk(
-    f_exp: int, g_exp: int, bm_steps: int, seed: int, index: int, size: int
+def _chunk(
+    pairs: _Pairs, joint: bool, bm_steps: int, seed: int, index: int, size: int
 ) -> np.ndarray:
+    """Pivot draws of Monte Carlo chunk ``index``, from a generator of its own.
+
+    Each replication drives one Brownian motion per pair. A joint draw is the
+    quadratic form B(1)' U^{-1} B(1); a scalar draw is B(1) / sqrt(U) and also
+    enters with its sign flipped.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, index]))
     eta = np.arange(1, bm_steps + 1) / bm_steps
-    fvec = eta**f_exp
-    gvec = eta**g_exp
+    fmat = np.stack([eta**f for f, _ in pairs])
+    gmat = np.stack([eta**g for _, g in pairs])
     scale = 1.0 / math.sqrt(bm_steps)
-    b = np.cumsum(rng.standard_normal((size, bm_steps)), axis=1) * scale
-    b1 = b[:, -1]
-    den = ((b * gvec - b1[:, None] * fvec) ** 2).mean(axis=1)
-    bad = ~(den > 0) | ~np.isfinite(den)
-    while bad.any():  # probability-zero guard; keeps the law well defined
-        n_bad = int(bad.sum())
-        b_new = np.cumsum(rng.standard_normal((n_bad, bm_steps)), axis=1) * scale
-        b[bad] = b_new
-        b1 = b[:, -1]
-        den = ((b * gvec - b1[:, None] * fvec) ** 2).mean(axis=1)
-        bad = ~(den > 0) | ~np.isfinite(den)
-    x = b1 / np.sqrt(den)
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        dev = np.cumsum(rng.standard_normal((m, len(pairs), bm_steps)), axis=2) * scale
+        b1 = dev[:, :, -1].copy()
+        dev *= gmat  # g B - f B(1), formed in place: a chunk holds two path arrays at most
+        dev -= b1[:, :, None] * fmat
+        if not joint:
+            den = np.square(dev, out=dev)[:, 0].mean(axis=1)
+            ok = (den > 0) & np.isfinite(den)
+            return b1[:, 0] / np.sqrt(np.where(ok, den, 1.0)), ok
+        u = np.einsum("mkn,mln->mkl", dev, dev) / bm_steps
+        ok = np.linalg.det(u) > 0  # screened, so a singular U cannot abort the solve
+        u[~ok] = np.eye(len(pairs))
+        x = np.linalg.solve(u, b1[:, :, None])
+        val = (b1[:, None, :] @ x)[:, 0, 0]
+        return val, ok & np.isfinite(val) & (val >= 0)
+
+    out, ok = draw(size)
+    for i in np.flatnonzero(~ok):  # probability-zero degenerate draws, replaced in index order
+        while not ok[i]:
+            (out[i],), (ok[i],) = draw(1)
+    if joint:
+        return out
     # the pivot is odd in the driving noise, so each path also contributes
     # its sign flip: the tabulated sample is exactly symmetric (antithetic
     # pairing halves tail variance and pins the median at 0)
-    return np.concatenate([x, -x])
+    return np.concatenate([out, -out])
 
 
-def _run_chunks(worker, sizes: list[int], threads: int) -> np.ndarray:
+def _tabulate(
+    pairs: _Pairs, joint: bool, replications: int, bm_steps: int, seed: int, threads: int
+) -> PivotLaw:
+    """Quantile table of ``replications`` draws on ``ALPHA_GRID``, whatever ``threads``."""
+    sizes = [min(_CHUNK, replications - start) for start in range(0, replications, _CHUNK)]
+
+    def worker(index: int, size: int) -> np.ndarray:
+        return _chunk(pairs, joint, bm_steps, seed, index, size)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, range(len(sizes)), sizes))
     else:
-        parts = [worker(i, m) for i, m in enumerate(sizes)]
-    return np.concatenate(parts)
+        parts = list(map(worker, range(len(sizes)), sizes))
+    quantiles = np.quantile(np.concatenate(parts), ALPHA_GRID, method="linear")
+    return PivotLaw(pairs, joint, replications, bm_steps, seed, ALPHA_GRID.copy(), quantiles)
 
 
 def pivot_cache_path(
@@ -189,13 +207,13 @@ def pivot_cache_path(
 
 
 def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
-    """Write a quantile table as plain text (header line, then alpha/quantile pairs)."""
+    """Write a scalar quantile table as plain text (header line, then alpha/quantile pairs)."""
+    if law.joint:
+        raise ValueError("only scalar pivot laws have a file format")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"{law.f_exponent} {law.g_exponent} {law.replications} "
-        f"{law.bm_steps} {law.seed}\n"
-    ]
+    ((f_exp, g_exp),) = law.pairs
+    lines = [f"{f_exp} {g_exp} {law.replications} {law.bm_steps} {law.seed}\n"]
     lines.extend(
         f"{a:.17g} {q:.17g}\n" for a, q in zip(law.alphas, law.quantiles)
     )
@@ -225,8 +243,8 @@ def load_pivot_law(path: str | os.PathLike) -> PivotLaw:
             alphas.append(float(a))
             quantiles.append(float(q))
     return PivotLaw(
-        f_exponent=f_exp,
-        g_exponent=g_exp,
+        pairs=((f_exp, g_exp),),
+        joint=False,
         replications=reps,
         bm_steps=steps,
         seed=seed,
@@ -235,7 +253,7 @@ def load_pivot_law(path: str | os.PathLike) -> PivotLaw:
     )
 
 
-def quantile_se(law: PivotLaw | JointPivotLaw, alpha: float) -> float:
+def quantile_se(law: PivotLaw, alpha: float) -> float:
     """Monte Carlo standard error of a tabulated quantile.
 
     Uses the asymptotic formula sqrt(alpha (1-alpha) / R) / density, with the
@@ -269,39 +287,30 @@ def mc_quantiles(
     Each path enters with both signs (antithetic pairing), so the table is
     exactly symmetric: q(0.5) = 0 and q(a) = -q(1-a) up to rounding.
     Results depend only on the arguments, not on thread count or cache state.
+    A cached table is served only if its key matches and it is the grid
+    table, finite and non-decreasing; otherwise it is recomputed.
     """
-    if f_exponent < 0 or g_exponent < 0:
-        raise ConfigError("scaling exponents must be non-negative integers")
-    _validate_mc_args(replications, bm_steps, seed, threads)
+    pairs = _checked_pairs([(f_exponent, g_exponent)], replications, bm_steps, seed, threads)
     path = pivot_cache_path(
         f_exponent, g_exponent, replications, bm_steps, seed, cache_dir
     )
     if use_cache and path.is_file():
         try:
             law = load_pivot_law(path)
-            key = (law.f_exponent, law.g_exponent, law.replications, law.bm_steps, law.seed)
-            if key == (f_exponent, g_exponent, replications, bm_steps, seed) and len(
-                law.alphas
-            ) == len(ALPHA_GRID):
+            q = law.quantiles
+            if (
+                (law.pairs, law.replications, law.bm_steps, law.seed)
+                == (pairs, replications, bm_steps, seed)
+                and np.array_equal(law.alphas, ALPHA_GRID)
+                and np.isfinite(q).all()
+                and (np.diff(q) >= 0).all()
+            ):
                 return law
             warnings.warn(f"stale quantile cache at {path}; recomputing", stacklevel=2)
         except (ValueError, OSError):
             warnings.warn(f"unreadable quantile cache at {path}; recomputing", stacklevel=2)
 
-    def worker(index: int, size: int) -> np.ndarray:
-        return _scalar_chunk(f_exponent, g_exponent, bm_steps, seed, index, size)
-
-    sample = _run_chunks(worker, _chunk_sizes(replications), threads)
-    quantiles = np.quantile(sample, ALPHA_GRID, method="linear")
-    law = PivotLaw(
-        f_exponent=f_exponent,
-        g_exponent=g_exponent,
-        replications=replications,
-        bm_steps=bm_steps,
-        seed=seed,
-        alphas=ALPHA_GRID.copy(),
-        quantiles=quantiles,
-    )
+    law = _tabulate(pairs, False, replications, bm_steps, seed, threads)
     med = law.quantile(0.5)
     se = quantile_se(law, 0.5)
     if abs(med) > 3.0 * se:
@@ -317,76 +326,20 @@ def mc_quantiles(
     return law
 
 
-def _joint_chunk(
-    pairs: tuple[tuple[int, int], ...],
-    bm_steps: int,
-    seed: int,
-    index: int,
-    size: int,
-) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, index]))
-    k = len(pairs)
-    eta = np.arange(1, bm_steps + 1) / bm_steps
-    fmat = np.stack([eta ** f for f, _ in pairs])
-    gmat = np.stack([eta ** g for _, g in pairs])
-    scale = 1.0 / math.sqrt(bm_steps)
-
-    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
-        b = np.cumsum(rng.standard_normal((m, k, bm_steps)), axis=2) * scale
-        b1 = b[:, :, -1]
-        g_paths = b * gmat - b1[:, :, None] * fmat
-        u = np.einsum("mkn,mln->mkl", g_paths, g_paths) / bm_steps
-        return b1, u
-
-    b1, u = draw(size)
-    out = np.empty(size)
-    for i in range(size):
-        while True:
-            try:
-                x = np.linalg.solve(u[i], b1[i])
-                val = float(b1[i] @ x)
-                if math.isfinite(val) and val >= 0:
-                    out[i] = val
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            nb1, nu = draw(1)  # probability-zero degenerate draw; replace it
-            b1[i], u[i] = nb1[0], nu[0]
-    return out
-
-
 def mc_quantiles_joint(
     pairs: Sequence[tuple[int, int]],
     replications: int = 100_000,
     bm_steps: int = 2000,
     seed: int = DEFAULT_QUANTILE_SEED,
     threads: int = 1,
-) -> JointPivotLaw:
+) -> PivotLaw:
     """Quantile table of the joint pivot B(1)' U^{-1} B(1) for several paths.
 
     Components use independent Brownian motions; cross-correlations of the
     underlying estimates cancel from the quadratic form. Not cached on disk.
     """
-    pairs = tuple((int(f), int(g)) for f, g in pairs)
-    if not pairs:
-        raise ConfigError("joint pivot needs at least one exponent pair")
-    if any(f < 0 or g < 0 for f, g in pairs):
-        raise ConfigError("scaling exponents must be non-negative integers")
-    _validate_mc_args(replications, bm_steps, seed, threads)
-
-    def worker(index: int, size: int) -> np.ndarray:
-        return _joint_chunk(pairs, bm_steps, seed, index, size)
-
-    sample = _run_chunks(worker, _chunk_sizes(replications), threads)
-    quantiles = np.quantile(sample, ALPHA_GRID, method="linear")
-    return JointPivotLaw(
-        pairs=pairs,
-        replications=replications,
-        bm_steps=bm_steps,
-        seed=seed,
-        alphas=ALPHA_GRID.copy(),
-        quantiles=quantiles,
-    )
+    pairs = _checked_pairs(pairs, replications, bm_steps, seed, threads)
+    return _tabulate(pairs, True, replications, bm_steps, seed, threads)
 
 
 @dataclass(frozen=True)
@@ -469,8 +422,6 @@ def relevant_test(
     """
     if delta < 0:
         raise ConfigError(f"delta = {delta} must be non-negative")
-    if not 0.001 <= alpha <= 0.999:
-        raise ConfigError(f"alpha = {alpha} outside the tabulated range")
     q = law.quantile(1.0 - alpha)
     threshold = delta + q * v
     return RelevantTestResult(
@@ -530,8 +481,6 @@ def estimate_dstar(
         raise ValueError("need at least one candidate order")
     if not 0.0 < nu < 1.0:
         raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
-    if not 0.001 <= alpha <= 0.999:
-        raise ConfigError(f"alpha = {alpha} outside the tabulated range")
     ds = [pth.d for pth in paths]
     if any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValueError("candidate paths must have strictly increasing d")
@@ -566,8 +515,6 @@ def test_order_lower(
     """
     if not 0.0 < nu < 1.0:
         raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
-    if not 0.001 <= alpha <= 0.999:
-        raise ConfigError(f"alpha = {alpha} outside the tabulated range")
     s = path.point_estimate
     v = self_norm_V([path]).values[0]
     q = law.quantile(1.0 - alpha)
@@ -592,7 +539,7 @@ class JointTestResult:
 def joint_statistic(
     deviations: np.ndarray,
     v: SelfNormV,
-    law: JointPivotLaw,
+    law: PivotLaw,
     alpha: float = 0.05,
 ) -> JointTestResult:
     """Joint quadratic-form test across several measures.
@@ -604,6 +551,8 @@ def joint_statistic(
     :raises NumericalError: if V^2 is numerically singular (condition number
         above 1e12), in which case the quadratic form is meaningless.
     """
+    if not law.joint:
+        raise ValueError("the joint statistic needs a joint pivot law, got a scalar one")
     dev = np.asarray(deviations, dtype=float)
     v2 = v.matrix
     if dev.shape != (v2.shape[0],):
@@ -619,7 +568,5 @@ def joint_statistic(
             "requires it positive definite"
         )
     stat = float(dev @ np.linalg.solve(v2, dev))
-    if not 0.001 <= alpha <= 0.999:
-        raise ConfigError(f"alpha = {alpha} outside the tabulated range")
     q = law.quantile(1.0 - alpha)
     return JointTestResult(statistic=stat, alpha=alpha, quantile=q, reject=bool(stat > q))

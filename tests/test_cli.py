@@ -138,8 +138,10 @@ def field_type(name):
     return typing.get_origin(hint) or hint
 
 
-# A value of each type that passes validation whichever key carries it.
+# A value of each type that passes validation whichever key carries it, but
+# for the keys that admit only a few values.
 GOOD_VALUE = {int: ("3", 3), float: ("0.5", 0.5), tuple: ("0.5, 0.25", (0.5, 0.25))}
+GOOD_BY_KEY = {"coupling": ("1.0", 1.0)}
 GOOD_STR = {"process": "iid", "kernel": "flat_top", "measure": "tvdfpca"}
 BAD_VALUE = {
     int: ("2.5", "expected an integer"),
@@ -156,7 +158,7 @@ def test_parse_config_parses_each_key_to_its_annotated_type(name):
         raw = GOOD_STR.get(name, "some/path")
         expected = raw
     else:
-        raw, expected = GOOD_VALUE[kind]
+        raw, expected = GOOD_BY_KEY.get(name, GOOD_VALUE[kind])
     extra = "T = 256\n" if name == "process" else ""
     value = getattr(parse_config(f"{name} = {raw}\n{extra}"), name)
     assert type(value) is kind and value == expected
@@ -434,7 +436,7 @@ QUICK = dict(quantile_r=10_000, quantile_n=500)
     "command, keys, stage",
     [
         ("infer", dict(**IID_256, **QUICK), "measure"),
-        ("infer", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "inference"),
+        ("infer", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
         ("infer", dict(**IID_256, measure="tvdfpca", quantile_r=50), "inference"),
         ("infer", dict(**IID_256, **QUICK, m=40, measure="tvdfpca"), "estimate"),
         ("infer", dict(process="iid", T=256, measure="tvdfpca", **QUICK), "data"),
@@ -615,6 +617,19 @@ def test_main_simulate_round_trips_through_csv(tmp_path, capsys):
     # 17 significant digits make the CSV round trip exact
     assert rp["estimate"] == rf["estimate"]
     assert rp["values"] == rf["values"]
+
+
+@pytest.mark.parametrize("coupling, code", [(0.5, 2), (0.0, 0), (1.0, 0)])
+def test_main_coupling_is_checked_at_parse_time(tmp_path, capsys, coupling, code):
+    cfg = write_cfg(tmp_path, process="coherent_pair", T=256, p1=2, p2=2, coupling=coupling)
+    rc, out = run_main(capsys, "simulate", "--config", cfg)
+    assert rc == code, out
+    if code:
+        err = json.loads(out)["error"]
+        assert (err["stage"], err["type"]) == ("config", "ConfigError")
+        assert "neither zero nor column-orthonormal" in err["message"]
+    else:
+        assert len(out.splitlines()) == 257
 
 
 def test_main_select_d_separates_strong_directions(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Self-normalization, pivot Monte Carlo, and the decision rules built on them."""
 
+import inspect
 import math
 import os
 
@@ -82,22 +83,67 @@ def test_corrupt_cache_recomputes_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="unreadable quantile cache"):
         again = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
     assert np.array_equal(law.quantiles, again.quantiles)
-    # a table for different parameters in the same slot counts as stale
-    stale = sn.PivotLaw(
-        f_exponent=3, g_exponent=2, replications=99, bm_steps=500,
-        seed=sn.DEFAULT_QUANTILE_SEED, alphas=sn.ALPHA_GRID.copy(),
-        quantiles=np.linspace(-1, 1, len(sn.ALPHA_GRID)),
-    )
-    sn.save_pivot_law(stale, path)
-    with pytest.warns(UserWarning, match="stale quantile cache"):
-        again = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
-    assert np.array_equal(law.quantiles, again.quantiles)
+    # a table for different parameters in the same slot counts as stale, and
+    # so does the right key over a table that is off the grid or not a finite,
+    # non-decreasing quantile function
+    grid = np.linspace(-1, 1, len(sn.ALPHA_GRID))
+    nan_entry, inf_top, swapped = grid.copy(), grid.copy(), grid.copy()
+    nan_entry[975] = np.nan
+    inf_top[-1] = np.inf
+    swapped[[500, 501]] = swapped[[501, 500]]
+    moved_alpha = sn.ALPHA_GRID.copy()
+    moved_alpha[300] = 0.25
+    for reps, alphas, quantiles in (
+        (99, sn.ALPHA_GRID, grid),
+        (10_000, sn.ALPHA_GRID, nan_entry),
+        (10_000, sn.ALPHA_GRID, inf_top),
+        (10_000, sn.ALPHA_GRID, swapped),
+        (10_000, moved_alpha, grid),
+    ):
+        stale = sn.PivotLaw(
+            pairs=((3, 2),), joint=False, replications=reps, bm_steps=500,
+            seed=sn.DEFAULT_QUANTILE_SEED, alphas=alphas.copy(), quantiles=quantiles,
+        )
+        sn.save_pivot_law(stale, path)
+        with pytest.warns(UserWarning, match="stale quantile cache"):
+            again = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
+        assert np.array_equal(law.quantiles, again.quantiles)
+        assert np.isfinite(again.quantile(0.976))
+    # a joint law has no file format
+    joint = sn.mc_quantiles_joint([(3, 2)], replications=10_000, bm_steps=500)
+    with pytest.raises(ValueError, match="scalar"):
+        sn.save_pivot_law(joint, tmp_path / "joint.txt")
 
 
 def test_quantiles_independent_of_thread_count():
     one = sn.mc_quantiles(2, 1, replications=12_000, bm_steps=500, threads=1, use_cache=False)
     three = sn.mc_quantiles(2, 1, replications=12_000, bm_steps=500, threads=3, use_cache=False)
     assert np.array_equal(one.quantiles, three.quantiles)
+    pairs = [(3, 2), (2, 1)]
+    one = sn.mc_quantiles_joint(pairs, replications=12_000, bm_steps=500, threads=1)
+    three = sn.mc_quantiles_joint(pairs, replications=12_000, bm_steps=500, threads=3)
+    assert np.array_equal(one.quantiles, three.quantiles)
+
+
+def test_degenerate_joint_draws_are_redrawn_in_index_order(monkeypatch):
+    # declare every U of the first batch singular: each row is then redrawn
+    # on its own, in index order, from the same stream, so the chunk equals
+    # the second half of a chunk twice its size
+    from specnorm import inference
+
+    pairs, size = ((3, 2), (2, 1)), 16
+    expected = inference._chunk(pairs, True, 500, 11, 0, 2 * size)[size:]
+    det = np.linalg.det
+    calls = []
+
+    def first_batch_singular(u):
+        calls.append(len(u))
+        return np.zeros(len(u)) if len(calls) == 1 else det(u)
+
+    monkeypatch.setattr(np.linalg, "det", first_batch_singular)
+    redrawn = inference._chunk(pairs, True, 500, 11, 0, size)
+    assert calls == [size] + [1] * size
+    assert np.array_equal(redrawn, expected)
 
 
 def test_quantile_lookup_interpolates_and_guards_range(small_law):
@@ -195,7 +241,7 @@ def test_order_lower_one_sided_rule(law_32):
     assert res.threshold == pytest.approx(0.9 + q * v)
 
 
-def test_joint_statistic_against_joint_law():
+def test_joint_statistic_against_joint_law(small_law):
     law = sn.mc_quantiles_joint([(3, 2), (2, 1)], replications=10_000, bm_steps=500, threads=2)
     assert law.quantile(0.95) > 0
     a = make_path(np.linspace(0.4, 0.5, 64))
@@ -213,17 +259,56 @@ def test_joint_statistic_against_joint_law():
         sn.joint_statistic(np.zeros(2), singular, law)
     with pytest.raises(sn.ConfigError, match="at least one"):
         sn.mc_quantiles_joint([])
+    with pytest.raises(ValueError, match="joint pivot law"):
+        sn.joint_statistic(np.zeros(1), sn.self_norm_V([a]), small_law)
 
 
 def test_scalar_law_embeds_in_joint_engine():
-    # the same seed drives both engines; a single-pair joint law is the
-    # squared scalar pivot, so the 90th joint quantile tracks the scalar tails
+    # the same seed and draws drive both engines; a single-pair joint draw is
+    # the square of the scalar draw, and the scalar sample is symmetric, so
+    # q_joint(a) = q_scalar((1 + a) / 2)^2 up to the interpolation of the table
     joint = sn.mc_quantiles_joint([(3, 2)], replications=20_000, bm_steps=500, threads=2)
     scalar = sn.mc_quantiles(3, 2, replications=20_000, bm_steps=500, use_cache=False, threads=2)
-    q_joint = joint.quantile(0.9)
-    lo, hi = scalar.quantile(0.05), scalar.quantile(0.95)
-    spread = max(hi**2, lo**2)
-    assert q_joint == pytest.approx(spread, rel=0.15)
+    for a in (0.5, 0.9, 0.95, 0.99):
+        assert joint.quantile(a) == pytest.approx(scalar.quantile((1 + a) / 2) ** 2, rel=1e-3)
+
+
+# Each rule that reads a quantile, called as (scalar law, joint law, path, alpha).
+QUANTILE_READERS = {
+    "relevant_test": lambda law, joint, path, alpha: sn.relevant_test(
+        0.5, 0.1, law, delta=0.1, alpha=alpha),
+    "estimate_dstar": lambda law, joint, path, alpha: sn.estimate_dstar(
+        [path], law, nu=0.5, alpha=alpha),
+    "test_order_lower": lambda law, joint, path, alpha: sn.test_order_lower(
+        path, law, nu=0.5, alpha=alpha),
+    "joint_statistic": lambda law, joint, path, alpha: sn.joint_statistic(
+        np.zeros(1), sn.self_norm_V([path]), joint, alpha=alpha),
+}
+
+
+@pytest.mark.parametrize("name", list(QUANTILE_READERS))
+def test_alpha_outside_the_table_is_a_config_error(name, small_law):
+    joint = sn.mc_quantiles_joint([(3, 2)], replications=10_000, bm_steps=500)
+    path = make_path(np.linspace(0.9, 0.95, 64))
+    QUANTILE_READERS[name](small_law, joint, path, 0.05)
+    with pytest.raises(sn.ConfigError, match="outside the tabulated range"):
+        QUANTILE_READERS[name](small_law, joint, path, 0.0005)
+
+
+def test_signatures_the_bench_harness_reads():
+    # bench/tracing.py reads these arguments by name; bench/workloads.py calls
+    # mc_quantiles_joint and joint_statistic directly, bench/make_reference.py
+    # also quantile_se
+    from specnorm import inference
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert {"f_exponent", "g_exponent", "replications", "bm_steps", "seed", "cache_dir",
+            "threads"} <= params(inference.mc_quantiles)
+    assert {"replications", "threads"} <= params(inference.mc_quantiles_joint)
+    for name in ("mc_quantiles_joint", "joint_statistic", "quantile_se"):
+        assert callable(getattr(inference, name))
 
 
 @settings(max_examples=30, deadline=None)
