@@ -377,13 +377,13 @@ def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunct
     if cfg.measure is None:
         raise ConfigError("missing required key 'measure'")
     if cfg.measure == "tvdfpca":
-        return tvdfpca_sequential(sdo, d)
+        return tvdfpca_sequential(sdo, d, cfg.threads)
     if cfg.measure == "tvdpsca":
-        return tvdpsca_sequential(sdo, d, _require_ps(cfg))
+        return tvdpsca_sequential(sdo, d, _require_ps(cfg), cfg.threads)
     if cfg.measure == "coherence":
-        return coherence_sequential(sdo, d, _require_ps(cfg))
+        return coherence_sequential(sdo, d, _require_ps(cfg), cfg.threads)
     if cfg.measure == "stationarity":
-        return stationarity_sequential(sdo, d)
+        return stationarity_sequential(sdo, d, cfg.threads)
     raise ConfigError(f"unknown measure {cfg.measure!r}")
 
 

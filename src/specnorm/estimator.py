@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "midpoint_grid",
     "TimeSeriesSample",
     "SequentialSDO",
+    "map_ordered",
     "estimate_sequential_sdo",
     "sequential_estimate_at",
 ]
@@ -263,6 +264,18 @@ class TimeSeriesSample:
         return self.data.shape[1]
 
 
+def map_ordered(work: Callable[[int], object], n: int, threads: int = 1) -> list:
+    """``[work(0), ..., work(n - 1)]``, on up to ``threads`` worker threads.
+
+    Results are taken in index order, so the exception raised is always the
+    one of the lowest failing index, whatever the thread count.
+    """
+    if min(threads, n) <= 1:
+        return [work(j) for j in range(n)]
+    with ThreadPoolExecutor(min(threads, n)) as pool:
+        return list(pool.map(work, range(n)))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -278,11 +291,15 @@ class SequentialSDO:
     projected onto the PSD cone (a no-op for PSD kernels like Parzen, up to
     roundoff recorded in ``diagnostics["psd_clip_max"]``).
 
-    The measures share one decomposition per tensor: ``eigenvalues`` and
-    ``separable_scores`` are computed on first use, each by one batched
-    LAPACK call, and kept read-only, so every order reads the same bits.
-    The tensor is made read-only on construction so the caches cannot go
-    stale.
+    The measures work one frequency block ``tensor[:, j]`` of shape
+    (M, N, p, p) at a time (:meth:`map_blocks`), on up to ``threads`` worker
+    threads, and stack each block's per-cell results in omega order, so no
+    temporary is larger than ``threads`` blocks and the results do not depend
+    on the thread count. They share one decomposition per tensor:
+    ``eigenvalues`` and ``separable_scores`` are computed on first use, one
+    LAPACK call per block, and kept read-only, so every order reads the same
+    bits. The tensor is made read-only on construction so the caches cannot
+    go stale.
     """
 
     tensor: np.ndarray
@@ -294,24 +311,41 @@ class SequentialSDO:
     kernel_name: str = "parzen"
     grid_weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _last_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _read_only(self.tensor)
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """(M, K, N, p) eigenvalues of every slice, descending, from one ``eigvalsh``."""
-        return _read_only(np.linalg.eigvalsh(self.tensor)[..., ::-1])
+    def map_blocks(
+        self, work: Callable[[np.ndarray], tuple[np.ndarray, ...]], threads: int = 1
+    ) -> tuple[np.ndarray, ...]:
+        """``work`` on every frequency block, its per-cell arrays stacked to (M, K, N, ...).
 
-    def separable_scores(self, ps: ProductStructure) -> np.ndarray:
+        ``work`` maps one block ``tensor[:, j]`` to a tuple of arrays with
+        leading axes (M, N); LAPACK releases the GIL, so blocks run in
+        parallel on ``threads`` threads.
+        """
+        parts = map_ordered(lambda j: work(self.tensor[:, j]), self.k_omega, threads)
+        return tuple(np.stack(cells, axis=1) for cells in zip(*parts))
+
+    def eigenvalues(self, threads: int = 1) -> np.ndarray:
+        """(M, K, N, p) eigenvalues of every slice, descending, one ``eigvalsh`` per block."""
+        if self._eigenvalues is None:
+            (vals,) = self.map_blocks(lambda f: (np.linalg.eigvalsh(f)[..., ::-1],), threads)
+            object.__setattr__(self, "_eigenvalues", _read_only(vals))
+        return self._eigenvalues
+
+    def separable_scores(self, ps: ProductStructure, threads: int = 1) -> np.ndarray:
         """(M, K, N, min(p1^2, p2^2)) singular values of every slice's Kronecker
-        rearrangement, descending, from one ``svd``; kept for the last product
-        structure asked for."""
+        rearrangement, descending, one ``svd`` per block; kept for the last
+        product structure asked for."""
         if self._last_scores is not None and self._last_scores[0] == ps:
             return self._last_scores[1]
-        scores = _read_only(np.linalg.svd(kron_rearrange(self.tensor, ps), compute_uv=False))
-        object.__setattr__(self, "_last_scores", (ps, scores))
+        (scores,) = self.map_blocks(
+            lambda f: (np.linalg.svd(kron_rearrange(f, ps), compute_uv=False),), threads
+        )
+        object.__setattr__(self, "_last_scores", (ps, _read_only(scores)))
         return scores
 
     @property

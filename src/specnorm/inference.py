@@ -32,7 +32,6 @@ import math
 import os
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .estimator import map_ordered
 from .measures import SequentialFunctional
 
 __all__ = [
@@ -96,13 +96,16 @@ class PivotLaw:
     alphas: np.ndarray
     quantiles: np.ndarray
 
-    def quantile(self, alpha: float) -> float:
+    def quantile(self, alpha: float, upper: bool = False) -> float:
+        """The alpha quantile, or the 1 - alpha quantile when ``upper``; an
+        untabulated level is reported as the ``alpha`` passed."""
+        level = 1.0 - alpha if upper else alpha
         lo, hi = float(self.alphas[0]), float(self.alphas[-1])
-        if not lo <= alpha <= hi:
+        if not lo <= level <= hi:
             raise ConfigError(
                 f"alpha = {alpha} outside the tabulated range [{lo}, {hi}]"
             )
-        return float(np.interp(alpha, self.alphas, self.quantiles))
+        return float(np.interp(level, self.alphas, self.quantiles))
 
 
 def _checked_pairs(
@@ -141,10 +144,15 @@ def _chunk(
     scale = 1.0 / math.sqrt(bm_steps)
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
-        dev = np.cumsum(rng.standard_normal((m, len(pairs), bm_steps)), axis=2) * scale
+        # paths and g B - f B(1) are formed in place, the f B(1) term in row
+        # blocks: a chunk holds one path array
+        dev = rng.standard_normal((m, len(pairs), bm_steps))
+        np.cumsum(dev, axis=2, out=dev)
+        dev *= scale
         b1 = dev[:, :, -1].copy()
-        dev *= gmat  # g B - f B(1), formed in place: a chunk holds two path arrays at most
-        dev -= b1[:, :, None] * fmat
+        dev *= gmat
+        for rows in range(0, m, 256):
+            dev[rows : rows + 256] -= b1[rows : rows + 256, :, None] * fmat
         if not joint:
             den = np.square(dev, out=dev)[:, 0].mean(axis=1)
             ok = (den > 0) & np.isfinite(den)
@@ -173,15 +181,9 @@ def _tabulate(
 ) -> PivotLaw:
     """Quantile table of ``replications`` draws on ``ALPHA_GRID``, whatever ``threads``."""
     sizes = [min(_CHUNK, replications - start) for start in range(0, replications, _CHUNK)]
-
-    def worker(index: int, size: int) -> np.ndarray:
-        return _chunk(pairs, joint, bm_steps, seed, index, size)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, range(len(sizes)), sizes))
-    else:
-        parts = list(map(worker, range(len(sizes)), sizes))
+    parts = map_ordered(
+        lambda i: _chunk(pairs, joint, bm_steps, seed, i, sizes[i]), len(sizes), threads
+    )
     quantiles = np.quantile(np.concatenate(parts), ALPHA_GRID, method="linear")
     return PivotLaw(pairs, joint, replications, bm_steps, seed, ALPHA_GRID.copy(), quantiles)
 
@@ -422,7 +424,7 @@ def relevant_test(
     """
     if delta < 0:
         raise ConfigError(f"delta = {delta} must be non-negative")
-    q = law.quantile(1.0 - alpha)
+    q = law.quantile(alpha, upper=True)
     threshold = delta + q * v
     return RelevantTestResult(
         reject=bool(estimate > threshold),
@@ -517,7 +519,7 @@ def test_order_lower(
         raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
     s = path.point_estimate
     v = self_norm_V([path]).values[0]
-    q = law.quantile(1.0 - alpha)
+    q = law.quantile(alpha, upper=True)
     threshold = nu + q * v
     return OrderLowerResult(
         reject=bool(s > threshold),
@@ -568,5 +570,5 @@ def joint_statistic(
             "requires it positive definite"
         )
     stat = float(dev @ np.linalg.solve(v2, dev))
-    q = law.quantile(1.0 - alpha)
+    q = law.quantile(alpha, upper=True)
     return JointTestResult(statistic=stat, alpha=alpha, quantile=q, reject=bool(stat > q))

@@ -20,6 +20,9 @@ the eta^{x_f} factor when integrating. Frequency integrals are band
 averages (midpoint rule divided by band length), so ratio measures are
 unaffected, perfect coherence reads 1, and the stationarity measure is
 reported per unit band.
+
+Each measure works one frequency block of the tensor at a time, on up to
+``threads`` worker threads; its path does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def _tie_count(desc_vals: np.ndarray, d: int) -> int:
     return int(np.count_nonzero(gap < TIE_TOL * scale))
 
 
-def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
+def tvdfpca_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> SequentialFunctional:
     """Fraction of spectral mass explained by the d leading eigenvalues.
 
     s_hat_d(eta) is the ratio of the time/band average of the d largest
@@ -123,7 +126,7 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     p = sdo.p
     if not 1 <= d <= p:
         raise ValueError(f"d = {d} must lie in [1, {p}]")
-    raw = sdo.eigenvalues
+    raw = sdo.eigenvalues(threads)
     vals = np.maximum(raw, 0.0)
     num = vals[..., :d].sum(axis=-1).mean(axis=(0, 1))
     den = vals.sum(axis=-1).mean(axis=(0, 1))
@@ -142,7 +145,7 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
 
 
 def tvdpsca_sequential(
-    sdo: SequentialSDO, d: int, ps: ProductStructure
+    sdo: SequentialSDO, d: int, ps: ProductStructure, threads: int = 1
 ) -> SequentialFunctional:
     """Fraction of squared Hilbert-Schmidt mass in the d leading separable terms.
 
@@ -158,9 +161,10 @@ def tvdpsca_sequential(
     d_cap = min(ps.p1**2, ps.p2**2)
     if not 1 <= d <= d_cap:
         raise ValueError(f"d = {d} must lie in [1, min(p1^2, p2^2) = {d_cap}]")
-    scores = sdo.separable_scores(ps)
+    scores = sdo.separable_scores(ps, threads)
+    (mass,) = sdo.map_blocks(lambda f: ((np.abs(f) ** 2).sum(axis=(-2, -1)),), threads)
     num = (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
-    den = (np.abs(sdo.tensor) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1))
+    den = mass.mean(axis=(0, 1))
     valid = (den > 0) & _available(sdo)
     if not den[-1] > 0:
         raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
@@ -187,13 +191,14 @@ def _canonical_parts(f: np.ndarray, d: int, p1: int) -> tuple[np.ndarray, ...]:
 
 
 def coherence_sequential(
-    sdo: SequentialSDO, d: int, ps: ProductStructure
+    sdo: SequentialSDO, d: int, ps: ProductStructure, threads: int = 1
 ) -> SequentialFunctional:
     """Band average of the d-th order canonical coherence between two blocks.
 
     The operator dimension splits as p = p1 + p2 (direct sum). Per cell,
     R_hat_d = sigma_d(F12) / sqrt(lambda_d(F11) lambda_d(F22)) on the
-    PSD-projected slice. Cells whose d-th marginal eigenvalue is numerically
+    PSD-projected slice (only slices with a negative eigenvalue are
+    rebuilt). Cells whose d-th marginal eigenvalue is numerically
     zero (below 1e-12 of the marginal trace) are undefined: at eta = 1 that
     is an error, at interior eta the cell is skipped with a warning and the
     average runs over the remaining cells.
@@ -204,17 +209,25 @@ def coherence_sequential(
     if not 1 <= d <= min(ps.p1, ps.p2):
         raise ValueError(f"d = {d} must lie in [1, min(p1, p2) = {min(ps.p1, ps.p2)}]")
     p1 = ps.p1
-    vals, vecs = np.linalg.eigh(sdo.tensor)
-    clip = max(0.0, -float(vals.min()))
-    proj = sdo.tensor if clip == 0.0 else eig_reconstruct(vecs, np.maximum(vals, 0.0))
-    lam1, lam2, sig = _canonical_parts(proj, d, p1)
-    tr1 = np.einsum("...ii->...", proj[..., :p1, :p1]).real
-    tr2 = np.einsum("...ii->...", proj[..., p1:, p1:]).real
-    defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
+
+    def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
+        lowest = np.linalg.eigvalsh(f)[..., 0]
+        neg = lowest < 0
+        if neg.any():
+            vals, vecs = np.linalg.eigh(f[neg])
+            f = f.copy()
+            f[neg] = eig_reconstruct(vecs, np.maximum(vals, 0.0))
+        lam1, lam2, sig = _canonical_parts(f, d, p1)
+        tr1 = np.einsum("...ii->...", f[..., :p1, :p1]).real
+        tr2 = np.einsum("...ii->...", f[..., p1:, p1:]).real
+        defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
+        ratio = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
+        return ratio, defined, lowest
+
+    ratio, defined, lowest = sdo.map_blocks(work, threads)
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
     avail = _available(sdo)
-    ratio = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
     count = defined.sum(axis=(0, 1))
     values = np.where(count > 0, ratio.sum(axis=(0, 1)) / np.maximum(count, 1), 0.0)
     cells = sdo.m * sdo.k_omega
@@ -226,7 +239,7 @@ def coherence_sequential(
             "those cells were skipped",
             stacklevel=2,
         )
-    diag = {"psd_clip_max": clip, "skipped_cells": skipped}
+    diag = {"psd_clip_max": max(0.0, -float(lowest.min())), "skipped_cells": skipped}
     return SequentialFunctional(
         kind="coherence", d=d, eta=sdo.eta_points, values=values, valid=valid,
         f_exponent=4, g_exponent=3, diagnostics=diag,
@@ -243,10 +256,10 @@ def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
     return eig_reconstruct(vecs, roots)
 
 
-def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
+def stationarity_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> SequentialFunctional:
     """Dispersion of d-restricted square roots around their time average.
 
-    Per frequency, each window slice is rank-restricted to its d leading
+    Per frequency block, each window slice is rank-restricted to its d leading
     components, PSD-clamped, and replaced by its matrix square root S_u; the
     path value is the band average of mean_u ||S_u - mean_v S_v||_F^2. The
     eta scaling factors out of the square root analytically (sqrt(eta A) =
@@ -262,11 +275,16 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
             f"stationarity measure expects the full band [0, pi], got ({a:.6g}, {b:.6g})",
             stacklevel=2,
         )
-    vals, vecs = np.linalg.eigh(sdo.tensor)
+
+    def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
+        vals, vecs = np.linalg.eigh(f)
+        s = _restricted_roots(vals, vecs, d)
+        s -= s.mean(axis=0, keepdims=True)
+        return (np.abs(s) ** 2).sum(axis=(-2, -1)), vals
+
+    dispersion, vals = sdo.map_blocks(work, threads)
     clip = max(0.0, -float(vals.min()))
-    s = _restricted_roots(vals, vecs, d)
-    s -= s.mean(axis=0, keepdims=True)
-    q = (np.abs(s) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1))
+    q = dispersion.mean(axis=(0, 1))
     desc = np.maximum(vals[..., ::-1], 0.0)
     diag = {"psd_clip_max": clip, "near_tie_count": _tie_count(desc, d)}
     return SequentialFunctional(

@@ -217,8 +217,10 @@ ProcessSpec = Union[IidSpec, TvFar1Spec, SeparableSpec, CoherentPairSpec]
 
 
 def _stability_check(spec: TvFar1Spec) -> None:
+    # a constant A needs one norm, not one per grid point
+    grid = np.linspace(0.0, 1.0, _STABILITY_GRID) if callable(spec.a) else (0.0,)
     worst = 0.0
-    for u in np.linspace(0.0, 1.0, _STABILITY_GRID):
+    for u in grid:
         a = spec.a_at(float(u))
         worst = max(worst, float(np.linalg.norm(a, 2)))
     if worst > _MAX_AR_NORM:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import specnorm as sn
+from specnorm import cli
 from specnorm.cli import (
     RunConfig,
     build_process_spec,
@@ -460,8 +461,8 @@ def test_main_error_stage_table(tmp_path, capsys, command, keys, stage):
     assert (err["stage"], err["type"]) == (stage, "ConfigError")
 
 
-def count_tensor_decompositions(monkeypatch, ndim=5):
-    """Count numpy.linalg decompositions whose input is a full (M, K, N, ., .) stack."""
+def count_block_decompositions(monkeypatch, ndim=4):
+    """Count numpy.linalg decompositions whose input is a whole (M, N, ., .) frequency block."""
     counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in counts:
         original = getattr(np.linalg, name)
@@ -476,17 +477,20 @@ def count_tensor_decompositions(monkeypatch, ndim=5):
 
 
 def test_order_selection_decomposes_the_tensor_once(tmp_path, capsys, monkeypatch):
-    counts = count_tensor_decompositions(monkeypatch)
+    # once means one decomposition per frequency block, shared by every order
+    counts = count_block_decompositions(monkeypatch)
     cfg = write_cfg(tmp_path, **{**INFER_KEYS, "p": 4, "nu": 0.6, "d_max": 4})
     code, out = run_main(capsys, "infer", "--config", cfg)
-    assert code == 0 and len(json.loads(out)["order"]["stats"]) >= 1
-    assert counts["eigh"] + counts["eigvalsh"] == 1
-    counts = count_tensor_decompositions(monkeypatch)
+    report = json.loads(out)
+    assert code == 0 and len(report["order"]["stats"]) >= 1
+    assert counts["eigh"] + counts["eigvalsh"] == report["diagnostics"]["k_omega"]
+    counts = count_block_decompositions(monkeypatch)
     cfg = write_cfg(tmp_path, process="iid", T=1024, p=4, measure="tvdpsca", p1=2, p2=2,
                     nu=0.6, d_max=4, quantile_r=10_000, quantile_n=500)
     code, out = run_main(capsys, "select-d", "--config", cfg)
-    assert code == 0 and len(json.loads(out)["stats"]) >= 1
-    assert counts == {"eigh": 0, "eigvalsh": 0, "svd": 1}
+    report = json.loads(out)
+    assert code == 0 and len(report["stats"]) >= 1
+    assert counts == {"eigh": 0, "eigvalsh": 0, "svd": report["diagnostics"]["k_omega"]}
 
 
 def test_main_select_d_requires_nu_and_d_max(tmp_path, capsys):
@@ -542,6 +546,57 @@ def test_main_threads_override_does_not_change_quantiles(tmp_path, capsys):
     _, out2 = run_main(capsys, "quantiles", "--config", cfg, "--threads", "3")
     q1, q2 = json.loads(out1), json.loads(out2)
     assert q1["quantiles"] == q2["quantiles"]
+
+
+# One config per measure; the flat-top kernel leaves negative eigenvalues to clip.
+THREADED_KEYS = {
+    "tvdfpca": dict(measure="tvdfpca", nu=0.6, d_max=3),
+    "tvdpsca": dict(measure="tvdpsca", p1=2, p2=2),
+    "coherence": dict(measure="coherence", p1=2, p2=2),
+    "stationarity": dict(measure="stationarity", d=2),
+}
+
+
+@pytest.mark.parametrize("measure", list(THREADED_KEYS))
+def test_infer_report_does_not_depend_on_the_thread_count(tmp_path, capsys, measure):
+    keys = {**INFER_KEYS, "p": 4, "kernel": "flat_top", **THREADED_KEYS[measure]}
+    cfg = write_cfg(tmp_path, **keys)
+    code1, out1 = run_main(capsys, "infer", "--config", cfg, "--threads", "1")
+    code2, out2 = run_main(capsys, "infer", "--config", cfg, "--threads", "2")
+    assert code1 == code2 == 0
+    assert out1.count('"threads": 1') == out2.count('"threads": 2') == 1
+    assert out2.replace('"threads": 2', '"threads": 1') == out1
+
+
+def test_lapack_failure_reports_the_first_failing_block(tmp_path, capsys, monkeypatch):
+    eigh = np.linalg.eigh
+    tensors = []
+    estimate = cli.estimate_sequential_sdo
+
+    def recorded_estimate(*args, **kwargs):
+        sdo = estimate(*args, **kwargs)
+        tensors.append(sdo.tensor)
+        return sdo
+
+    def failing_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 4:  # a frequency block tensor[:, j]
+            j = (a.ctypes.data - tensors[-1].ctypes.data) // tensors[-1].strides[1]
+            if j >= 2:
+                raise np.linalg.LinAlgError(f"eigh did not converge in block {j}")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_sequential_sdo", recorded_estimate)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    cfg = write_cfg(tmp_path, **{**INFER_KEYS, "p": 4, "measure": "stationarity"})
+    errors = []
+    for threads in ("1", "2"):
+        code, out = run_main(capsys, "infer", "--config", cfg, "--threads", threads)
+        assert code == 4
+        errors.append(json.loads(out)["error"])
+    assert tensors[-1].shape[1] > 3  # later blocks fail too; the lowest one is reported
+    assert errors[0] == errors[1] == {
+        "stage": "measure", "type": "LinAlgError", "message": "eigh did not converge in block 2",
+    }
 
 
 def test_main_out_flag_writes_file_identical_to_stdout(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import specnorm as sn
 from conftest import make_path
-from specnorm.hermitian import eig_reconstruct
+from specnorm.hermitian import eig_reconstruct, kron_rearrange
 
 
 @pytest.fixture(scope="module")
@@ -280,11 +280,94 @@ def test_cached_spectra_and_tensor_are_read_only():
     assert sdo.tensor is tensor  # wrapped without a copy, so the caller's array is frozen
     ps = sn.ProductStructure(2, 2)
     scores = sdo.separable_scores(ps)
-    for arr in (tensor, sdo.tensor, sdo.eigenvalues, scores):
+    for arr in (tensor, sdo.tensor, sdo.eigenvalues(), scores):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     assert sdo.separable_scores(ps) is scores  # computed once, then shared
-    assert np.array_equal(sdo.eigenvalues[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
+    assert sdo.eigenvalues() is sdo.eigenvalues(threads=2)
+    assert np.array_equal(sdo.eigenvalues()[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
+
+
+PS = sn.ProductStructure(2, 2)
+MEASURES = {
+    "tvdfpca": lambda sdo, d, threads: sn.tvdfpca_sequential(sdo, d, threads),
+    "tvdpsca": lambda sdo, d, threads: sn.tvdpsca_sequential(sdo, d, PS, threads),
+    "coherence": lambda sdo, d, threads: sn.coherence_sequential(sdo, d, PS, threads),
+    "stationarity": lambda sdo, d, threads: sn.stationarity_sequential(sdo, d, threads),
+}
+
+
+@pytest.fixture(scope="module", params=["parzen", "flat_top"])
+def kernel_sdo(request):
+    """A p = 4 estimate; the flat-top kernel leaves negative eigenvalues to clip."""
+    rng = np.random.default_rng(18)
+    data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
+    kernel = sn.kernel_by_name(request.param)
+    plan = sn.default_bandwidth_plan(1024, kernel=kernel)
+    sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan, kernel=kernel)
+    assert sdo.k_omega > 3
+    if request.param == "flat_top":
+        assert sdo.eigenvalues().min() < -1e-3 * sdo.eigenvalues().max()
+    return sdo
+
+
+@pytest.mark.parametrize("kind", list(MEASURES))
+def test_measures_do_not_depend_on_the_thread_count(kernel_sdo, kind):
+    for d in (1, 2):
+        one = MEASURES[kind](fresh_copy(kernel_sdo), d, 1)
+        for threads in (2, 3):
+            assert_same_path(MEASURES[kind](fresh_copy(kernel_sdo), d, threads), one)
+
+
+def test_cached_spectra_do_not_depend_on_the_thread_count(kernel_sdo):
+    eigenvalues = [fresh_copy(kernel_sdo).eigenvalues(threads) for threads in (1, 2, 3)]
+    scores = [fresh_copy(kernel_sdo).separable_scores(PS, threads) for threads in (1, 2, 3)]
+    for spectra in (eigenvalues, scores):
+        assert all(np.array_equal(spectra[0], other) for other in spectra[1:])
+
+
+def whole_tensor_path(sdo, kind, d):
+    """The path of ``kind`` from decompositions of the whole (M, K, N, p, p) tensor."""
+    t, p1 = sdo.tensor, PS.p1
+
+    def ratio(num, den):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+    if kind == "tvdfpca":
+        vals = np.maximum(np.linalg.eigvalsh(t)[..., ::-1], 0.0)
+        return ratio(vals[..., :d].sum(axis=-1).mean(axis=(0, 1)), vals.sum(axis=-1).mean(axis=(0, 1)))
+    if kind == "tvdpsca":
+        scores = np.linalg.svd(kron_rearrange(t, PS), compute_uv=False)
+        num = (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
+        return ratio(num, (np.abs(t) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1)))
+    vals, vecs = np.linalg.eigh(t)
+    if kind == "coherence":
+        proj = t if vals.min() >= 0 else eig_reconstruct(vecs, np.maximum(vals, 0.0))
+        lam1 = np.maximum(np.linalg.eigvalsh(proj[..., :p1, :p1])[..., p1 - d], 0.0)
+        lam2 = np.maximum(np.linalg.eigvalsh(proj[..., p1:, p1:])[..., -d], 0.0)
+        sig = np.linalg.svd(proj[..., :p1, p1:], compute_uv=False)[..., d - 1]
+        tr1 = np.einsum("...ii->...", proj[..., :p1, :p1]).real
+        tr2 = np.einsum("...ii->...", proj[..., p1:, p1:]).real
+        defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
+        cells = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
+        return ratio(cells.sum(axis=(0, 1)), defined.sum(axis=(0, 1)))
+    roots = np.sqrt(np.maximum(vals, 0.0))
+    roots[..., : sdo.p - d] = 0.0
+    s = eig_reconstruct(vecs, roots)
+    s -= s.mean(axis=0, keepdims=True)
+    return (np.abs(s) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1))
+
+
+@pytest.mark.parametrize("kind", list(MEASURES))
+def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
+    for d in (1, 2):
+        for threads in (1, 2):
+            got = MEASURES[kind](fresh_copy(kernel_sdo), d, threads).values
+            expected = whole_tensor_path(kernel_sdo, kind, d)
+            if kind == "coherence":  # only slices with a negative eigenvalue are rebuilt
+                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            else:
+                assert np.array_equal(got, expected)
 
 
 def test_eig_reconstruct_matches_einsum_form():
