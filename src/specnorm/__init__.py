@@ -36,6 +36,7 @@ from .estimator import (
     kernel_by_name,
     midpoint_grid,
     sequential_estimate_at,
+    stream_sequential_sdo,
 )
 from .hermitian import (
     EigenSystem,
@@ -47,7 +48,6 @@ from .hermitian import (
     matrix_sqrt_psd,
     psd_project,
     require_hermitian,
-    sqrt_distance,
 )
 from .inference import (
     ALPHA_GRID,
@@ -107,7 +107,6 @@ __all__ = [
     "eigh_descending",
     "psd_project",
     "matrix_sqrt_psd",
-    "sqrt_distance",
     "kron_rearrange",
     "frechet_derivative",
     "Kernel",
@@ -119,6 +118,7 @@ __all__ = [
     "midpoint_grid",
     "TimeSeriesSample",
     "SequentialSDO",
+    "stream_sequential_sdo",
     "estimate_sequential_sdo",
     "sequential_estimate_at",
     "SequentialFunctional",

@@ -34,8 +34,9 @@ from .estimator import (
     SequentialSDO,
     TimeSeriesSample,
     default_bandwidth_plan,
-    estimate_sequential_sdo,
+    estimate_sequential_sdo,  # not called here; bench/ takes its library calls from this module
     kernel_by_name,
+    stream_sequential_sdo,
 )
 from .hermitian import ProductStructure
 from .inference import (
@@ -368,9 +369,11 @@ def _estimate(cfg: RunConfig) -> SequentialSDO:
         plan = default_bandwidth_plan(
             T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel
         )
-        return estimate_sequential_sdo(
+        sdo = stream_sequential_sdo(
             sample, plan, kernel=kernel, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega
         )
+    # the blocks are built inside the measures' block pass, but their errors belong here
+    return replace(sdo, blocks=_stage("estimate")(sdo.blocks))
 
 
 def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunctional:
@@ -532,12 +535,13 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_estimate(cfg: RunConfig) -> dict:
     sdo = _estimate(cfg)
+    (trace,) = sdo.map_blocks(lambda f: (np.einsum("mii->m", f[:, -1]).real,), cfg.threads)
     return _report(cfg, {
         "shape": {"m": sdo.m, "k_omega": sdo.k_omega, "n_window": sdo.n_window, "p": sdo.p},
         "u_points": sdo.u_points,
         "omega_points": sdo.omega_points,
         "eta_points": sdo.eta_points,
-        "trace_eta1": np.einsum("mkii->mk", sdo.tensor[:, :, -1]).real,
+        "trace_eta1": trace,
         "diagnostics": _diagnostics(sdo),
     })
 

@@ -23,26 +23,26 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .hermitian import ProductStructure, eig_reconstruct, kron_rearrange
+from .hermitian import ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange
 
 __all__ = [
     "Kernel",
     "PARZEN",
     "FLAT_TOP",
     "kernel_by_name",
-    "local_weight",
     "BandwidthPlan",
     "default_bandwidth_plan",
     "midpoint_grid",
     "TimeSeriesSample",
     "SequentialSDO",
     "map_ordered",
+    "stream_sequential_sdo",
     "estimate_sequential_sdo",
     "sequential_estimate_at",
 ]
@@ -94,15 +94,6 @@ def kernel_by_name(name: str) -> Kernel:
         raise ConfigError(
             f"unknown kernel {name!r}; choose from {sorted(set(k.name for k in _KERNELS.values()))}"
         ) from None
-
-
-def local_weight(kernel: Kernel, b_f: float, omega: float, s: int, t: int) -> complex:
-    """Smoothing weight (2 pi)^{-1} w(b_f (s - t)) e^{i omega (s - t)}.
-
-    Zero whenever |s - t| exceeds the kernel support radius 1/b_f.
-    """
-    h = s - t
-    return complex(kernel(b_f * h) / TWO_PI * np.exp(1j * omega * h))
 
 
 @dataclass(frozen=True)
@@ -285,24 +276,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class SequentialSDO:
     """Sequential spectral density estimates on the (u, omega, eta) grid.
 
-    ``tensor[i, j, k-1]`` is the p x p Hermitian estimate at midpoint
-    u_points[i], frequency omega_points[j], and fraction eta = k/N, computed
-    from the first k observations of the window. The eta = 1 slices are
-    projected onto the PSD cone (a no-op for PSD kernels like Parzen, up to
-    roundoff recorded in ``diagnostics["psd_clip_max"]``).
-
-    The measures work one frequency block ``tensor[:, j]`` of shape
-    (M, N, p, p) at a time (:meth:`map_blocks`), on up to ``threads`` worker
-    threads, and stack each block's per-cell results in omega order, so no
-    temporary is larger than ``threads`` blocks and the results do not depend
-    on the thread count. They share one decomposition per tensor:
-    ``eigenvalues`` and ``separable_scores`` are computed on first use, one
-    LAPACK call per block, and kept read-only, so every order reads the same
-    bits. The tensor is made read-only on construction so the caches cannot
-    go stale.
+    Frequency block j, (M, N, p, p), holds at ``[i, k-1]`` the Hermitian
+    estimate at u_points[i], omega_points[j] and eta = k/N from the first k
+    observations of the window; its eta = 1 slices are PSD-projected, the
+    largest clip is ``diagnostics["psd_clip_max"]``. A collected estimate
+    stores the blocks in a read-only ``tensor`` (M, K, N, p, p); a streamed
+    one (:func:`stream_sequential_sdo`) has ``tensor = None`` and builds
+    block j by ``blocks(j)`` inside each block pass (:meth:`map_blocks`, on
+    ``threads`` workers). Results depend on neither the thread count nor the
+    source. The measures share ``eigenvalues`` and ``separable_scores``, one
+    block pass each on first use, kept read-only.
     """
 
-    tensor: np.ndarray
+    tensor: np.ndarray | None
     u_points: np.ndarray
     omega_points: np.ndarray
     eta_points: np.ndarray
@@ -311,23 +297,35 @@ class SequentialSDO:
     kernel_name: str = "parzen"
     grid_weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    blocks: Callable[[int], tuple[np.ndarray, float]] | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _last_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _read_only(self.tensor)
+        if (self.tensor is None) == (self.blocks is None):
+            raise ValueError("a SequentialSDO needs exactly one of a tensor and a block source")
+        if self.tensor is not None:
+            _read_only(self.tensor)
 
     def map_blocks(
         self, work: Callable[[np.ndarray], tuple[np.ndarray, ...]], threads: int = 1
     ) -> tuple[np.ndarray, ...]:
         """``work`` on every frequency block, its per-cell arrays stacked to (M, K, N, ...).
 
-        ``work`` maps one block ``tensor[:, j]`` to a tuple of arrays with
-        leading axes (M, N); LAPACK releases the GIL, so blocks run in
-        parallel on ``threads`` threads.
+        ``work`` maps one read-only block to arrays with leading axes (M, N).
+        Blocks run on ``threads`` threads, each streamed one built where it is reduced.
         """
-        parts = map_ordered(lambda j: work(self.tensor[:, j]), self.k_omega, threads)
-        return tuple(np.stack(cells, axis=1) for cells in zip(*parts))
+
+        def run(j: int) -> tuple:
+            if self.tensor is not None:
+                return work(self.tensor[:, j]), 0.0
+            block, clip = self.blocks(j)
+            return work(_read_only(block)), clip
+
+        runs = map_ordered(run, self.k_omega, threads)
+        if self.tensor is None:
+            self.diagnostics["psd_clip_max"] = max(clip for _, clip in runs)
+        return tuple(np.stack(cells, axis=1) for cells in zip(*(part for part, _ in runs)))
 
     def eigenvalues(self, threads: int = 1) -> np.ndarray:
         """(M, K, N, p) eigenvalues of every slice, descending, one ``eigvalsh`` per block."""
@@ -339,30 +337,39 @@ class SequentialSDO:
     def separable_scores(self, ps: ProductStructure, threads: int = 1) -> np.ndarray:
         """(M, K, N, min(p1^2, p2^2)) singular values of every slice's Kronecker
         rearrangement, descending, one ``svd`` per block; kept for the last
-        product structure asked for."""
-        if self._last_scores is not None and self._last_scores[0] == ps:
-            return self._last_scores[1]
-        (scores,) = self.map_blocks(
-            lambda f: (np.linalg.svd(kron_rearrange(f, ps), compute_uv=False),), threads
-        )
-        object.__setattr__(self, "_last_scores", (ps, _read_only(scores)))
-        return scores
+        product structure asked for, with the :meth:`frobenius_mass` of the
+        same pass."""
+        if self._last_scores is None or self._last_scores[0] != ps:
+            def work(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                svals = np.linalg.svd(kron_rearrange(f, ps), compute_uv=False)
+                return svals, (np.abs(f) ** 2).sum(axis=(-2, -1))
+
+            scores, mass = self.map_blocks(work, threads)
+            object.__setattr__(self, "_last_scores", (ps, _read_only(scores), _read_only(mass)))
+        return self._last_scores[1]
+
+    def frobenius_mass(self, ps: ProductStructure, threads: int = 1) -> np.ndarray:
+        """(M, K, N) squared Frobenius norms of the slices, from the block pass
+        of ``separable_scores(ps)``."""
+        self.separable_scores(ps, threads)
+        return self._last_scores[2]
 
     @property
     def m(self) -> int:
-        return self.tensor.shape[0]
+        return self.u_points.size
 
     @property
     def k_omega(self) -> int:
-        return self.tensor.shape[1]
+        return self.omega_points.size
 
     @property
     def n_window(self) -> int:
-        return self.tensor.shape[2]
+        return self.eta_points.size
 
     @property
     def p(self) -> int:
-        return self.tensor.shape[3]
+        # a streamed estimate carries its sample's weights, one per coordinate
+        return self.tensor.shape[3] if self.tensor is not None else self.grid_weights.size
 
     @classmethod
     def from_tensor(
@@ -384,12 +391,9 @@ class SequentialSDO:
             a, b = band
             omega_points = a + (np.arange(k) + 0.5) * (b - a) / k
         return cls(
-            tensor=tensor,
-            u_points=np.asarray(u_points, dtype=float),
-            omega_points=np.asarray(omega_points, dtype=float),
-            eta_points=np.arange(1, n + 1) / n,
-            band=(float(band[0]), float(band[1])),
-            kernel_name=kernel_name,
+            tensor=tensor, u_points=np.asarray(u_points, dtype=float),
+            omega_points=np.asarray(omega_points, dtype=float), eta_points=np.arange(1, n + 1) / n,
+            band=(float(band[0]), float(band[1])), kernel_name=kernel_name,
         )
 
 
@@ -414,14 +418,83 @@ def _embedded(sample: TimeSeriesSample) -> np.ndarray:
     return x
 
 
-def _lag_cumsums(w: np.ndarray, max_lag: int) -> np.ndarray:
-    """S[h, k-1] = sum_{t=1}^{k-h} w_{t+h} w_t^T, zero where k <= h."""
-    n, p = w.shape
-    s = np.zeros((max_lag + 1, n, p, p))
-    for h in range(max_lag + 1):
-        prods = np.einsum("ti,tj->tij", w[h:], w[: n - h])
-        s[h, h:] = np.cumsum(prods, axis=0)
-    return s
+class _BlockKernel:
+    """Builds frequency block j of the sequential estimate for all M windows.
+
+    With lag coefficients c_h = w(b_f h) e^{i omega h} / (2 pi) and the
+    filtered series y_k = sum_{h=1..L} c_h x_{k-h} (zero before the window
+    starts), the partial sums F_num(k) = sum_{s,t <= k} c_{s-t} x_s x_t^T
+    grow by the rank-2 increment a_k + a_k^H with a_k = x_k (c_0 x_k / 2 + y_k)^T.
+    Forming it as a + a^H keeps every slice Hermitian bit for bit.
+    """
+
+    def __init__(self, x: np.ndarray, starts: np.ndarray, n: int, coef: np.ndarray) -> None:
+        lags = coef.shape[1] - 1
+        self.windows = np.stack([x[o : o + n] for o in starts])  # (M, N, p)
+        padded = np.concatenate([np.zeros((len(starts), lags, x.shape[1])), self.windows], axis=1)
+        # lagged[i, k-1, :, l] = x_{k-L+l} of window i, the L observations before row k
+        lagged = np.lib.stride_tricks.sliding_window_view(padded[:, :-1], lags, axis=1)
+        self.lagged = np.ascontiguousarray(lagged)
+        # c_L, ..., c_1 per frequency as (real, imag) columns, matching the lag order above
+        self.coef = np.stack([coef[:, :0:-1].real, coef[:, :0:-1].imag], axis=-1)  # (K, L, 2)
+        self.half_c0 = coef[0, 0].real / 2.0
+        self.ks = np.arange(1, n + 1, dtype=float)[:, None, None]
+
+    def increments(self, j: int) -> np.ndarray:
+        """(M, N, p, p): F_num(k) - F_num(k-1) for k = 1..N at frequency cell j."""
+        z = self.lagged @ self.coef[j]  # (M, N, p, 2): y_k as (real, imag)
+        z[..., 0] += self.half_c0 * self.windows
+        a = (self.windows[..., :, None, None] * z[..., None, :, :]).view(complex)[..., 0]
+        inc = np.empty_like(a)
+        np.conjugate(a.swapaxes(-1, -2), out=inc)
+        inc += a
+        return inc
+
+    def __call__(self, j: int) -> tuple[np.ndarray, float]:
+        """Block j and the largest eigenvalue clipped by its eta = 1 PSD projection."""
+        f = self.increments(j)
+        np.cumsum(f, axis=1, out=f)
+        f /= self.ks
+        # Partial sums are cumulative, so an overflow anywhere reaches eta = 1.
+        bad = ~np.isfinite(f[:, -1]).all(axis=(-2, -1))
+        if bad.any():
+            raise NumericalError(
+                f"non-finite spectral estimate in window {int(np.argmax(bad)) + 1}, frequency "
+                f"cell {j + 1}: the lag products of the data overflow"
+            )
+        # PSD projection of the full-window slices; slices at eta < 1 stay raw.
+        vals, vecs = np.linalg.eigh(f[:, -1])
+        neg = vals[:, 0] < 0
+        if neg.any():
+            f[neg, -1] = hermitian_part(eig_reconstruct(vecs[neg], np.maximum(vals[neg], 0.0)))
+        return f, max(0.0, -float(vals[:, 0].min()))
+
+
+def stream_sequential_sdo(
+    sample: TimeSeriesSample,
+    plan: BandwidthPlan,
+    kernel: Kernel = PARZEN,
+    band: tuple[float, float] = (0.0, math.pi),
+    k_omega: int | None = None,
+) -> SequentialSDO:
+    """:func:`estimate_sequential_sdo` without the tensor: every block pass of a
+    measure builds the blocks it reduces, bit-identical to the collected ones.
+    Same arguments and errors; the overflow error comes from the block pass."""
+    a, b = _validate_band(band)
+    if plan.T != sample.T:
+        raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
+    k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
+    if k_omega < 1:
+        raise ConfigError(f"k_omega = {k_omega} must be at least 1")
+    omegas = a + (np.arange(k_omega) + 0.5) * (b - a) / k_omega
+    lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
+    coef = kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
+    return SequentialSDO(
+        tensor=None, u_points=midpoint_grid(plan), omega_points=omegas,
+        eta_points=plan.eta_points, band=(a, b), plan=plan, kernel_name=kernel.name,
+        grid_weights=sample.grid_weights,
+        blocks=_BlockKernel(_embedded(sample), _window_starts(plan), plan.N, coef),
+    )
 
 
 def estimate_sequential_sdo(
@@ -439,7 +512,8 @@ def estimate_sequential_sdo(
 
     on the centered, quadrature-embedded window starting at offset
     o = floor(u T) - N/2. Every stored slice is exactly Hermitian; the
-    eta = 1 slices are additionally PSD-projected.
+    eta = 1 slices are additionally PSD-projected. The blocks of
+    :func:`stream_sequential_sdo` are stacked into one read-only tensor.
 
     :param band: frequency band [a, b] inside [0, pi].
     :param k_omega: number of midpoint frequency cells; default
@@ -449,58 +523,13 @@ def estimate_sequential_sdo(
     :raises NumericalError: if the data are so large that the lag products
         overflow.
     """
-    a, b = _validate_band(band)
-    if plan.T != sample.T:
-        raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
-    if k_omega is None:
-        k_omega = _default_k_omega(plan, (a, b))
-    if k_omega < 1:
-        raise ConfigError(f"k_omega = {k_omega} must be at least 1")
-    n, p = plan.N, sample.p
-    x = _embedded(sample)
-    starts = _window_starts(plan)
-    omegas = a + (np.arange(k_omega) + 0.5) * (b - a) / k_omega
-    max_lag = min(n - 1, int(math.floor(1.0 / plan.b_f + 1e-12)))
-    lags = np.arange(max_lag + 1)
-    kernel_w = kernel(plan.b_f * lags)
-    ks = np.arange(1, n + 1, dtype=float)[:, None, None]
-
-    tensor = np.empty((plan.M, k_omega, n, p, p), dtype=complex)
-    clip_max = 0.0
-    for i, off in enumerate(starts):
-        s_cum = _lag_cumsums(x[off : off + n], max_lag)
-        for j, omega in enumerate(omegas):
-            coef = kernel_w * np.exp(1j * omega * lags) / TWO_PI
-            f = coef[0].real * s_cum[0] + 0j
-            if max_lag >= 1:
-                upper = np.tensordot(coef[1:], s_cum[1:], axes=(0, 0))
-                f += upper + upper.conj().transpose(0, 2, 1)
-            f /= ks
-            # c0 S0 + U + U^H over a real k is already Hermitian bit for bit.
-            # Lag sums are cumulative, so an overflow anywhere reaches eta = 1.
-            if not np.isfinite(f[-1]).all():
-                raise NumericalError(
-                    f"non-finite spectral estimate in window {i + 1}, frequency cell {j + 1}: "
-                    "the lag products of the data overflow"
-                )
-            # PSD projection of the full-window slice; slices at eta < 1 stay raw.
-            vals, vecs = np.linalg.eigh(f[-1])
-            if vals[0] < 0:
-                clip_max = max(clip_max, -float(vals[0]))
-                f[-1] = eig_reconstruct(vecs, np.maximum(vals, 0.0))
-                f[-1] = (f[-1] + f[-1].conj().T) / 2.0
-            tensor[i, j] = f
-    return SequentialSDO(
-        tensor=tensor,
-        u_points=midpoint_grid(plan),
-        omega_points=omegas,
-        eta_points=plan.eta_points,
-        band=(a, b),
-        plan=plan,
-        kernel_name=kernel.name,
-        grid_weights=sample.grid_weights,
-        diagnostics={"psd_clip_max": clip_max},
-    )
+    sdo = stream_sequential_sdo(sample, plan, kernel, band, k_omega)
+    tensor = np.empty((sdo.m, sdo.k_omega, sdo.n_window, sdo.p, sdo.p), dtype=complex)
+    clips = [0.0]
+    for j in range(sdo.k_omega):
+        tensor[:, j], clip = sdo.blocks(j)
+        clips.append(clip)
+    return replace(sdo, tensor=tensor, blocks=None, diagnostics={"psd_clip_max": max(clips)})
 
 
 def sequential_estimate_at(
@@ -513,46 +542,21 @@ def sequential_estimate_at(
 ) -> np.ndarray:
     """Sequential estimate at a single, possibly off-grid fraction eta.
 
-    Off the grid {k/N} the estimator interpolates with the residue
-    f = eta*N - k, adding the boundary cross terms that involve observation
-    k + 1; on the grid those terms vanish and the result matches the stored
-    tensor slice. Returns a raw (M, K, p, p) array (no PSD projection).
-    """
+    With k = floor(eta N) and residue frac = eta N - k, the value is
+    (F_num(k) + frac (F_num(k + 1) - F_num(k))) / k, which on the grid {k/N}
+    matches the stored tensor slice. Returns a raw (M, K, p, p) array (no
+    PSD projection)."""
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"eta = {eta} outside [0, 1]")
-    a, b = _validate_band(band)
-    if k_omega is None:
-        k_omega = _default_k_omega(plan, (a, b))
-    n, p = plan.N, sample.p
-    x = _embedded(sample)
-    starts = _window_starts(plan)
-    omegas = a + (np.arange(k_omega) + 0.5) * (b - a) / k_omega
-    k = int(math.floor(eta * n + 1e-9))
-    frac = eta * n - k
-    if frac < 1e-9:
-        frac = 0.0
-    out = np.zeros((plan.M, k_omega, p, p), dtype=complex)
+    sdo = stream_sequential_sdo(sample, plan, kernel, band, k_omega)
+    k = int(math.floor(eta * plan.N + 1e-9))
+    frac = eta * plan.N - k  # below 1e-9 (or negative at k = N) it is taken as 0
+    out = np.zeros((sdo.m, sdo.k_omega, sdo.p, sdo.p), dtype=complex)
     if k == 0:
         return out
-    for i, off in enumerate(starts):
-        w = x[off : off + n]
-        idx = np.arange(1, k + 1)
-        diff = idx[:, None] - idx[None, :]
-        kw = kernel(plan.b_f * diff) / TWO_PI
-        for j, omega in enumerate(omegas):
-            kmat = kw * np.exp(1j * omega * diff)
-            f = w[:k].T @ kmat @ w[:k] + 0j
-            if frac > 0.0 and k < n:
-                nxt = w[k]
-                cw = kernel(plan.b_f * (idx - (k + 1))) / TWO_PI * np.exp(
-                    1j * omega * (idx - (k + 1))
-                )
-                v = cw @ w[:k]
-                f += frac * (
-                    np.outer(v, nxt)
-                    + np.outer(nxt, v.conj())
-                    + kernel(0.0) / TWO_PI * np.outer(nxt, nxt)
-                )
-            f /= k
-            out[i, j] = (f + f.conj().T) / 2.0
-    return out
+    for j in range(sdo.k_omega):
+        inc = sdo.blocks.increments(j)
+        out[:, j] = inc[:, :k].sum(axis=1)
+        if frac >= 1e-9:
+            out[:, j] += frac * inc[:, k]
+    return out / k

@@ -27,7 +27,6 @@ __all__ = [
     "eigh_descending",
     "psd_project",
     "matrix_sqrt_psd",
-    "sqrt_distance",
     "kron_rearrange",
     "eig_reconstruct",
     "frechet_derivative",
@@ -53,9 +52,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
     near_tie_flags: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return eig_reconstruct(self.vectors, self.values)
 
 
 @dataclass(frozen=True)
@@ -151,11 +147,6 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
             f"matrix is not positive semidefinite (lambda_min = {lam_min:.3e})"
         )
     return hermitian_part(eig_reconstruct(es.vectors, np.sqrt(np.maximum(es.values, 0.0))))
-
-
-def sqrt_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Square-root distance ||A^{1/2} - B^{1/2}||_F between PSD matrices."""
-    return float(np.linalg.norm(matrix_sqrt_psd(a) - matrix_sqrt_psd(b)))
 
 
 def kron_rearrange(a: np.ndarray, ps: ProductStructure) -> np.ndarray:

@@ -162,9 +162,8 @@ def tvdpsca_sequential(
     if not 1 <= d <= d_cap:
         raise ValueError(f"d = {d} must lie in [1, min(p1^2, p2^2) = {d_cap}]")
     scores = sdo.separable_scores(ps, threads)
-    (mass,) = sdo.map_blocks(lambda f: ((np.abs(f) ** 2).sum(axis=(-2, -1)),), threads)
     num = (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
-    den = mass.mean(axis=(0, 1))
+    den = sdo.frobenius_mass(ps, threads).mean(axis=(0, 1))
     valid = (den > 0) & _available(sdo)
     if not den[-1] > 0:
         raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
@@ -249,8 +248,10 @@ def coherence_sequential(
 def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
     """Square roots of the PSD-clamped slices restricted to their d leading
     components, from eigenpairs in ascending order."""
-    roots = np.sqrt(np.maximum(vals, 0.0))
     p = vals.shape[-1]
+    # eigenvalues within roundoff of zero (rank-deficient slices) get a zero root, not sqrt(noise)
+    floor = p * np.finfo(float).eps * np.maximum(vals[..., -1:], 0.0)
+    roots = np.sqrt(np.where(vals > floor, vals, 0.0))
     if d < p:
         roots[..., : p - d] = 0.0  # ascending order: drop the p - d smallest
     return eig_reconstruct(vecs, roots)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specnorm as sn
-from specnorm.estimator import _default_k_omega, _window_starts, local_weight
+from specnorm.estimator import _default_k_omega, _window_starts
 
 
 def white_noise(T, p, seed=0):
@@ -89,16 +89,6 @@ def test_kernel_lookup_and_alias():
         sn.kernel_by_name("bartlett")
 
 
-def test_local_weight_matches_definition():
-    w = local_weight(sn.PARZEN, 0.25, 1.3, 5, 2)
-    expected = sn.PARZEN(0.25 * 3) / (2 * math.pi) * np.exp(1j * 1.3 * 3)
-    assert w == pytest.approx(expected)
-    assert local_weight(sn.PARZEN, 0.25, 1.3, 0, 5) == pytest.approx(
-        np.conj(local_weight(sn.PARZEN, 0.25, 1.3, 5, 0))
-    )
-    assert local_weight(sn.PARZEN, 0.25, 0.7, 9, 0) == 0.0
-
-
 def test_sample_validation():
     with pytest.raises(sn.DataError, match="row 2, column 1"):
         sn.TimeSeriesSample(data=np.array([[1.0, 2.0], [np.nan, 0.0]]))
@@ -177,6 +167,41 @@ def test_estimates_are_hermitian_and_full_window_slice_psd():
         assert np.linalg.eigvalsh(final).min() >= -1e-12
         clips.append(sdo.diagnostics["psd_clip_max"])
     assert clips[1] > 0  # the flat-top kernel is not PSD, so the projection ran
+
+
+def lag_cumsum_estimate(sample, plan, kernel):
+    """The sequential estimate by per-lag cumulative sums S_h(k) = sum_t x_{t+h} x_t^T
+    and one sum over the lags per cell, eta = 1 slices PSD-projected."""
+    x = sample.data - sample.data.mean(axis=0)
+    n, p = plan.N, sample.p
+    k_omega = _default_k_omega(plan, (0.0, math.pi))
+    lags = np.arange(min(n - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
+    ks = np.arange(1, n + 1)[:, None, None]
+    out = np.empty((plan.M, k_omega, n, p, p), dtype=complex)
+    for i, off in enumerate(_window_starts(plan)):
+        w = x[off : off + n]
+        s = np.zeros((len(lags), n, p, p))
+        for h in lags:
+            s[h, h:] = np.cumsum(np.einsum("ti,tj->tij", w[h:], w[: n - h]), axis=0)
+        for j in range(k_omega):
+            omega = (j + 0.5) * math.pi / k_omega
+            coef = kernel(plan.b_f * lags) * np.exp(1j * omega * lags) / (2 * math.pi)
+            upper = np.tensordot(coef[1:], s[1:], axes=(0, 0))
+            out[i, j] = (coef[0].real * s[0] + upper + upper.conj().transpose(0, 2, 1)) / ks
+            out[i, j, -1] = sn.psd_project(out[i, j, -1])
+    return out
+
+
+@pytest.mark.parametrize("kernel", [sn.PARZEN, sn.FLAT_TOP])
+def test_recursion_matches_the_lag_cumsum_formula(kernel):
+    rng = np.random.default_rng(10)
+    data = rng.standard_normal((1024, 3)) @ rng.standard_normal((3, 3))
+    plan = sn.default_bandwidth_plan(1024, kernel=kernel)
+    sample = sn.TimeSeriesSample(data=data)
+    tensor = sn.estimate_sequential_sdo(sample, plan, kernel=kernel).tensor
+    oracle = lag_cumsum_estimate(sample, plan, kernel)
+    assert np.max(np.abs(tensor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert np.array_equal(tensor, np.conj(np.swapaxes(tensor, -1, -2)))
 
 
 def test_white_noise_recovers_flat_spectrum():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
+from specnorm.hermitian import eig_reconstruct
 
 
 def rand_hermitian(rng, p, complex_=True):
@@ -46,7 +47,7 @@ def test_eigh_descending_order_reconstruction_and_phase():
     a = rand_hermitian(rng, 6)
     es = sn.eigh_descending(a)
     assert np.all(np.diff(es.values) <= 0)
-    assert np.allclose(es.reconstruct(), a, atol=1e-12)
+    assert np.allclose(eig_reconstruct(es.vectors, es.values), a, atol=1e-12)
     # deterministic phase: the largest-modulus entry of each column is real positive
     lead = es.vectors[np.argmax(np.abs(es.vectors), axis=0), np.arange(6)]
     assert np.all(lead.real > 0)
@@ -79,14 +80,6 @@ def test_matrix_sqrt_psd_squares_back():
     assert np.allclose(root @ root, a, atol=1e-10 * np.linalg.norm(a))
     with pytest.raises(sn.NumericalError, match="not positive semidefinite"):
         sn.matrix_sqrt_psd(np.diag([1.0, -0.5]))
-
-
-def test_sqrt_distance_metric_basics():
-    rng = np.random.default_rng(5)
-    a, b = rand_psd(rng, 4), rand_psd(rng, 4)
-    assert sn.sqrt_distance(a, a) == pytest.approx(0.0, abs=1e-12)
-    assert sn.sqrt_distance(a, b) == pytest.approx(sn.sqrt_distance(b, a), abs=1e-12)
-    assert sn.sqrt_distance(np.array([[4.0]]), np.array([[1.0]])) == pytest.approx(1.0)
 
 
 def test_kron_rearrange_rank_one_on_kronecker_products():

@@ -1,5 +1,6 @@
 """Deviation measures: shares, coherence, stationarity, and their invariances."""
 
+import dataclasses
 import math
 import warnings
 
@@ -351,7 +352,8 @@ def whole_tensor_path(sdo, kind, d):
         defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
         cells = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
         return ratio(cells.sum(axis=(0, 1)), defined.sum(axis=(0, 1)))
-    roots = np.sqrt(np.maximum(vals, 0.0))
+    floor = sdo.p * np.finfo(float).eps * np.maximum(vals[..., -1:], 0.0)
+    roots = np.sqrt(np.where(vals > floor, vals, 0.0))  # roundoff-level eigenvalues get a zero root
     roots[..., : sdo.p - d] = 0.0
     s = eig_reconstruct(vecs, roots)
     s -= s.mean(axis=0, keepdims=True)
@@ -368,6 +370,41 @@ def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
             else:
                 assert np.array_equal(got, expected)
+
+
+def counted_stream(sample, plan, kernel):
+    """A streamed estimate that records every block it builds."""
+    sdo = sn.stream_sequential_sdo(sample, plan, kernel=kernel)
+    built = []
+
+    def blocks(j):
+        built.append(j)
+        return sdo.blocks(j)
+
+    return dataclasses.replace(sdo, blocks=blocks), built
+
+
+@pytest.mark.parametrize("kernel", ["parzen", "flat_top"])
+def test_streamed_and_collected_estimates_give_identical_measures(kernel):
+    rng = np.random.default_rng(18)
+    data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
+    kern = sn.kernel_by_name(kernel)
+    plan = sn.default_bandwidth_plan(1024, kernel=kern)
+    sample = sn.TimeSeriesSample(data=data)
+    collected = sn.estimate_sequential_sdo(sample, plan, kernel=kern)
+    assert (collected.diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
+    orders = {"tvdfpca": range(1, 5), "tvdpsca": (1, 2), "coherence": (1, 2), "stationarity": (1, 2)}
+    for threads in (1, 2, 3):
+        for kind, ds in orders.items():
+            streamed, built = counted_stream(sample, plan, kern)
+            for d in ds:
+                assert_same_path(
+                    MEASURES[kind](streamed, d, threads), MEASURES[kind](fresh_copy(collected), d, 1)
+                )
+            assert streamed.diagnostics == collected.diagnostics
+            # tvdfpca and tvdpsca read every order from one block pass
+            passes = 1 if kind in ("tvdfpca", "tvdpsca") else len(ds)
+            assert sorted(built) == sorted(list(range(streamed.k_omega)) * passes)
 
 
 def test_eig_reconstruct_matches_einsum_form():
