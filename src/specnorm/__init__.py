@@ -39,9 +39,7 @@ from .estimator import (
     stream_sequential_sdo,
 )
 from .hermitian import (
-    EigenSystem,
     ProductStructure,
-    eigh_descending,
     frechet_derivative,
     hermitian_part,
     kron_rearrange,
@@ -79,7 +77,6 @@ from .measures import (
     SequentialFunctional,
     coherence_sequential,
     measure_population,
-    rank_restrict,
     stationarity_sequential,
     tvdfpca_sequential,
     tvdpsca_sequential,
@@ -100,11 +97,9 @@ __all__ = [
     "ConfigError",
     "DataError",
     "NumericalError",
-    "EigenSystem",
     "ProductStructure",
     "hermitian_part",
     "require_hermitian",
-    "eigh_descending",
     "psd_project",
     "matrix_sqrt_psd",
     "kron_rearrange",
@@ -127,7 +122,6 @@ __all__ = [
     "tvdpsca_sequential",
     "coherence_sequential",
     "stationarity_sequential",
-    "rank_restrict",
     "measure_population",
     "ALPHA_GRID",
     "DEFAULT_QUANTILE_SEED",

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .hermitian import ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange
+from .hermitian import ProductStructure, kron_rearrange, psd_project_batch
 
 __all__ = [
     "Kernel",
@@ -463,11 +463,8 @@ class _BlockKernel:
                 f"cell {j + 1}: the lag products of the data overflow"
             )
         # PSD projection of the full-window slices; slices at eta < 1 stay raw.
-        vals, vecs = np.linalg.eigh(f[:, -1])
-        neg = vals[:, 0] < 0
-        if neg.any():
-            f[neg, -1] = hermitian_part(eig_reconstruct(vecs[neg], np.maximum(vals[neg], 0.0)))
-        return f, max(0.0, -float(vals[:, 0].min()))
+        f[:, -1], lowest = psd_project_batch(f[:, -1])
+        return f, max(0.0, -float(lowest.min()))
 
 
 def stream_sequential_sdo(

@@ -1,11 +1,11 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecompositions with a deterministic phase convention, positive
-semidefinite projections and square roots, the Kronecker rearrangement that
-turns Kronecker products into rank-1 matrices, and Frechet derivatives of
-matrix functions in Daleckii-Krein form. Operators are plain complex
-``numpy`` arrays; every function validates Hermitian symmetry where the
-contract requires it and returns exactly Hermitian output.
+Positive semidefinite projections (one batched kernel) and square roots,
+the Kronecker rearrangement that turns Kronecker products into rank-1
+matrices, and Frechet derivatives of matrix functions in Daleckii-Krein
+form. Operators are plain complex ``numpy`` arrays; every function validates
+Hermitian symmetry where the contract requires it and returns exactly
+Hermitian output.
 
 All functions are pure and safe to call concurrently.
 """
@@ -13,19 +13,19 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import NumericalError
 
 __all__ = [
-    "EigenSystem",
     "ProductStructure",
     "TIE_TOL",
     "hermitian_part",
     "require_hermitian",
-    "eigh_descending",
     "psd_project",
+    "psd_project_batch",
     "matrix_sqrt_psd",
     "kron_rearrange",
     "eig_reconstruct",
@@ -38,20 +38,7 @@ TIE_TOL = 1e-8
 
 _HERM_ATOL = 1e-12
 
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full eigensystem of a Hermitian matrix, eigenvalues descending.
-
-    ``vectors[:, j]`` belongs to ``values[j]``; columns are orthonormal and
-    phase-fixed so the largest-modulus entry of each is real positive.
-    ``near_tie_flags[j]`` marks the adjacent pair (j, j+1) as numerically
-    degenerate.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    near_tie_flags: np.ndarray
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -88,48 +75,46 @@ def require_hermitian(a: np.ndarray, *, what: str = "matrix") -> np.ndarray:
     return hermitian_part(a)
 
 
-def eigh_descending(a: np.ndarray, tie_tol: float = TIE_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues in descending order.
+def _decompose(a: np.ndarray, decompose: Callable[[np.ndarray], _R]) -> _R:
+    """``decompose`` applied to the validated Hermitian part of ``a``.
 
-    Each eigenvector is rotated so that its largest-modulus entry (first such
-    entry on ties) is real and positive, which makes the output deterministic
-    across runs. Adjacent eigenvalue pairs closer than
-    ``tie_tol * max(1, lambda_1)`` are flagged; within a flagged block the
-    individual eigenvectors are an arbitrary orthonormal basis of the
-    eigenspace and downstream consumers should treat them as such.
-
-    :param a: Hermitian matrix.
-    :param tie_tol: relative near-tie threshold.
+    :raises ValueError: if ``a`` is not square and Hermitian.
     :raises NumericalError: if the decomposition does not converge.
     """
     a = require_hermitian(a)
     try:
-        vals, vecs = np.linalg.eigh(a)
+        return decompose(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition failed for {a.shape[0]}x{a.shape[1]} Hermitian matrix"
         ) from exc
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1]
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    mod = np.abs(lead)
-    phase = np.where(mod > 0, lead / np.where(mod > 0, mod, 1.0), 1.0)
-    vecs = vecs * phase.conj()
-    gap_scale = max(1.0, float(vals[0])) if vals.size else 1.0
-    flags = (vals[:-1] - vals[1:]) < tie_tol * gap_scale
-    return EigenSystem(values=vals, vectors=vecs, near_tie_flags=flags)
+
+
+def psd_project_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius PSD projection of a stack of Hermitian matrices.
+
+    One ``eigvalsh`` over the stack finds each member's smallest eigenvalue;
+    only members with a negative one are decomposed and rebuilt with their
+    eigenvalues clamped at zero. The others come back bit for bit (``a``
+    itself when no member is indefinite). Returns the projected stack and
+    the smallest eigenvalue of every input member.
+    """
+    lowest = np.linalg.eigvalsh(a)[..., 0]
+    neg = lowest < 0
+    if neg.any():
+        vals, vecs = np.linalg.eigh(a[neg])
+        a = a.copy()
+        a[neg] = hermitian_part(eig_reconstruct(vecs, np.maximum(vals, 0.0)))
+    return a, lowest
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrix in Frobenius norm.
 
     Symmetrizes, clamps negative eigenvalues to zero, reconstructs. Already
-    PSD input passes through unchanged up to decomposition roundoff.
+    PSD input comes back as its exact Hermitian part.
     """
-    es = eigh_descending(a)
-    if bool(np.all(es.values >= 0)):
-        return hermitian_part(np.asarray(a))
-    return hermitian_part(eig_reconstruct(es.vectors, np.maximum(es.values, 0.0)))
+    return _decompose(a, lambda h: psd_project_batch(h)[0])
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -140,13 +125,13 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
 
     :raises NumericalError: if the smallest eigenvalue is below the noise band.
     """
-    es = eigh_descending(a)
-    lam_min = float(es.values[-1])
+    vals, vecs = _decompose(a, np.linalg.eigh)
+    lam_min = float(vals[0])
     if lam_min < -1e-8 * float(np.linalg.norm(np.asarray(a))):
         raise NumericalError(
             f"matrix is not positive semidefinite (lambda_min = {lam_min:.3e})"
         )
-    return hermitian_part(eig_reconstruct(es.vectors, np.sqrt(np.maximum(es.values, 0.0))))
+    return hermitian_part(eig_reconstruct(vecs, np.sqrt(np.maximum(vals, 0.0))))
 
 
 def kron_rearrange(a: np.ndarray, ps: ProductStructure) -> np.ndarray:
@@ -190,12 +175,7 @@ def eig_reconstruct(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def frechet_derivative(
-    a: np.ndarray,
-    delta: np.ndarray,
-    phi: str,
-    tie_tol: float = TIE_TOL,
-) -> np.ndarray:
+def frechet_derivative(a: np.ndarray, delta: np.ndarray, phi: str) -> np.ndarray:
     """First Frechet derivative of a matrix function at A, applied to Delta.
 
     In the eigenbasis of A the derivative acts entrywise through the Loewner
@@ -212,19 +192,17 @@ def frechet_derivative(
     :param a: Hermitian base point.
     :param delta: Hermitian direction.
     :param phi: one of ``"square"``, ``"sqrt"``, ``"identity"``.
-    :param tie_tol: relative threshold below which the sqrt spectrum counts
-        as singular.
     :raises NumericalError: for ``phi="sqrt"`` when the smallest eigenvalue is
-        within ``tie_tol * max(1, lambda_1)`` of zero or negative.
+        within ``TIE_TOL * max(1, lambda_1)`` of zero or negative, or when the
+        decomposition does not converge.
     """
     delta = require_hermitian(np.asarray(delta), what="direction")
-    es = eigh_descending(a, tie_tol=tie_tol)
-    lam = es.values
+    lam, u = _decompose(a, np.linalg.eigh)
     if phi == "square":
         loewner = lam[:, None] + lam[None, :]
     elif phi == "sqrt":
-        scale = max(1.0, float(lam[0])) if lam.size else 1.0
-        if float(lam[-1]) <= tie_tol * scale:
+        scale = max(1.0, float(lam[-1])) if lam.size else 1.0
+        if float(lam[0]) <= TIE_TOL * scale:
             raise NumericalError("sqrt derivative undefined at singular point")
         root = np.sqrt(lam)
         loewner = 1.0 / (root[:, None] + root[None, :])
@@ -232,6 +210,5 @@ def frechet_derivative(
         return delta
     else:
         raise ValueError(f"unsupported matrix function {phi!r}")
-    u = es.vectors
     mixed = u.conj().T @ delta.astype(complex) @ u
     return hermitian_part(u @ (loewner * mixed) @ u.conj().T)

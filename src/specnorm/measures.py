@@ -36,7 +36,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .estimator import SequentialSDO
-from .hermitian import TIE_TOL, ProductStructure, eig_reconstruct, eigh_descending, kron_rearrange
+from .hermitian import (
+    TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch,
+)
 
 __all__ = [
     "SequentialFunctional",
@@ -44,7 +46,6 @@ __all__ = [
     "tvdpsca_sequential",
     "coherence_sequential",
     "stationarity_sequential",
-    "rank_restrict",
     "measure_population",
     "SCALING_EXPONENTS",
 ]
@@ -103,6 +104,16 @@ def _available(sdo: SequentialSDO) -> np.ndarray:
     return avail
 
 
+def _functional(
+    kind: str, sdo: SequentialSDO, d: int, values: np.ndarray, valid: np.ndarray, diag: dict
+) -> SequentialFunctional:
+    f_exponent, g_exponent = SCALING_EXPONENTS[kind]
+    return SequentialFunctional(
+        kind=kind, d=d, eta=sdo.eta_points, values=values, valid=valid,
+        f_exponent=f_exponent, g_exponent=g_exponent, diagnostics=diag,
+    )
+
+
 def _tie_count(desc_vals: np.ndarray, d: int) -> int:
     """Number of slices with a numerically tied eigenvalue pair at the d boundary."""
     if d >= desc_vals.shape[-1]:
@@ -138,10 +149,7 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> Sequenti
         "psd_clip_max": max(0.0, -float(raw.min())),
         "near_tie_count": _tie_count(vals, d),
     }
-    return SequentialFunctional(
-        kind="tvdfpca", d=d, eta=sdo.eta_points, values=values, valid=valid,
-        f_exponent=3, g_exponent=2, diagnostics=diag,
-    )
+    return _functional("tvdfpca", sdo, d, values, valid, diag)
 
 
 def tvdpsca_sequential(
@@ -162,8 +170,9 @@ def tvdpsca_sequential(
     if not 1 <= d <= d_cap:
         raise ValueError(f"d = {d} must lie in [1, min(p1^2, p2^2) = {d_cap}]")
     scores = sdo.separable_scores(ps, threads)
-    num = (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
     den = sdo.frobenius_mass(ps, threads).mean(axis=(0, 1))
+    # at d_cap the scores carry all the mass: the share is 1 exactly, not up to roundoff
+    num = den if d == d_cap else (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
     valid = (den > 0) & _available(sdo)
     if not den[-1] > 0:
         raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
@@ -173,10 +182,7 @@ def tvdpsca_sequential(
         "isometry_defect_max": float(np.max(np.abs(total - den))),
         "near_tie_count": _tie_count(scores, d),
     }
-    return SequentialFunctional(
-        kind="tvdpsca", d=d, eta=sdo.eta_points, values=values, valid=valid,
-        f_exponent=3, g_exponent=2, diagnostics=diag,
-    )
+    return _functional("tvdpsca", sdo, d, values, valid, diag)
 
 
 def _canonical_parts(f: np.ndarray, d: int, p1: int) -> tuple[np.ndarray, ...]:
@@ -210,12 +216,7 @@ def coherence_sequential(
     p1 = ps.p1
 
     def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
-        lowest = np.linalg.eigvalsh(f)[..., 0]
-        neg = lowest < 0
-        if neg.any():
-            vals, vecs = np.linalg.eigh(f[neg])
-            f = f.copy()
-            f[neg] = eig_reconstruct(vecs, np.maximum(vals, 0.0))
+        f, lowest = psd_project_batch(f)
         lam1, lam2, sig = _canonical_parts(f, d, p1)
         tr1 = np.einsum("...ii->...", f[..., :p1, :p1]).real
         tr2 = np.einsum("...ii->...", f[..., p1:, p1:]).real
@@ -239,10 +240,7 @@ def coherence_sequential(
             stacklevel=2,
         )
     diag = {"psd_clip_max": max(0.0, -float(lowest.min())), "skipped_cells": skipped}
-    return SequentialFunctional(
-        kind="coherence", d=d, eta=sdo.eta_points, values=values, valid=valid,
-        f_exponent=4, g_exponent=3, diagnostics=diag,
-    )
+    return _functional("coherence", sdo, d, values, valid, diag)
 
 
 def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
@@ -288,32 +286,7 @@ def stationarity_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> Seq
     q = dispersion.mean(axis=(0, 1))
     desc = np.maximum(vals[..., ::-1], 0.0)
     diag = {"psd_clip_max": clip, "near_tie_count": _tie_count(desc, d)}
-    return SequentialFunctional(
-        kind="stationarity", d=d, eta=sdo.eta_points, values=q,
-        valid=_available(sdo),
-        f_exponent=2, g_exponent=1, diagnostics=diag,
-    )
-
-
-def rank_restrict(a: np.ndarray, d: int) -> np.ndarray:
-    """Restriction to the span of the d leading eigenvectors.
-
-    Returns sum_{j<=d} lambda_j v_j v_j†. A numerically tied pair at the
-    d/(d+1) boundary makes the restriction ill-conditioned; that case is
-    reported as a warning and the computation proceeds.
-    """
-    es = eigh_descending(a)
-    p = es.values.shape[0]
-    if not 1 <= d <= p:
-        raise ValueError(f"d = {d} must lie in [1, {p}]")
-    if d == p:
-        return np.asarray(a)
-    if bool(es.near_tie_flags[d - 1]):
-        warnings.warn(
-            f"eigenvalue near-tie at the rank boundary d = {d}; restriction is ill-conditioned",
-            stacklevel=2,
-        )
-    return eig_reconstruct(es.vectors[:, :d], es.values[:d])
+    return _functional("stationarity", sdo, d, q, _available(sdo), diag)
 
 
 def _truth_tensor(
@@ -331,7 +304,7 @@ def _truth_tensor(
     for i, u in enumerate(us):
         for j, om in enumerate(oms):
             out[i, j] = truth(float(u), float(om))
-    return (out + out.conj().swapaxes(-1, -2)) / 2.0
+    return hermitian_part(out)
 
 
 def measure_population(

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimator import TWO_PI, TimeSeriesSample
+from .hermitian import hermitian_part
 
 __all__ = [
     "IidSpec",
@@ -314,7 +315,7 @@ def true_sdo(spec: ProcessSpec) -> Callable[[float, float], np.ndarray]:
         def f_ar(u: float, omega: float) -> np.ndarray:
             b = np.linalg.inv(eye - spec.a_at(u) * np.exp(-1j * omega))
             f = b @ sig @ b.conj().T / TWO_PI
-            return (f + f.conj().T) / 2.0
+            return hermitian_part(f)
 
         return f_ar
 

@@ -399,7 +399,9 @@ def test_main_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     def failing_eigh(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # the estimator's PSD projection decomposes only indefinite slices: fail both calls
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigh)
     cfg = write_cfg(tmp_path, **INFER_KEYS)
     code, out = run_main(capsys, "infer", "--config", cfg)
     assert code == 4
@@ -492,6 +494,20 @@ def test_order_selection_decomposes_the_tensor_once(tmp_path, capsys, monkeypatc
     report = json.loads(out)
     assert code == 0 and len(report["stats"]) >= 1
     assert counts == {"eigh": 0, "eigvalsh": 0, "svd": report["diagnostics"]["k_omega"]}
+
+
+def test_select_d_share_is_exactly_one_at_the_order_cap(tmp_path, capsys):
+    # At d = min(p1^2, p2^2) the separable scores carry all the mass, so the
+    # path is 1 and V = 0 exactly, not roundoff divided by roundoff.
+    cfg = write_cfg(tmp_path, process="iid", T=1024, p=4, measure="tvdpsca", p1=2, p2=2,
+                    nu=0.6, d_max=4, quantile_r=10_000, quantile_n=500)
+    code, out = run_main(capsys, "select-d", "--config", cfg)
+    assert code == 0, out
+    report = json.loads(out)
+    assert report["d_hat"] == 1
+    last = report["stats"][-1]
+    assert last["d"] == 4 and last["estimate"] == 1.0 and last["v"] == 0.0
+    assert last["statistic"] == "Infinity"
 
 
 def test_main_select_d_requires_nu_and_d_max(tmp_path, capsys):

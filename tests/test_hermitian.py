@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
-from specnorm.hermitian import eig_reconstruct
+from specnorm.hermitian import eig_reconstruct, psd_project_batch
 
 
 def rand_hermitian(rng, p, complex_=True):
@@ -42,24 +42,6 @@ def test_require_hermitian_accepts_roundoff_and_rejects_structure():
         sn.require_hermitian(np.ones((2, 3)))
 
 
-def test_eigh_descending_order_reconstruction_and_phase():
-    rng = np.random.default_rng(2)
-    a = rand_hermitian(rng, 6)
-    es = sn.eigh_descending(a)
-    assert np.all(np.diff(es.values) <= 0)
-    assert np.allclose(eig_reconstruct(es.vectors, es.values), a, atol=1e-12)
-    # deterministic phase: the largest-modulus entry of each column is real positive
-    lead = es.vectors[np.argmax(np.abs(es.vectors), axis=0), np.arange(6)]
-    assert np.all(lead.real > 0)
-    assert np.allclose(lead.imag, 0.0, atol=1e-12)
-
-
-def test_eigh_descending_flags_near_ties():
-    es = sn.eigh_descending(np.diag([3.0, 1.0, 1.0 + 1e-12]))
-    assert not es.near_tie_flags[0]
-    assert es.near_tie_flags[1]
-
-
 def test_psd_project_clamps_and_preserves_psd_input():
     rng = np.random.default_rng(3)
     a = rand_hermitian(rng, 5)
@@ -71,6 +53,49 @@ def test_psd_project_clamps_and_preserves_psd_input():
     vals = np.linalg.eigvalsh(a)
     expected = np.linalg.norm(np.minimum(vals, 0.0))
     assert np.linalg.norm(proj - a) == pytest.approx(expected, abs=1e-12)
+
+
+def test_psd_project_batch_rebuilds_only_indefinite_members():
+    rng = np.random.default_rng(5)
+    stack = np.stack([make(rng, 4) for make in (rand_psd, rand_hermitian) * 2])
+    proj, lowest = psd_project_batch(stack)
+    assert np.array_equal(lowest, np.linalg.eigvalsh(stack)[:, 0])
+    indefinite = lowest < 0
+    assert indefinite.tolist() == [False, True] * 2
+    assert np.array_equal(proj[~indefinite], stack[~indefinite])
+    for i in np.flatnonzero(indefinite):
+        assert np.array_equal(proj[i], sn.psd_project(stack[i]))
+    psd = stack[[0, 2]]
+    assert psd_project_batch(psd)[0] is psd  # nothing to rebuild: no copy
+
+
+# the single-matrix entry points that validate their input and decompose it
+DECOMPOSING_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: sn.psd_project(a),
+        lambda a: sn.matrix_sqrt_psd(a),
+        lambda a: sn.frechet_derivative(a, np.eye(2), "square"),
+    ],
+    ids=["psd_project", "matrix_sqrt_psd", "frechet_derivative"],
+)
+
+
+@DECOMPOSING_CALLS
+def test_non_hermitian_input_is_rejected(call):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        call(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@DECOMPOSING_CALLS
+def test_lapack_failure_surfaces_as_numerical_error(monkeypatch, call):
+    def failing_eigh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(sn.NumericalError, match="eigendecomposition failed for 2x2") as info:
+        call(np.diag([2.0, -1.0]))  # indefinite, so psd_project reaches eigh too
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_matrix_sqrt_psd_squares_back():

@@ -165,6 +165,27 @@ def test_stationarity_closed_form_for_linear_drift():
     assert np.allclose(pth.values, expected, atol=1e-12)
 
 
+def test_stationarity_keeps_only_the_d_leading_components():
+    # window estimates u_i * diag(2, 1): at d = 1 only the eigenvalue 2 enters,
+    # so the dispersion is 2/3 of the full (d = 2) one, which weighs Tr A = 3
+    m, n = 5, 4
+    u = (np.arange(m) + 0.5) / m
+    a = np.diag([2.0, 1.0]).astype(complex)
+    tensor = u[:, None, None, None, None] * np.tile(a, (m, 2, n, 1, 1))
+    sdo = sn.SequentialSDO.from_tensor(tensor)
+    full = sn.stationarity_sequential(sdo, 2).values
+    assert np.allclose(sn.stationarity_sequential(sdo, 1).values, full * 2.0 / 3.0, rtol=1e-12)
+
+
+def test_near_ties_at_the_order_boundary_are_counted():
+    sdo = analytic_sdo(np.diag([3.0, 2.0, 2.0 + 1e-12]))
+    cells = sdo.m * sdo.k_omega * sdo.n_window
+    for measure in (sn.tvdfpca_sequential, sn.stationarity_sequential):
+        assert measure(sdo, 1).diagnostics["near_tie_count"] == 0
+        assert measure(sdo, 2).diagnostics["near_tie_count"] == cells
+        assert measure(sdo, 3).diagnostics["near_tie_count"] == 0
+
+
 def test_stationarity_warns_off_full_band():
     sample = sn.simulate(sn.IidSpec(T=256, sigma=np.eye(2), seed=14))
     plan = sn.default_bandwidth_plan(256)
@@ -191,20 +212,6 @@ def test_measures_invariant_under_data_scaling():
     qa = sn.stationarity_sequential(base, 4)
     qb = sn.stationarity_sequential(scaled, 4)
     assert np.allclose(qb.values, 9.0 * qa.values, rtol=1e-10)
-
-
-def test_rank_restrict_examples():
-    a = np.diag([3.0, 2.0, 1.0])
-    assert np.allclose(sn.rank_restrict(a, 2), np.diag([3.0, 2.0, 0.0]), atol=1e-14)
-    assert sn.rank_restrict(a, 3) is not None
-    assert np.array_equal(sn.rank_restrict(a, 3), a)  # d = p passes through
-    v = np.array([[1.0], [2.0]]) / math.sqrt(5.0)
-    rank1 = 4.0 * (v @ v.T)
-    assert np.allclose(sn.rank_restrict(rank1, 1), rank1, atol=1e-12)
-    with pytest.warns(UserWarning, match="near-tie"):
-        sn.rank_restrict(np.diag([3.0, 2.0, 2.0 + 1e-12]), 2)
-    with pytest.raises(ValueError, match="d = 4"):
-        sn.rank_restrict(a, 4)
 
 
 def test_population_values_on_constant_truths():
