@@ -188,6 +188,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"process must be one of {_PROCESSES}, got {cfg.process!r}")
     if cfg.process is not None and cfg.T is None:
         raise ConfigError("missing required key 'T' for a simulated process")
+    if cfg.p is not None and cfg.p < 1:
+        raise ConfigError(f"p = {cfg.p} must be at least 1")
     if cfg.measure is not None and cfg.measure not in _MEASURES:
         raise ConfigError(f"measure must be one of {_MEASURES}, got {cfg.measure!r}")
     kernel = kernel_by_name(cfg.kernel)  # validates the name

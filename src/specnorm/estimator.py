@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .hermitian import ProductStructure, kron_rearrange, psd_project_batch
+from .hermitian import psd_project_batch
 
 __all__ = [
     "Kernel",
@@ -278,14 +278,14 @@ class SequentialSDO:
 
     Frequency block j, (M, N, p, p), holds at ``[i, k-1]`` the Hermitian
     estimate at u_points[i], omega_points[j] and eta = k/N from the first k
-    observations of the window; its eta = 1 slices are PSD-projected, the
-    largest clip is ``diagnostics["psd_clip_max"]``. A collected estimate
-    stores the blocks in a read-only ``tensor`` (M, K, N, p, p); a streamed
-    one (:func:`stream_sequential_sdo`) has ``tensor = None`` and builds
-    block j by ``blocks(j)`` inside each block pass (:meth:`map_blocks`, on
-    ``threads`` workers). Results depend on neither the thread count nor the
-    source. The measures share ``eigenvalues`` and ``separable_scores``, one
-    block pass each on first use, kept read-only.
+    observations of the window; its eta = 1 slices are PSD-projected.
+    ``blocks(j)`` returns block j with the largest eigenvalue that projection
+    clipped: a streamed estimate (:func:`stream_sequential_sdo`) builds it
+    inside each block pass (:meth:`map_blocks`, on ``threads`` workers), a
+    collected one reads it from its read-only ``tensor`` (M, K, N, p, p).
+    Results depend on neither the thread count nor the source. A block pass
+    run under a ``key`` is kept read-only and shared by later passes under
+    the same key.
     """
 
     tensor: np.ndarray | None
@@ -293,66 +293,37 @@ class SequentialSDO:
     omega_points: np.ndarray
     eta_points: np.ndarray
     band: tuple[float, float]
+    grid_weights: np.ndarray
+    blocks: Callable[[int], tuple[np.ndarray, float]] = field(repr=False)
     plan: BandwidthPlan | None = None
     kernel_name: str = "parzen"
-    grid_weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-    blocks: Callable[[int], tuple[np.ndarray, float]] | None = field(default=None, repr=False)
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _last_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if (self.tensor is None) == (self.blocks is None):
-            raise ValueError("a SequentialSDO needs exactly one of a tensor and a block source")
-        if self.tensor is not None:
-            _read_only(self.tensor)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def map_blocks(
-        self, work: Callable[[np.ndarray], tuple[np.ndarray, ...]], threads: int = 1
+        self, work: Callable[[np.ndarray], tuple], threads: int = 1, key: object = None
     ) -> tuple[np.ndarray, ...]:
         """``work`` on every frequency block, its per-cell arrays stacked to (M, K, N, ...).
 
         ``work`` maps one read-only block to arrays with leading axes (M, N).
-        Blocks run on ``threads`` threads, each streamed one built where it is reduced.
+        Blocks run on ``threads`` threads, each streamed one built where it is
+        reduced. The pass records ``diagnostics["psd_clip_max"]``, the largest
+        eta = 1 clip. With a ``key``, the first pass is kept and returned again.
         """
+        if key in self._memo:
+            return self._memo[key]
 
         def run(j: int) -> tuple:
-            if self.tensor is not None:
-                return work(self.tensor[:, j]), 0.0
             block, clip = self.blocks(j)
             return work(_read_only(block)), clip
 
         runs = map_ordered(run, self.k_omega, threads)
-        if self.tensor is None:
-            self.diagnostics["psd_clip_max"] = max(clip for _, clip in runs)
-        return tuple(np.stack(cells, axis=1) for cells in zip(*(part for part, _ in runs)))
-
-    def eigenvalues(self, threads: int = 1) -> np.ndarray:
-        """(M, K, N, p) eigenvalues of every slice, descending, one ``eigvalsh`` per block."""
-        if self._eigenvalues is None:
-            (vals,) = self.map_blocks(lambda f: (np.linalg.eigvalsh(f)[..., ::-1],), threads)
-            object.__setattr__(self, "_eigenvalues", _read_only(vals))
-        return self._eigenvalues
-
-    def separable_scores(self, ps: ProductStructure, threads: int = 1) -> np.ndarray:
-        """(M, K, N, min(p1^2, p2^2)) singular values of every slice's Kronecker
-        rearrangement, descending, one ``svd`` per block; kept for the last
-        product structure asked for, with the :meth:`frobenius_mass` of the
-        same pass."""
-        if self._last_scores is None or self._last_scores[0] != ps:
-            def work(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                svals = np.linalg.svd(kron_rearrange(f, ps), compute_uv=False)
-                return svals, (np.abs(f) ** 2).sum(axis=(-2, -1))
-
-            scores, mass = self.map_blocks(work, threads)
-            object.__setattr__(self, "_last_scores", (ps, _read_only(scores), _read_only(mass)))
-        return self._last_scores[1]
-
-    def frobenius_mass(self, ps: ProductStructure, threads: int = 1) -> np.ndarray:
-        """(M, K, N) squared Frobenius norms of the slices, from the block pass
-        of ``separable_scores(ps)``."""
-        self.separable_scores(ps, threads)
-        return self._last_scores[2]
+        self.diagnostics["psd_clip_max"] = max(clip for _, clip in runs)
+        parts = zip(*(part for part, _ in runs))
+        result = tuple(_read_only(np.stack(cells, axis=1)) for cells in parts)
+        if key is not None:
+            self._memo[key] = result
+        return result
 
     @property
     def m(self) -> int:
@@ -368,8 +339,7 @@ class SequentialSDO:
 
     @property
     def p(self) -> int:
-        # a streamed estimate carries its sample's weights, one per coordinate
-        return self.tensor.shape[3] if self.tensor is not None else self.grid_weights.size
+        return self.grid_weights.size
 
     @classmethod
     def from_tensor(
@@ -390,10 +360,12 @@ class SequentialSDO:
         if omega_points is None:
             a, b = band
             omega_points = a + (np.arange(k) + 0.5) * (b - a) / k
+        p = tensor.shape[3]
         return cls(
-            tensor=tensor, u_points=np.asarray(u_points, dtype=float),
+            tensor=_read_only(tensor), u_points=np.asarray(u_points, dtype=float),
             omega_points=np.asarray(omega_points, dtype=float), eta_points=np.arange(1, n + 1) / n,
-            band=(float(band[0]), float(band[1])), kernel_name=kernel_name,
+            band=(float(band[0]), float(band[1])), grid_weights=np.full(p, 1.0 / p),
+            blocks=lambda j: (tensor[:, j], 0.0), kernel_name=kernel_name,
         )
 
 
@@ -522,11 +494,12 @@ def estimate_sequential_sdo(
     """
     sdo = stream_sequential_sdo(sample, plan, kernel, band, k_omega)
     tensor = np.empty((sdo.m, sdo.k_omega, sdo.n_window, sdo.p, sdo.p), dtype=complex)
-    clips = [0.0]
+    clips = [0.0] * sdo.k_omega
     for j in range(sdo.k_omega):
-        tensor[:, j], clip = sdo.blocks(j)
-        clips.append(clip)
-    return replace(sdo, tensor=tensor, blocks=None, diagnostics={"psd_clip_max": max(clips)})
+        tensor[:, j], clips[j] = sdo.blocks(j)
+    collected = replace(sdo, tensor=_read_only(tensor), blocks=lambda j: (tensor[:, j], clips[j]))
+    collected.map_blocks(lambda f: ())  # an empty block pass records psd_clip_max
+    return collected
 
 
 def sequential_estimate_at(

@@ -355,12 +355,6 @@ class SelfNormV:
     matrix: np.ndarray
     values: np.ndarray
 
-    @property
-    def scalar(self) -> float:
-        if self.values.shape != (1,):
-            raise ValueError("scalar V requested from a multi-path normalizer")
-        return float(self.values[0])
-
 
 def self_norm_V(paths: Sequence[SequentialFunctional]) -> SelfNormV:
     """Self-normalizer from the partial-sum paths of one or more measures.

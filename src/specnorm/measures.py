@@ -123,13 +123,22 @@ def _tie_count(desc_vals: np.ndarray, d: int) -> int:
     return int(np.count_nonzero(gap < TIE_TOL * scale))
 
 
+def _share(sdo: SequentialSDO, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The path num / den (0 where den is 0) and its valid fractions."""
+    valid = (den > 0) & _available(sdo)
+    if not den[-1] > 0:
+        raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0), valid
+
+
 def tvdfpca_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> SequentialFunctional:
     """Fraction of spectral mass explained by the d leading eigenvalues.
 
     s_hat_d(eta) is the ratio of the time/band average of the d largest
     eigenvalues to the time/band average of the trace, both taken on the
     PSD-projected slices (negative noise eigenvalues clamped to zero, which
-    is the spectrum of the Frobenius PSD projection).
+    is the spectrum of the Frobenius PSD projection). The clamped eigenvalues
+    come from one block pass per estimate, shared by every order d.
 
     :raises NumericalError: if the full-window estimate carries no spectral
         mass at all.
@@ -137,19 +146,12 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> Sequenti
     p = sdo.p
     if not 1 <= d <= p:
         raise ValueError(f"d = {d} must lie in [1, {p}]")
-    raw = sdo.eigenvalues(threads)
-    vals = np.maximum(raw, 0.0)
+    (vals,) = sdo.map_blocks(
+        lambda f: (np.maximum(np.linalg.eigvalsh(f)[..., ::-1], 0.0),), threads, key="tvdfpca"
+    )
     num = vals[..., :d].sum(axis=-1).mean(axis=(0, 1))
-    den = vals.sum(axis=-1).mean(axis=(0, 1))
-    valid = (den > 0) & _available(sdo)
-    if not den[-1] > 0:
-        raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
-    values = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    diag = {
-        "psd_clip_max": max(0.0, -float(raw.min())),
-        "near_tie_count": _tie_count(vals, d),
-    }
-    return _functional("tvdfpca", sdo, d, values, valid, diag)
+    values, valid = _share(sdo, num, vals.sum(axis=-1).mean(axis=(0, 1)))
+    return _functional("tvdfpca", sdo, d, values, valid, {"near_tie_count": _tie_count(vals, d)})
 
 
 def tvdpsca_sequential(
@@ -161,7 +163,8 @@ def tvdpsca_sequential(
     singular values of the rearrangement are the separable component scores,
     and the denominator is computed directly as ||F_hat||_F^2, which equals
     the full sum of squared scores because the rearrangement is a Frobenius
-    isometry.
+    isometry. Scores and masses come from one block pass per estimate and
+    product structure, shared by every order d.
     """
     p = sdo.p
     if ps.p1 * ps.p2 != p:
@@ -169,14 +172,16 @@ def tvdpsca_sequential(
     d_cap = min(ps.p1**2, ps.p2**2)
     if not 1 <= d <= d_cap:
         raise ValueError(f"d = {d} must lie in [1, min(p1^2, p2^2) = {d_cap}]")
-    scores = sdo.separable_scores(ps, threads)
-    den = sdo.frobenius_mass(ps, threads).mean(axis=(0, 1))
+
+    def work(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        svals = np.linalg.svd(kron_rearrange(f, ps), compute_uv=False)
+        return svals, (np.abs(f) ** 2).sum(axis=(-2, -1))
+
+    scores, mass = sdo.map_blocks(work, threads, key=("tvdpsca", ps))
+    den = mass.mean(axis=(0, 1))
     # at d_cap the scores carry all the mass: the share is 1 exactly, not up to roundoff
     num = den if d == d_cap else (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
-    valid = (den > 0) & _available(sdo)
-    if not den[-1] > 0:
-        raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
-    values = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    values, valid = _share(sdo, num, den)
     total = (scores**2).sum(axis=-1).mean(axis=(0, 1))
     diag = {
         "isometry_defect_max": float(np.max(np.abs(total - den))),
@@ -216,15 +221,15 @@ def coherence_sequential(
     p1 = ps.p1
 
     def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
-        f, lowest = psd_project_batch(f)
+        f, _ = psd_project_batch(f)
         lam1, lam2, sig = _canonical_parts(f, d, p1)
         tr1 = np.einsum("...ii->...", f[..., :p1, :p1]).real
         tr2 = np.einsum("...ii->...", f[..., p1:, p1:]).real
         defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
         ratio = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
-        return ratio, defined, lowest
+        return ratio, defined
 
-    ratio, defined, lowest = sdo.map_blocks(work, threads)
+    ratio, defined = sdo.map_blocks(work, threads)
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
     avail = _available(sdo)
@@ -239,8 +244,7 @@ def coherence_sequential(
             "those cells were skipped",
             stacklevel=2,
         )
-    diag = {"psd_clip_max": max(0.0, -float(lowest.min())), "skipped_cells": skipped}
-    return _functional("coherence", sdo, d, values, valid, diag)
+    return _functional("coherence", sdo, d, values, valid, {"skipped_cells": skipped})
 
 
 def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
@@ -282,11 +286,8 @@ def stationarity_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> Seq
         return (np.abs(s) ** 2).sum(axis=(-2, -1)), vals
 
     dispersion, vals = sdo.map_blocks(work, threads)
-    clip = max(0.0, -float(vals.min()))
-    q = dispersion.mean(axis=(0, 1))
-    desc = np.maximum(vals[..., ::-1], 0.0)
-    diag = {"psd_clip_max": clip, "near_tie_count": _tie_count(desc, d)}
-    return _functional("stationarity", sdo, d, q, _available(sdo), diag)
+    diag = {"near_tie_count": _tie_count(np.maximum(vals[..., ::-1], 0.0), d)}
+    return _functional("stationarity", sdo, d, dispersion.mean(axis=(0, 1)), _available(sdo), diag)
 
 
 def _truth_tensor(

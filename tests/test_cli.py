@@ -177,6 +177,8 @@ def test_parse_config_numeric_ranges():
         ("alpha = 1.5", "alpha = 1.5 must lie strictly between"),
         ("band_lo = 2\nband_hi = 1", "band [2.0, 1.0]"),
         ("d = 0", "d = 0 must be at least 1"),
+        ("p = 0", "p = 0 must be at least 1"),
+        ("p = -1", "p = -1 must be at least 1"),
         ("d_max = 0", "d_max = 0"),
         ("level_alpha = 0.6", "level_alpha = 0.6 outside"),
         ("level_alpha = 0.001", "level_alpha = 0.001 outside"),
@@ -583,6 +585,25 @@ def test_infer_report_does_not_depend_on_the_thread_count(tmp_path, capsys, meas
     assert code1 == code2 == 0
     assert out1.count('"threads": 1') == out2.count('"threads": 2') == 1
     assert out2.replace('"threads": 2', '"threads": 1') == out1
+
+
+@pytest.mark.filterwarnings("ignore:bandwidth plan outside asymptotic regime")
+@pytest.mark.parametrize("keys", [dict(T=1024, alpha=0.6), dict(T=256)], ids=["T1024", "T256"])
+def test_psd_clip_max_is_the_estimators_in_every_report(tmp_path, capsys, keys):
+    # one figure: the largest eigenvalue clipped by the eta = 1 projection of
+    # the estimate, whichever measure reads it (flat-top: it fires at T = 256)
+    base = {**INFER_KEYS, "p": 4, "sigma_diag": "4, 2, 1, 0.5", "kernel": "flat_top",
+            "p1": 2, "p2": 2, **keys}
+    with open(write_cfg(tmp_path, **base)) as fh:
+        sample = sn.simulate(build_process_spec(parse_config(fh.read())))
+    plan = sn.default_bandwidth_plan(sample.T, alpha=base.get("alpha", 0.5), kernel=sn.FLAT_TOP)
+    clip = sn.estimate_sequential_sdo(sample, plan, kernel=sn.FLAT_TOP).diagnostics["psd_clip_max"]
+    assert (clip > 0) == (keys["T"] == 256)
+    for command, measure in [("estimate", "tvdfpca"), *(("infer", m) for m in cli._MEASURES)]:
+        cfg = write_cfg(tmp_path, **{**base, "measure": measure})
+        code, out = run_main(capsys, command, "--config", cfg)
+        assert code == 0, out
+        assert json.loads(out)["diagnostics"]["psd_clip_max"] == clip, (command, measure)
 
 
 def test_lapack_failure_reports_the_first_failing_block(tmp_path, capsys, monkeypatch):

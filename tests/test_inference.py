@@ -22,7 +22,6 @@ def test_self_norm_matches_linear_path_integral():
     direct = np.mean((eta**3 * (eta - 1.0)) ** 2)
     assert v.values[0] ** 2 == pytest.approx(direct, rel=1e-14)
     assert v.values[0] ** 2 == pytest.approx(1.0 / 252.0, rel=1e-4)
-    assert v.scalar == v.values[0]
 
 
 def test_self_norm_small_grid_hand_computed():
@@ -58,8 +57,6 @@ def test_self_norm_multiple_paths_and_grid_mismatch():
         sn.self_norm_V([a, make_path(np.zeros(16))])
     with pytest.raises(ValueError, match="at least one"):
         sn.self_norm_V([])
-    with pytest.raises(ValueError, match="multi-path"):
-        _ = v.scalar
 
 
 def test_quantile_table_roundtrip_and_cache(tmp_path):

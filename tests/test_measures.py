@@ -214,6 +214,30 @@ def test_measures_invariant_under_data_scaling():
     assert np.allclose(qb.values, 9.0 * qa.values, rtol=1e-10)
 
 
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       perm=st.integers(2, 4).flatmap(lambda p: st.permutations(range(p))))
+def test_paths_do_not_depend_on_the_coordinate_order(seed, perm):
+    # F -> P F P^T leaves every spectrum, so every tvdfpca and stationarity path, unchanged
+    rng = np.random.default_rng(seed)
+    p = len(perm)
+    data = rng.standard_normal((512, p)) @ rng.standard_normal((p, p))
+    for kernel in (sn.PARZEN, sn.FLAT_TOP):
+        plan = sn.default_bandwidth_plan(512, kernel=kernel)
+        sdo, swapped = (
+            sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=x), plan, kernel=kernel)
+            for x in (data, data[:, list(perm)])
+        )
+        for measure in (sn.tvdfpca_sequential, sn.stationarity_sequential):
+            for d in range(1, p + 1):
+                a, b = measure(sdo, d), measure(swapped, d)
+                # V is compared on the scale of the path: near share 1 it is roundoff itself
+                tol = 1e-12 * np.max(np.abs(a.values))
+                assert np.max(np.abs(a.values - b.values)) <= tol
+                assert np.array_equal(a.valid, b.valid)
+                assert abs(sn.self_norm_V([a]).values[0] - sn.self_norm_V([b]).values[0]) <= tol
+
+
 def test_population_values_on_constant_truths():
     const = np.diag([8.0, 4.0, 2.0, 1.0]) / (2 * math.pi)
     val = sn.measure_population(lambda u, w: const, "tvdfpca", d=1, m_u=40, k_omega=8)
@@ -252,11 +276,8 @@ def test_non_finite_point_estimate_is_rejected():
 
 
 def fresh_copy(sdo):
-    """The same estimate with empty spectral caches."""
-    return sn.SequentialSDO(
-        tensor=sdo.tensor, u_points=sdo.u_points, omega_points=sdo.omega_points,
-        eta_points=sdo.eta_points, band=sdo.band, plan=sdo.plan,
-    )
+    """The same estimate with no block pass kept and no diagnostics."""
+    return dataclasses.replace(sdo, diagnostics={})
 
 
 def assert_same_path(a, b):
@@ -278,6 +299,7 @@ def test_measures_do_not_depend_on_what_filled_the_caches():
     assert_same_path(sn.tvdfpca_sequential(shared, 2), alone)
     alone = sn.tvdpsca_sequential(fresh_copy(sdo), 2, ps)
     shared = fresh_copy(sdo)
+    sn.tvdpsca_sequential(shared, 1, sn.ProductStructure(1, 4))  # each structure keeps its own
     sn.tvdpsca_sequential(shared, 1, ps)
     assert_same_path(sn.tvdpsca_sequential(shared, 2, ps), alone)
 
@@ -286,14 +308,14 @@ def test_cached_spectra_and_tensor_are_read_only():
     tensor = np.broadcast_to(np.diag([4.0, 3.0, 2.0, 1.0]) + 0j, (2, 2, 3, 4, 4)).copy()
     sdo = sn.SequentialSDO.from_tensor(tensor)
     assert sdo.tensor is tensor  # wrapped without a copy, so the caller's array is frozen
-    ps = sn.ProductStructure(2, 2)
-    scores = sdo.separable_scores(ps)
-    for arr in (tensor, sdo.tensor, sdo.eigenvalues(), scores):
+    (vals,) = sdo.map_blocks(lambda f: (np.linalg.eigvalsh(f)[..., ::-1],), key="spectrum")
+    for arr in (tensor, sdo.tensor, vals):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    assert sdo.separable_scores(ps) is scores  # computed once, then shared
-    assert sdo.eigenvalues() is sdo.eigenvalues(threads=2)
-    assert np.array_equal(sdo.eigenvalues()[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
+    # a kept pass is run once, then shared, whatever the work or thread count asked later
+    assert sdo.map_blocks(lambda f: (f,), threads=2, key="spectrum")[0] is vals
+    assert np.array_equal(vals[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
+    assert sdo.diagnostics == {"psd_clip_max": 0.0}
 
 
 PS = sn.ProductStructure(2, 2)
@@ -315,7 +337,8 @@ def kernel_sdo(request):
     sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan, kernel=kernel)
     assert sdo.k_omega > 3
     if request.param == "flat_top":
-        assert sdo.eigenvalues().min() < -1e-3 * sdo.eigenvalues().max()
+        vals = np.linalg.eigvalsh(sdo.tensor)
+        assert vals.min() < -1e-3 * vals.max()
     return sdo
 
 
@@ -325,13 +348,6 @@ def test_measures_do_not_depend_on_the_thread_count(kernel_sdo, kind):
         one = MEASURES[kind](fresh_copy(kernel_sdo), d, 1)
         for threads in (2, 3):
             assert_same_path(MEASURES[kind](fresh_copy(kernel_sdo), d, threads), one)
-
-
-def test_cached_spectra_do_not_depend_on_the_thread_count(kernel_sdo):
-    eigenvalues = [fresh_copy(kernel_sdo).eigenvalues(threads) for threads in (1, 2, 3)]
-    scores = [fresh_copy(kernel_sdo).separable_scores(PS, threads) for threads in (1, 2, 3)]
-    for spectra in (eigenvalues, scores):
-        assert all(np.array_equal(spectra[0], other) for other in spectra[1:])
 
 
 def whole_tensor_path(sdo, kind, d):
