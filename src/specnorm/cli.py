@@ -43,6 +43,7 @@ from .inference import (
     DEFAULT_QUANTILE_SEED,
     OrderSelection,
     PivotLaw,
+    _checked_pairs,
     confidence_interval,
     estimate_dstar,
     mc_quantiles,
@@ -223,6 +224,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("seeds must be non-negative integers")
     if cfg.threads < 1:
         raise ConfigError(f"threads = {cfg.threads} must be at least 1")
+    # the pivot engine's own bounds on quantile_r and quantile_n, checked before any stage runs
+    _checked_pairs([(0, 0)], cfg.quantile_r, cfg.quantile_n, cfg.quantile_seed, cfg.threads)
     if cfg.m is not None and cfg.m < 1:
         raise ConfigError(f"m = {cfg.m} must be at least 1")
     if cfg.k_omega is not None and cfg.k_omega < 1:
@@ -309,7 +312,14 @@ def _diag_or_eye(diag: tuple[float, ...] | None, p: int | None, what: str) -> np
 
 
 def build_process_spec(cfg: RunConfig) -> ProcessSpec:
-    """Translate a configuration into a simulation spec."""
+    """Translate a configuration into a simulation spec whose dimension is ``p``, if set."""
+    spec = _process_spec(cfg)
+    if cfg.p is not None and cfg.p != spec.p:
+        raise ConfigError(f"p = {cfg.p} does not match the process dimension {spec.p}")
+    return spec
+
+
+def _process_spec(cfg: RunConfig) -> ProcessSpec:
     if cfg.process is None or cfg.T is None:
         raise ConfigError("simulation requires keys 'process' and 'T'")
     common = dict(T=cfg.T, burn_in=cfg.burn_in, seed=cfg.seed)
@@ -648,17 +658,11 @@ def _write_output(text: str, out: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        sys.stdout.write(
-            dumps_report(
-                {"error": {"stage": "config", "type": "ConfigError", "message": str(exc)}}
-            )
-            + "\n"
-        )
-        return 2
-    try:
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc)) from None
         cfg = parse_config(text)
         if args.seed is not None:
             if args.seed < 0:

@@ -5,9 +5,8 @@ spectral density operator on a discretized grid: lag-window weights
 w_tilde(omega, s, t) = (2 pi)^{-1} w(b_f (s-t)) e^{i omega (s-t)}, windows of
 length N centered at the equidistant midpoints u_1 = N/(2T), ...,
 u_M = 1 - N/(2T), and the full sequential path eta -> F_hat_{u,omega}(eta)
-over the fraction grid {k/N}. On that grid each slice is an exact partial-sum
-estimate (the interpolation residue eta*N - floor(eta*N) vanishes), which is
-what the self-normalization layer relies on.
+over the fraction grid {k/N}, where each slice is an exact partial-sum
+estimate; the self-normalization layer integrates over that grid.
 
 Grid weights: sample rows are embedded once as x * sqrt(p * q) with q the
 quadrature weights of the function-space inner product. Under the default
@@ -41,10 +40,8 @@ __all__ = [
     "midpoint_grid",
     "TimeSeriesSample",
     "SequentialSDO",
-    "map_ordered",
     "stream_sequential_sdo",
     "estimate_sequential_sdo",
-    "sequential_estimate_at",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -342,31 +339,24 @@ class SequentialSDO:
         return self.grid_weights.size
 
     @classmethod
-    def from_tensor(
-        cls,
-        tensor: np.ndarray,
-        band: tuple[float, float] = (0.0, math.pi),
-        u_points: np.ndarray | None = None,
-        omega_points: np.ndarray | None = None,
-        kernel_name: str = "analytic",
-    ) -> "SequentialSDO":
-        """Wrap an explicit (M, K, N, p, p) tensor, filling default grids."""
+    def from_tensor(cls, tensor: np.ndarray) -> "SequentialSDO":
+        """Wrap an explicit (M, K, N, p, p) tensor on midpoint grids over [0, 1] and [0, pi]."""
         tensor = np.asarray(tensor, dtype=complex)
         if tensor.ndim != 5 or tensor.shape[3] != tensor.shape[4]:
             raise ValueError(f"tensor must have shape (M, K, N, p, p), got {tensor.shape}")
-        m, k, n = tensor.shape[:3]
-        if u_points is None:
-            u_points = (np.arange(m) + 0.5) / m
-        if omega_points is None:
-            a, b = band
-            omega_points = a + (np.arange(k) + 0.5) * (b - a) / k
-        p = tensor.shape[3]
+        m, k, n, p = tensor.shape[:4]
         return cls(
-            tensor=_read_only(tensor), u_points=np.asarray(u_points, dtype=float),
-            omega_points=np.asarray(omega_points, dtype=float), eta_points=np.arange(1, n + 1) / n,
-            band=(float(band[0]), float(band[1])), grid_weights=np.full(p, 1.0 / p),
-            blocks=lambda j: (tensor[:, j], 0.0), kernel_name=kernel_name,
+            tensor=_read_only(tensor), u_points=cell_midpoints((0.0, 1.0), m),
+            omega_points=cell_midpoints((0.0, math.pi), k), eta_points=np.arange(1, n + 1) / n,
+            band=(0.0, math.pi), grid_weights=np.full(p, 1.0 / p),
+            blocks=lambda j: (tensor[:, j], 0.0), kernel_name="analytic",
         )
+
+
+def cell_midpoints(band: tuple[float, float], k: int) -> np.ndarray:
+    """Midpoints a + (j + 1/2)(b - a)/k, j = 0..k-1, of k equal cells of [a, b]."""
+    a, b = band
+    return a + (np.arange(k) + 0.5) * (b - a) / k
 
 
 def _validate_band(band: tuple[float, float]) -> tuple[float, float]:
@@ -412,19 +402,14 @@ class _BlockKernel:
         self.half_c0 = coef[0, 0].real / 2.0
         self.ks = np.arange(1, n + 1, dtype=float)[:, None, None]
 
-    def increments(self, j: int) -> np.ndarray:
-        """(M, N, p, p): F_num(k) - F_num(k-1) for k = 1..N at frequency cell j."""
+    def __call__(self, j: int) -> tuple[np.ndarray, float]:
+        """Block j and the largest eigenvalue clipped by its eta = 1 PSD projection."""
         z = self.lagged @ self.coef[j]  # (M, N, p, 2): y_k as (real, imag)
         z[..., 0] += self.half_c0 * self.windows
         a = (self.windows[..., :, None, None] * z[..., None, :, :]).view(complex)[..., 0]
-        inc = np.empty_like(a)
-        np.conjugate(a.swapaxes(-1, -2), out=inc)
-        inc += a
-        return inc
-
-    def __call__(self, j: int) -> tuple[np.ndarray, float]:
-        """Block j and the largest eigenvalue clipped by its eta = 1 PSD projection."""
-        f = self.increments(j)
+        f = np.empty_like(a)  # the increments F_num(k) - F_num(k-1), k = 1..N
+        np.conjugate(a.swapaxes(-1, -2), out=f)
+        f += a
         np.cumsum(f, axis=1, out=f)
         f /= self.ks
         # Partial sums are cumulative, so an overflow anywhere reaches eta = 1.
@@ -455,7 +440,7 @@ def stream_sequential_sdo(
     k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
     if k_omega < 1:
         raise ConfigError(f"k_omega = {k_omega} must be at least 1")
-    omegas = a + (np.arange(k_omega) + 0.5) * (b - a) / k_omega
+    omegas = cell_midpoints((a, b), k_omega)
     lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
     coef = kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
     return SequentialSDO(
@@ -501,32 +486,3 @@ def estimate_sequential_sdo(
     collected.map_blocks(lambda f: ())  # an empty block pass records psd_clip_max
     return collected
 
-
-def sequential_estimate_at(
-    sample: TimeSeriesSample,
-    plan: BandwidthPlan,
-    eta: float,
-    kernel: Kernel = PARZEN,
-    band: tuple[float, float] = (0.0, math.pi),
-    k_omega: int | None = None,
-) -> np.ndarray:
-    """Sequential estimate at a single, possibly off-grid fraction eta.
-
-    With k = floor(eta N) and residue frac = eta N - k, the value is
-    (F_num(k) + frac (F_num(k + 1) - F_num(k))) / k, which on the grid {k/N}
-    matches the stored tensor slice. Returns a raw (M, K, p, p) array (no
-    PSD projection)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta = {eta} outside [0, 1]")
-    sdo = stream_sequential_sdo(sample, plan, kernel, band, k_omega)
-    k = int(math.floor(eta * plan.N + 1e-9))
-    frac = eta * plan.N - k  # below 1e-9 (or negative at k = N) it is taken as 0
-    out = np.zeros((sdo.m, sdo.k_omega, sdo.p, sdo.p), dtype=complex)
-    if k == 0:
-        return out
-    for j in range(sdo.k_omega):
-        inc = sdo.blocks.increments(j)
-        out[:, j] = inc[:, :k].sum(axis=1)
-        if frac >= 1e-9:
-            out[:, j] += frac * inc[:, k]
-    return out / k

@@ -21,14 +21,11 @@ from .errors import NumericalError
 
 __all__ = [
     "ProductStructure",
-    "TIE_TOL",
     "hermitian_part",
     "require_hermitian",
     "psd_project",
-    "psd_project_batch",
     "matrix_sqrt_psd",
     "kron_rearrange",
-    "eig_reconstruct",
     "frechet_derivative",
 ]
 

@@ -62,8 +62,6 @@ __all__ = [
     "OrderSelection",
     "estimate_dstar",
     "test_order_upper",
-    "OrderLowerResult",
-    "test_order_lower",
     "JointTestResult",
     "joint_statistic",
 ]
@@ -491,37 +489,6 @@ def test_order_upper(selection: OrderSelection, d0: int) -> bool:
     if d0 < 1:
         raise ConfigError(f"d0 = {d0} must be at least 1")
     return selection.d_hat is not None and selection.d_hat > d0
-
-
-@dataclass(frozen=True)
-class OrderLowerResult:
-    reject: bool
-    estimate: float
-    v: float
-    quantile: float
-    threshold: float
-
-
-def test_order_lower(
-    path: SequentialFunctional, law: PivotLaw, nu: float, alpha: float = 0.05
-) -> OrderLowerResult:
-    """Reject 'true order at least d0' when s_hat_{d0} is already above nu.
-
-    Uses the path at d = d0; rejects when s_hat > nu + q_{1-alpha} V.
-    """
-    if not 0.0 < nu < 1.0:
-        raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
-    s = path.point_estimate
-    v = self_norm_V([path]).values[0]
-    q = law.quantile(alpha, upper=True)
-    threshold = nu + q * v
-    return OrderLowerResult(
-        reject=bool(s > threshold),
-        estimate=s,
-        v=float(v),
-        quantile=q,
-        threshold=threshold,
-    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import SequentialSDO
+from .estimator import SequentialSDO, cell_midpoints
 from .hermitian import (
     TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch,
 )
@@ -296,12 +296,9 @@ def _truth_tensor(
     k_omega: int,
     band: tuple[float, float],
 ) -> np.ndarray:
-    a, b = band
-    m_u = us.size
-    oms = a + (np.arange(k_omega) + 0.5) * (b - a) / k_omega
-    first = np.asarray(truth(float(us[0]), float(oms[0])), dtype=complex)
-    p = first.shape[0]
-    out = np.empty((m_u, k_omega, p, p), dtype=complex)
+    oms = cell_midpoints(band, k_omega)
+    p = np.asarray(truth(float(us[0]), float(oms[0]))).shape[0]
+    out = np.empty((us.size, k_omega, p, p), dtype=complex)
     for i, u in enumerate(us):
         for j, om in enumerate(oms):
             out[i, j] = truth(float(u), float(om))

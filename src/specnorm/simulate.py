@@ -158,6 +158,11 @@ class SeparableSpec:
     def p(self) -> int:
         return self.p1 * self.p2
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The covariance sigma_x (x) sigma_y; samples and truth read it as an IidSpec's."""
+        return np.kron(self.sigma_x, self.sigma_y)
+
 
 @dataclass(frozen=True)
 class CoherentPairSpec:
@@ -241,13 +246,8 @@ def simulate(spec: ProcessSpec) -> TimeSeriesSample:
     rng = np.random.default_rng(spec.seed)
     total = spec.burn_in + spec.T
 
-    if isinstance(spec, IidSpec):
+    if isinstance(spec, (IidSpec, SeparableSpec)):
         l = _as_psd_factor(spec.sigma, "sigma")
-        x = rng.standard_normal((total, spec.p)) @ l.T
-        return TimeSeriesSample(data=x[spec.burn_in :])
-
-    if isinstance(spec, SeparableSpec):
-        l = _as_psd_factor(np.kron(spec.sigma_x, spec.sigma_y), "sigma_x (x) sigma_y")
         x = rng.standard_normal((total, spec.p)) @ l.T
         return TimeSeriesSample(data=x[spec.burn_in :])
 
@@ -292,21 +292,13 @@ def true_sdo(spec: ProcessSpec) -> Callable[[float, float], np.ndarray]:
 
     Returns a callable (u, omega) -> Hermitian PSD matrix of size p x p.
     """
-    if isinstance(spec, IidSpec):
+    if isinstance(spec, (IidSpec, SeparableSpec)):
         f0 = np.asarray(spec.sigma, dtype=complex) / TWO_PI
 
-        def f_iid(u: float, omega: float) -> np.ndarray:
+        def f_white(u: float, omega: float) -> np.ndarray:
             return f0
 
-        return f_iid
-
-    if isinstance(spec, SeparableSpec):
-        f0 = np.kron(spec.sigma_x, spec.sigma_y).astype(complex) / TWO_PI
-
-        def f_sep(u: float, omega: float) -> np.ndarray:
-            return f0
-
-        return f_sep
+        return f_white
 
     if isinstance(spec, TvFar1Spec):
         eye = np.eye(spec.p, dtype=complex)

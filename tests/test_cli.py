@@ -6,7 +6,7 @@ import os
 import tracemalloc
 import types
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -141,9 +141,9 @@ def field_type(name):
 
 
 # A value of each type that passes validation whichever key carries it, but
-# for the keys that admit only a few values.
+# for the keys that admit only a few values or have a lower bound above it.
 GOOD_VALUE = {int: ("3", 3), float: ("0.5", 0.5), tuple: ("0.5, 0.25", (0.5, 0.25))}
-GOOD_BY_KEY = {"coupling": ("1.0", 1.0)}
+GOOD_BY_KEY = {"coupling": ("1.0", 1.0), "quantile_r": ("10000", 10_000), "quantile_n": ("500", 500)}
 GOOD_STR = {"process": "iid", "kernel": "flat_top", "measure": "tvdfpca"}
 BAD_VALUE = {
     int: ("2.5", "expected an integer"),
@@ -189,6 +189,8 @@ def test_parse_config_numeric_ranges():
         ("threads = 0", "threads = 0"),
         ("m = 0", "m = 0"),
         ("k_omega = 0", "k_omega = 0"),
+        ("quantile_r = 5000", "replications = 5000 too small"),
+        ("quantile_n = 499", "bm_steps = 499 too small"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(line + "\n")
@@ -262,6 +264,9 @@ def test_build_process_spec_iid_variants():
     assert spec.seed == 7 and spec.burn_in == 150
     with pytest.raises(ConfigError, match="diagonal or the dimension"):
         build_process_spec(RunConfig(process="iid", T=256))
+    assert build_process_spec(RunConfig(process="iid", T=256, p=2, sigma_diag=(3.0, 1.0))).p == 2
+    with pytest.raises(ConfigError, match="p = 3 does not match the process dimension 4"):
+        build_process_spec(RunConfig(process="iid", T=256, p=3, sigma_diag=(4.0, 2.0, 1.0, 0.5)))
 
 
 def test_build_process_spec_tvfar1():
@@ -272,6 +277,8 @@ def test_build_process_spec_tvfar1():
     assert np.array_equal(spec.sigma_eps, np.diag([4.0, 1.0]))
     with pytest.raises(ConfigError, match="ar_coeff"):
         build_process_spec(RunConfig(process="tvfar1", T=512, p=2))
+    with pytest.raises(ConfigError, match="p = 3 does not match the process dimension 2"):
+        build_process_spec(replace(cfg, p=3))
 
 
 def test_build_process_spec_separable_and_pair():
@@ -291,6 +298,11 @@ def test_build_process_spec_separable_and_pair():
         )
     with pytest.raises(ConfigError, match="'process' and 'T'"):
         build_process_spec(RunConfig())
+    sep = RunConfig(process="separable", T=256, sigma_x_diag=(1.0, 2.0), sigma_y_diag=(1.0, 3.0))
+    assert build_process_spec(replace(sep, p=4)).p == 4
+    for cfg in (replace(sep, p=3), RunConfig(process="coherent_pair", T=256, p=7, p1=2, p2=2)):
+        with pytest.raises(ConfigError, match=f"p = {cfg.p} does not match the process dimension 4"):
+            build_process_spec(cfg)
 
 
 # ---------------------------------------------------------------- dumps_report
@@ -362,8 +374,14 @@ def test_run_pipeline_order_selection_block():
 def test_main_missing_config_file_exits_2(tmp_path, capsys):
     code, out = run_main(capsys, "infer", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2
-    err = json.loads(out)["error"]
+    report = json.loads(out)
+    err = report["error"]
     assert err["stage"] == "config" and err["type"] == "ConfigError"
+    assert "nope.cfg" in err["message"] and report["version"] == sn.__version__
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe T = 256")
+    code, out = run_main(capsys, "infer", "--config", str(binary))
+    assert code == 2 and json.loads(out)["error"]["type"] == "ConfigError"
 
 
 def test_main_unknown_key_exits_2(tmp_path, capsys):
@@ -443,19 +461,20 @@ QUICK = dict(quantile_r=10_000, quantile_n=500)
     [
         ("infer", dict(**IID_256, **QUICK), "measure"),
         ("infer", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
-        ("infer", dict(**IID_256, measure="tvdfpca", quantile_r=50), "inference"),
+        ("infer", dict(**IID_256, measure="tvdfpca", quantile_r=50), "config"),
         ("infer", dict(**IID_256, **QUICK, m=40, measure="tvdfpca"), "estimate"),
         ("infer", dict(process="iid", T=256, measure="tvdfpca", **QUICK), "data"),
         ("estimate", dict(**IID_256, m=40), "estimate"),
         ("measure", dict(**IID_256), "measure"),
         ("quantiles", dict(T=256), "inference"),
         ("simulate", dict(T=256), "data"),
+        ("estimate", dict(process="iid", T=256, p=3, sigma_diag="4, 2, 1, 0.5"), "data"),
         ("select-d", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
     ],
     ids=[
         "infer-no-measure", "infer-order-stationarity", "infer-quantile-r-50", "infer-m-40",
         "iid-without-p", "estimate-m-40", "measure-no-measure", "quantiles-no-exponents",
-        "simulate-without-process", "select-d-stationarity",
+        "simulate-without-process", "estimate-p-mismatch", "select-d-stationarity",
     ],
 )
 def test_main_error_stage_table(tmp_path, capsys, command, keys, stage):

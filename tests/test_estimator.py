@@ -132,29 +132,6 @@ def test_partial_sum_identity_against_direct_double_sum():
                 assert np.allclose(sdo.tensor[i, j, k - 1], ref, rtol=0, atol=1e-12)
 
 
-def test_pointwise_evaluation_agrees_on_the_grid():
-    sample = white_noise(128, 2, seed=4)
-    plan = sn.default_bandwidth_plan(128)
-    sdo = sn.estimate_sequential_sdo(sample, plan)
-    for k in (2, plan.N // 2, plan.N):
-        at = sn.sequential_estimate_at(sample, plan, k / plan.N)
-        assert np.allclose(at, sdo.tensor[:, :, k - 1], rtol=0, atol=1e-12)
-
-
-def test_pointwise_evaluation_is_continuous_off_grid():
-    sample = white_noise(128, 2, seed=5)
-    plan = sn.default_bandwidth_plan(128)
-    k = plan.N // 2
-    base = sn.sequential_estimate_at(sample, plan, k / plan.N)
-    nudged = sn.sequential_estimate_at(sample, plan, k / plan.N + 1e-7)
-    assert np.max(np.abs(nudged - base)) < 1e-5
-    probe = sn.sequential_estimate_at(sample, plan, (k + 0.5) / plan.N)
-    assert np.max(np.abs(probe - base)) > 0  # the residue term engages
-    with pytest.raises(sn.ConfigError, match="eta"):
-        sn.sequential_estimate_at(sample, plan, 1.5)
-    assert np.all(sn.sequential_estimate_at(sample, plan, 0.0) == 0.0)
-
-
 def test_estimates_are_hermitian_and_full_window_slice_psd():
     sample = white_noise(256, 3, seed=6)
     clips = []

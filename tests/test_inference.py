@@ -229,15 +229,6 @@ def test_order_selection_sentinel_and_degenerate(law_32):
         sn.estimate_dstar(low, law_32, nu=1.5)
 
 
-def test_order_lower_one_sided_rule(law_32):
-    q = law_32.quantile(0.95)
-    path = make_path(np.full(64, 0.97) + 1e-6 * np.linspace(-1, 0, 64))
-    v = sn.self_norm_V([path]).values[0]
-    res = sn.test_order_lower(path, law_32, nu=0.9, alpha=0.05)
-    assert res.reject == (0.97 > 0.9 + q * v)
-    assert res.threshold == pytest.approx(0.9 + q * v)
-
-
 def test_joint_statistic_against_joint_law(small_law):
     law = sn.mc_quantiles_joint([(3, 2), (2, 1)], replications=10_000, bm_steps=500, threads=2)
     assert law.quantile(0.95) > 0
@@ -276,8 +267,6 @@ QUANTILE_READERS = {
         0.5, 0.1, law, delta=0.1, alpha=alpha),
     "estimate_dstar": lambda law, joint, path, alpha: sn.estimate_dstar(
         [path], law, nu=0.5, alpha=alpha),
-    "test_order_lower": lambda law, joint, path, alpha: sn.test_order_lower(
-        path, law, nu=0.5, alpha=alpha),
     "joint_statistic": lambda law, joint, path, alpha: sn.joint_statistic(
         np.zeros(1), sn.self_norm_V([path]), joint, alpha=alpha),
 }

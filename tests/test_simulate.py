@@ -96,6 +96,21 @@ def test_true_sdo_iid_and_separable_are_flat():
     assert np.allclose(sep(0.5, 1.0), np.kron(np.diag([2.0, 1.0]), np.eye(2)) / (2 * math.pi))
 
 
+@pytest.mark.parametrize(
+    "sigma_y",
+    [np.array([[1.0, -0.3, 0.0], [-0.3, 2.0, 0.4], [0.0, 0.4, 1.5]]),
+     np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])],  # singular: eigh factor
+    ids=["definite", "singular"],
+)
+def test_separable_spec_is_iid_noise_with_the_kronecker_covariance(sigma_y):
+    sigma_x = np.array([[2.0, 0.5], [0.5, 1.0]])
+    sep = sn.SeparableSpec(T=256, sigma_x=sigma_x, sigma_y=sigma_y, seed=9)
+    iid = sn.IidSpec(T=256, sigma=np.kron(sigma_x, sigma_y), seed=9)
+    assert np.array_equal(sep.sigma, iid.sigma) and sep.p == iid.p == 6
+    assert np.array_equal(sn.simulate(sep).data, sn.simulate(iid).data)
+    assert np.array_equal(sn.true_sdo(sep)(0.3, 1.0), sn.true_sdo(iid)(0.7, 2.0))
+
+
 def test_true_sdo_ar_matches_scalar_formula():
     rho, s2 = 0.5, 2.0
     f = sn.true_sdo(sn.TvFar1Spec(T=128, a=rho * np.eye(1), sigma_eps=s2 * np.eye(1)))
