@@ -11,14 +11,14 @@ Typical flow::
 
     from specnorm import (IidSpec, simulate, default_bandwidth_plan,
                           estimate_sequential_sdo, tvdfpca_sequential,
-                          self_norm_V, mc_quantiles, confidence_interval)
+                          self_norm_V, exact_quantiles, confidence_interval)
 
     sample = simulate(IidSpec(T=4096, sigma=np.diag([8., 4., 2., 1.]), seed=1))
     plan = default_bandwidth_plan(T=sample.T)
     sdo = estimate_sequential_sdo(sample, plan)
     path = tvdfpca_sequential(sdo, d=1)
     v = self_norm_V([path]).values[0]
-    law = mc_quantiles(path.f_exponent, path.g_exponent)
+    law = exact_quantiles(path.f_exponent, path.g_exponent)
     ci = confidence_interval(path.point_estimate, v, law, alpha=0.05)
 """
 

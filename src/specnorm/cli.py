@@ -43,11 +43,12 @@ from .inference import (
     DEFAULT_QUANTILE_SEED,
     OrderSelection,
     PivotLaw,
+    _check_mc,
     _checked_pairs,
     confidence_interval,
     estimate_dstar,
-    mc_quantiles,
-    pivot_cache_path,
+    exact_cache_path,
+    exact_quantiles,
     relevant_test,
     self_norm_V,
 )
@@ -224,8 +225,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("seeds must be non-negative integers")
     if cfg.threads < 1:
         raise ConfigError(f"threads = {cfg.threads} must be at least 1")
-    # the pivot engine's own bounds on quantile_r and quantile_n, checked before any stage runs
-    _checked_pairs([(0, 0)], cfg.quantile_r, cfg.quantile_n, cfg.quantile_seed, cfg.threads)
+    # the pivot engines' own bounds on quantile_n and quantile_r, checked before any stage runs
+    _checked_pairs([(0, 0)], cfg.quantile_n)
+    _check_mc(cfg.quantile_r, cfg.quantile_seed, cfg.threads)
     if cfg.m is not None and cfg.m < 1:
         raise ConfigError(f"m = {cfg.m} must be at least 1")
     if cfg.k_omega is not None and cfg.k_omega < 1:
@@ -403,14 +405,7 @@ def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunct
 
 
 def _pivot_law(cfg: RunConfig, f_exp: int, g_exp: int) -> PivotLaw:
-    return mc_quantiles(
-        f_exp,
-        g_exp,
-        replications=cfg.quantile_r,
-        bm_steps=cfg.quantile_n,
-        seed=cfg.quantile_seed,
-        threads=cfg.threads,
-    )
+    return exact_quantiles(f_exp, g_exp, bm_steps=cfg.quantile_n)
 
 
 def _report(cfg: RunConfig, body: dict, seed: bool = True) -> dict:
@@ -606,9 +601,7 @@ def _cmd_quantiles(cfg: RunConfig) -> dict:
         else:
             raise ConfigError("subcommand 'quantiles' requires 'measure' or 'f_exp' and 'g_exp'")
         law = _pivot_law(cfg, f_exp, g_exp)
-        cache_file = pivot_cache_path(
-            f_exp, g_exp, cfg.quantile_r, cfg.quantile_n, cfg.quantile_seed
-        )
+        cache_file = exact_cache_path(f_exp, g_exp, cfg.quantile_n)
     return _report(cfg, {
         "f_exponent": f_exp,
         "g_exponent": g_exp,

@@ -15,15 +15,18 @@ with B standard Brownian motion, f(eta) = eta^f, g(eta) = eta^g. All rate
 and nuisance-scale factors cancel in the ratio, so confidence intervals and
 tests use the estimate and V directly.
 
-Pivot quantiles are tabulated by Monte Carlo on a fixed fine alpha grid into
-one law type, :class:`PivotLaw`. It holds either the scalar pivot T(f, g) or
-the joint pivot B(1)' U^{-1} B(1) of several paths, where B is a vector of
-independent Brownian motions and U the matrix form of the denominator
-integral. One chunk kernel draws the paths for both, so a one-pair joint law
-is the square of the scalar sample. Scalar tables are cached on disk in a
-plain text format; lookups interpolate the table, so runs with a warm or cold
-cache produce identical bytes. The Monte Carlo is chunked with a fixed chunk
-size and per-chunk generators, making results independent of the thread count.
+Pivot quantiles are tabulated on a fixed fine alpha grid into one law type,
+:class:`PivotLaw`. It holds either the scalar pivot T(f, g) or the joint pivot
+B(1)' U^{-1} B(1) of several paths, where B is a vector of independent
+Brownian motions and U the matrix form of the denominator integral. The
+scalar pivot on the Brownian grid has an exact law, the CDF of a Gaussian
+quadratic form, which :func:`exact_quantiles` inverts without simulation.
+The Monte Carlo engine draws the paths for both pivots with one chunk kernel,
+so a one-pair joint law is the square of the scalar sample; it is chunked with
+a fixed chunk size and per-chunk generators, making results independent of
+the thread count. Scalar tables of either engine are cached on disk in a
+plain text format under a key that names the engine; lookups interpolate the
+table, so runs with a warm or cold cache produce identical bytes.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ __all__ = [
     "ALPHA_GRID",
     "DEFAULT_QUANTILE_SEED",
     "PivotLaw",
+    "exact_quantiles",
     "mc_quantiles",
     "mc_quantiles_joint",
     "quantile_se",
     "pivot_cache_path",
+    "exact_cache_path",
     "save_pivot_law",
     "load_pivot_law",
     "SelfNormV",
@@ -83,7 +88,8 @@ class PivotLaw:
 
     ``pairs`` holds one exponent pair (f, g) per path. A scalar law
     (``joint=False``) has one pair; a joint law is the quadratic-form pivot
-    of ``len(pairs)`` paths.
+    of ``len(pairs)`` paths. An exact table has ``replications`` and
+    ``seed`` 0.
     """
 
     pairs: _Pairs
@@ -106,24 +112,26 @@ class PivotLaw:
         return float(np.interp(level, self.alphas, self.quantiles))
 
 
-def _checked_pairs(
-    pairs: Sequence[tuple[int, int]], replications: int, bm_steps: int, seed: int, threads: int
-) -> _Pairs:
-    """The exponent pairs as ints, once they and the Monte Carlo arguments are valid."""
+def _checked_pairs(pairs: Sequence[tuple[int, int]], bm_steps: int) -> _Pairs:
+    """The exponent pairs as ints, once they and the Brownian grid size are valid."""
     pairs = tuple((int(f), int(g)) for f, g in pairs)
     if not pairs:
         raise ConfigError("joint pivot needs at least one exponent pair")
     if any(f < 0 or g < 0 for f, g in pairs):
         raise ConfigError("scaling exponents must be non-negative integers")
-    if replications < 10_000:
-        raise ConfigError(f"replications = {replications} too small; need at least 10000")
     if bm_steps < 500:
         raise ConfigError(f"bm_steps = {bm_steps} too small; need at least 500")
+    return pairs
+
+
+def _check_mc(replications: int, seed: int, threads: int) -> None:
+    """Raise ConfigError unless the Monte Carlo engine's own arguments are valid."""
+    if replications < 10_000:
+        raise ConfigError(f"replications = {replications} too small; need at least 10000")
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     if threads < 1:
         raise ConfigError("threads must be at least 1")
-    return pairs
 
 
 def _chunk(
@@ -194,16 +202,27 @@ def pivot_cache_path(
     seed: int,
     cache_dir: str | os.PathLike | None = None,
 ) -> Path:
-    """Location of the on-disk quantile table for the given key."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("SPECNORM_CACHE_DIR")
-    if cache_dir is None:
-        cache_dir = Path.home() / ".cache" / "specnorm"
+    """Location of the on-disk Monte Carlo quantile table for the given key."""
     name = (
         f"pivot_f{f_exponent}_g{g_exponent}_R{replications}"
         f"_n{bm_steps}_seed{seed}.txt"
     )
-    return Path(cache_dir) / name
+    return _cache_root(cache_dir) / name
+
+
+def exact_cache_path(
+    f_exponent: int, g_exponent: int, bm_steps: int, cache_dir: str | os.PathLike | None = None
+) -> Path:
+    """Location of the on-disk exact quantile table for (f, g) on ``bm_steps`` points."""
+    return _cache_root(cache_dir) / f"pivot_exact_f{f_exponent}_g{g_exponent}_n{bm_steps}.txt"
+
+
+def _cache_root(cache_dir: str | os.PathLike | None) -> Path:
+    if cache_dir is None:
+        cache_dir = os.environ.get("SPECNORM_CACHE_DIR")
+    if cache_dir is None:
+        cache_dir = Path.home() / ".cache" / "specnorm"
+    return Path(cache_dir)
 
 
 def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
@@ -259,8 +278,10 @@ def quantile_se(law: PivotLaw, alpha: float) -> float:
     Uses the asymptotic formula sqrt(alpha (1-alpha) / R) / density, with the
     density estimated from neighbouring table entries. R counts simulated
     paths; under the scalar engine's antithetic pairing the formula is
-    slightly conservative in the tails.
+    slightly conservative in the tails. An exact table has none: 0.0.
     """
+    if law.replications == 0:
+        return 0.0
     lo = max(alpha - 0.005, float(law.alphas[0]))
     hi = min(alpha + 0.005, float(law.alphas[-1]))
     qlo, qhi = law.quantile(lo), law.quantile(hi)
@@ -288,27 +309,16 @@ def mc_quantiles(
     exactly symmetric: q(0.5) = 0 and q(a) = -q(1-a) up to rounding.
     Results depend only on the arguments, not on thread count or cache state.
     A cached table is served only if its key matches and it is the grid
-    table, finite and non-decreasing; otherwise it is recomputed.
+    table, finite, non-decreasing and antisymmetric; otherwise it is
+    recomputed.
     """
-    pairs = _checked_pairs([(f_exponent, g_exponent)], replications, bm_steps, seed, threads)
+    pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
+    _check_mc(replications, seed, threads)
     path = pivot_cache_path(
         f_exponent, g_exponent, replications, bm_steps, seed, cache_dir
     )
-    if use_cache and path.is_file():
-        try:
-            law = load_pivot_law(path)
-            q = law.quantiles
-            if (
-                (law.pairs, law.replications, law.bm_steps, law.seed)
-                == (pairs, replications, bm_steps, seed)
-                and np.array_equal(law.alphas, ALPHA_GRID)
-                and np.isfinite(q).all()
-                and (np.diff(q) >= 0).all()
-            ):
-                return law
-            warnings.warn(f"stale quantile cache at {path}; recomputing", stacklevel=2)
-        except (ValueError, OSError):
-            warnings.warn(f"unreadable quantile cache at {path}; recomputing", stacklevel=2)
+    if use_cache and (law := _cached_law(path, (pairs, replications, bm_steps, seed))):
+        return law
 
     law = _tabulate(pairs, False, replications, bm_steps, seed, threads)
     med = law.quantile(0.5)
@@ -319,11 +329,156 @@ def mc_quantiles(
             stacklevel=2,
         )
     if use_cache:
-        try:
-            save_pivot_law(law, path)
-        except OSError as exc:
-            warnings.warn(f"could not write quantile cache {path}: {exc}", stacklevel=2)
+        _store_law(law, path)
     return law
+
+
+def _cached_law(path: Path, key: tuple) -> PivotLaw | None:
+    """The scalar table cached at ``path``, if it is valid for ``key``.
+
+    ``key`` is (pairs, replications, bm_steps, seed). The table must also be
+    the ``ALPHA_GRID`` table, finite, non-decreasing and antisymmetric
+    (q(0.5) = 0 and q(a) = -q(1 - a) up to rounding), as both engines build
+    it. Anything else is reported as a warning and not served.
+    """
+    if not path.is_file():
+        return None
+    try:
+        law = load_pivot_law(path)
+    except (ValueError, OSError):
+        warnings.warn(f"unreadable quantile cache at {path}; recomputing", stacklevel=3)
+        return None
+    q = law.quantiles
+    if (
+        (law.pairs, law.replications, law.bm_steps, law.seed) == key
+        and np.array_equal(law.alphas, ALPHA_GRID)
+        and np.isfinite(q).all()
+        and (np.diff(q) >= 0).all()
+        and q[len(q) // 2] == 0.0
+        and (np.abs(q + q[::-1]) <= 1e-10 * np.abs(q).max()).all()
+    ):
+        return law
+    warnings.warn(f"stale quantile cache at {path}; recomputing", stacklevel=3)
+    return None
+
+
+def _store_law(law: PivotLaw, path: Path) -> None:
+    try:
+        save_pivot_law(law, path)
+    except OSError as exc:
+        warnings.warn(f"could not write quantile cache {path}: {exc}", stacklevel=3)
+
+
+def exact_quantiles(
+    f_exponent: int,
+    g_exponent: int,
+    bm_steps: int = 2000,
+    use_cache: bool = True,
+    cache_dir: str | os.PathLike | None = None,
+) -> PivotLaw:
+    """Exact quantile table of the scalar pivot for exponents (f, g).
+
+    The pivot is the one :func:`mc_quantiles` samples: Brownian motion on
+    ``bm_steps`` equidistant points and the left-matching Riemann sum. Its
+    law is computed, not simulated (see :func:`_exact_table`), so the table
+    has no Monte Carlo error, no seed and no thread count; it is exactly
+    antisymmetric. It is cached at :func:`exact_cache_path` and, like a Monte
+    Carlo table, served only if it passes the checks of :func:`mc_quantiles`.
+    """
+    pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
+    path = exact_cache_path(f_exponent, g_exponent, bm_steps, cache_dir)
+    if use_cache and (law := _cached_law(path, (pairs, 0, bm_steps, 0))):
+        return law
+    quantiles = _exact_table(*pairs[0], bm_steps)
+    law = PivotLaw(pairs, False, 0, bm_steps, 0, ALPHA_GRID.copy(), quantiles)
+    if use_cache:
+        _store_law(law, path)
+    return law
+
+
+# The exact engine's trapezoid rule in s, in units where E[Z'CZ] = 1 so that
+# one range serves every (f, g): the integrand is analytic within pi/2 of the
+# real axis, so the step's error is about exp(-pi^2 / step). Then the x grid
+# that brackets each quantile before the Newton steps.
+_S_RANGE = (-40.0, 15.0)
+_S_STEP = 0.4
+_X_MAX = 64.0
+_X_POINTS = 128
+
+
+def _exact_table(
+    f: int, g: int, n: int, step: float = _S_STEP, points: int = _X_POINTS
+) -> np.ndarray:
+    """Quantiles on ``ALPHA_GRID`` of the pivot on the ``n``-point grid.
+
+    There T = a'Z / sqrt(Z'CZ) with Z ~ N(0, I_n), L the lower-triangular
+    matrix of ones over sqrt(n), a its last row, C = D'D / n and
+    D = diag(eta^g) L - eta^f a'.
+    By Gil-Pelaez (Imhof 1961),
+
+        P(|T| <= x) = P(Z'(aa' - x^2 C)Z <= 0) = 1/2 - (1/pi) int Im phi ds,
+
+    phi = det(I - 2it(aa' - x^2 C))^(-1/2) at t = e^s / x^2. In the path
+    coordinates B = LZ, whose inverse covariance over n is the tridiagonal
+    T_n (2 on the diagonal, 1 in the corner, -1 beside it), the determinant
+    is det(T_n + eps H'H) (1 - 2i e^s [(T_n + eps H'H)^{-1}]_nn / (n x^2))
+    with eps = 2i e^s / n^2 and H = diag(eta^g) - eta^f e_n'. H'H is diagonal
+    plus its last row and column, so one LDL' sweep per node gives both
+    factors in O(n), and neither depends on x: each x then costs one sum over
+    the nodes. Every pivot of the sweep lies in the closed first quadrant (a
+    Schur complement of a matrix with positive definite real part and
+    semidefinite imaginary part), so their principal logs sum to the
+    continuous log det. Each quantile is bracketed on an x grid and polished
+    by safeguarded Newton steps on the CDF and its derivative.
+    """
+    eta = np.arange(1, n + 1) / n
+    tau = np.mean(eta ** (2 * g + 1) - 2 * eta ** (f + g + 1) + eta ** (2 * f))  # E[Z'CZ]
+    lo, hi = _S_RANGE
+    s = lo + step * np.arange(round((hi - lo) / step) + 1)
+    eps = 2j * np.exp(s) / (n * n * tau)
+    # diagonal of T_n + eps H'H and its last column, rows 1 .. n-1; the sweep
+    # turns them into the LDL' pivots and the forward-substituted column
+    pivots = 2.0 + np.multiply.outer(eta[:-1] ** (2 * g), eps)
+    column = -np.multiply.outer(eta[:-1] ** (f + g), eps)
+    column[-1] -= 1.0
+    for k in range(1, n - 1):
+        column[k] += column[k - 1] / pivots[k - 1]
+        pivots[k] -= 1.0 / pivots[k - 1]
+    corner = 1.0 + eps * np.sum(eta[:-1] ** (2 * f)) - (column * column / pivots).sum(axis=0)
+    phi_c = np.exp(-0.5 * (np.log(pivots).sum(axis=0) + np.log(corner)))
+    c = 2j * np.exp(s) / (n * corner)
+
+    def cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P(|T| sqrt(tau) <= x) and its derivative, by the trapezoid rule in s."""
+        w = 1.0 - c / (x * x)[:, None]  # Im w < 0: the principal root is the continuous one
+        phi = phi_c / np.sqrt(w)
+        dphi = phi * c / (w * (x**3)[:, None])  # -d phi / dx
+        return 0.5 - step / math.pi * phi.imag.sum(axis=1), step / math.pi * dphi.imag.sum(axis=1)
+
+    p = 2.0 * ALPHA_GRID[ALPHA_GRID > 0.5] - 1.0  # P(|T| <= q(alpha)) for alpha above 1/2
+    grid = _X_MAX * (np.arange(points + 1) / points) ** 2
+    # the quadrature's rounding near 1 is clipped so that the grid CDF is monotone
+    cum = np.maximum.accumulate(np.concatenate([[0.0], cdf(grid[1:])[0]]))
+    if not cum[-1] > p[-1]:
+        raise NumericalError(f"exact pivot law ({f}, {g}) reaches beyond its x grid")
+    k = np.searchsorted(cum, p)
+    below, above = grid[k - 1], grid[k]
+    x = np.interp(p, cum, grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):  # a Newton step inside the bracket, else bisection
+            cdf_x, dens = cdf(x)
+            short = cdf_x < p
+            below = np.where(short, x, below)
+            above = np.where(short, above, x)
+            newton = x - (cdf_x - p) / dens
+            inside = (newton >= below) & (newton <= above)
+            x, prev = np.where(inside, newton, 0.5 * (below + above)), x
+            if (np.abs(x - prev) <= 1e-13 * x).all():
+                break
+    upper = x / math.sqrt(tau)
+    if not (np.isfinite(upper).all() and (np.diff(upper) >= 0).all()):
+        raise NumericalError(f"exact pivot law ({f}, {g}): quantile inversion failed")
+    return np.concatenate([-upper[::-1], [0.0], upper])
 
 
 def mc_quantiles_joint(
@@ -338,7 +493,8 @@ def mc_quantiles_joint(
     Components use independent Brownian motions; cross-correlations of the
     underlying estimates cancel from the quadratic form. Not cached on disk.
     """
-    pairs = _checked_pairs(pairs, replications, bm_steps, seed, threads)
+    pairs = _checked_pairs(pairs, bm_steps)
+    _check_mc(replications, seed, threads)
     return _tabulate(pairs, True, replications, bm_steps, seed, threads)
 
 

@@ -586,6 +586,22 @@ def test_main_threads_override_does_not_change_quantiles(tmp_path, capsys):
     assert q1["quantiles"] == q2["quantiles"]
 
 
+def test_infer_report_is_the_same_cold_or_warm_at_any_thread_count(tmp_path, capsys, monkeypatch):
+    # the scalar table is exact, so neither the thread count nor the cache state enters it
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = write_cfg(tmp_path, **{**INFER_KEYS, "nu": 0.6, "d_max": 2})
+    table = sn.exact_cache_path(3, 2, INFER_KEYS["quantile_n"])
+    outs = []
+    for threads, cold in (("1", True), ("2", False), ("3", True), ("1", False)):
+        if cold:
+            table.unlink(missing_ok=True)
+        code, out = run_main(capsys, "infer", "--config", cfg, "--threads", threads)
+        assert code == 0, out
+        assert table.is_file()
+        outs.append(out.replace(f'"threads": {threads}', '"threads": 1'))
+    assert outs[1:] == outs[:1] * 3
+
+
 # One config per measure; the flat-top kernel leaves negative eigenvalues to clip.
 THREADED_KEYS = {
     "tvdfpca": dict(measure="tvdfpca", nu=0.6, d_max=3),
@@ -748,11 +764,14 @@ def test_main_quantiles_report_and_cache_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["f_exponent"] == 3 and report["g_exponent"] == 2
-    assert report["replications"] == 10_000 and report["bm_steps"] == 500
+    # the table is exact: no replications, no seed
+    assert report["replications"] == 0 and report["quantile_seed"] == 0
+    assert report["bm_steps"] == 500
     assert len(report["alphas"]) == 999
     qs = report["quantiles"]
     assert all(a <= b for a, b in zip(qs, qs[1:]))
     assert os.path.exists(report["cache_file"])
+    assert report["cache_file"] == str(sn.exact_cache_path(3, 2, 500))
     with pytest.raises(SystemExit):
         main(["quantiles"])  # --config is required
     capsys.readouterr()

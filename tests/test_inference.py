@@ -1,8 +1,9 @@
-"""Self-normalization, pivot Monte Carlo, and the decision rules built on them."""
+"""Self-normalization, the exact and Monte Carlo pivot tables, and the rules on them."""
 
 import inspect
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -59,53 +60,80 @@ def test_self_norm_multiple_paths_and_grid_mismatch():
         sn.self_norm_V([])
 
 
+# The two scalar engines at (3, 2) on 500 points: the table, its cache file
+# and the (replications, seed) part of its key.
+ENGINES = {
+    "mc": (
+        lambda d: sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=d),
+        lambda d: sn.pivot_cache_path(3, 2, 10_000, 500, sn.DEFAULT_QUANTILE_SEED, cache_dir=d),
+        (10_000, sn.DEFAULT_QUANTILE_SEED),
+    ),
+    "exact": (
+        lambda d: sn.exact_quantiles(3, 2, bm_steps=500, cache_dir=d),
+        lambda d: sn.exact_cache_path(3, 2, 500, cache_dir=d),
+        (0, 0),
+    ),
+}
+
+
 def test_quantile_table_roundtrip_and_cache(tmp_path):
-    law = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
-    path = sn.pivot_cache_path(3, 2, 10_000, 500, sn.DEFAULT_QUANTILE_SEED, cache_dir=tmp_path)
-    assert path.is_file()
-    raw = path.read_bytes()
-    again = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
-    assert np.array_equal(law.quantiles, again.quantiles)
-    # saving the reloaded law reproduces the file byte for byte
-    loaded = sn.load_pivot_law(path)
-    other = tmp_path / "copy.txt"
-    sn.save_pivot_law(loaded, other)
-    assert other.read_bytes() == raw
+    for build, cache_path, _ in ENGINES.values():
+        law = build(tmp_path)
+        path = cache_path(tmp_path)
+        assert path.is_file()
+        raw = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fresh table passes every load check
+            again = build(tmp_path)
+        assert np.array_equal(law.quantiles, again.quantiles)
+        # saving the reloaded law reproduces the file byte for byte
+        loaded = sn.load_pivot_law(path)
+        other = tmp_path / "copy.txt"
+        sn.save_pivot_law(loaded, other)
+        assert other.read_bytes() == raw
+    # one file per engine, and the exact one is keyed on f, g and n only
+    assert sn.exact_cache_path(3, 2, 500, cache_dir=tmp_path).name == "pivot_exact_f3_g2_n500.txt"
+    assert len(list(tmp_path.glob("pivot_*.txt"))) == 2
 
 
 def test_corrupt_cache_recomputes_with_warning(tmp_path):
-    law = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
-    path = sn.pivot_cache_path(3, 2, 10_000, 500, sn.DEFAULT_QUANTILE_SEED, cache_dir=tmp_path)
-    path.write_text("garbage\n")
-    with pytest.warns(UserWarning, match="unreadable quantile cache"):
-        again = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
-    assert np.array_equal(law.quantiles, again.quantiles)
     # a table for different parameters in the same slot counts as stale, and
-    # so does the right key over a table that is off the grid or not a finite,
-    # non-decreasing quantile function
+    # so does the right key over a table that is off the grid, not a finite,
+    # non-decreasing quantile function, or not antisymmetric
     grid = np.linspace(-1, 1, len(sn.ALPHA_GRID))
     nan_entry, inf_top, swapped = grid.copy(), grid.copy(), grid.copy()
     nan_entry[975] = np.nan
     inf_top[-1] = np.inf
     swapped[[500, 501]] = swapped[[501, 500]]
+    off_center = grid + 1e-3  # q(0.5) != 0
+    lopsided = np.where(grid > 0, 1.01 * grid, grid)  # q(0.5) = 0, q(a) != -q(1 - a)
     moved_alpha = sn.ALPHA_GRID.copy()
     moved_alpha[300] = 0.25
-    for reps, alphas, quantiles in (
-        (99, sn.ALPHA_GRID, grid),
-        (10_000, sn.ALPHA_GRID, nan_entry),
-        (10_000, sn.ALPHA_GRID, inf_top),
-        (10_000, sn.ALPHA_GRID, swapped),
-        (10_000, moved_alpha, grid),
-    ):
-        stale = sn.PivotLaw(
-            pairs=((3, 2),), joint=False, replications=reps, bm_steps=500,
-            seed=sn.DEFAULT_QUANTILE_SEED, alphas=alphas.copy(), quantiles=quantiles,
-        )
-        sn.save_pivot_law(stale, path)
-        with pytest.warns(UserWarning, match="stale quantile cache"):
-            again = sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=tmp_path)
+    for build, cache_path, (reps, seed) in ENGINES.values():
+        law = build(tmp_path)
+        path = cache_path(tmp_path)
+        path.write_text("garbage\n")
+        with pytest.warns(UserWarning, match="unreadable quantile cache"):
+            again = build(tmp_path)
         assert np.array_equal(law.quantiles, again.quantiles)
-        assert np.isfinite(again.quantile(0.976))
+        for key_reps, alphas, quantiles in (
+            (99, sn.ALPHA_GRID, grid),
+            (reps, sn.ALPHA_GRID, nan_entry),
+            (reps, sn.ALPHA_GRID, inf_top),
+            (reps, sn.ALPHA_GRID, swapped),
+            (reps, sn.ALPHA_GRID, off_center),
+            (reps, sn.ALPHA_GRID, lopsided),
+            (reps, moved_alpha, grid),
+        ):
+            stale = sn.PivotLaw(
+                pairs=((3, 2),), joint=False, replications=key_reps, bm_steps=500,
+                seed=seed, alphas=alphas.copy(), quantiles=quantiles,
+            )
+            sn.save_pivot_law(stale, path)
+            with pytest.warns(UserWarning, match="stale quantile cache"):
+                again = build(tmp_path)
+            assert np.array_equal(law.quantiles, again.quantiles)
+            assert np.isfinite(again.quantile(0.976))
     # a joint law has no file format
     joint = sn.mc_quantiles_joint([(3, 2)], replications=10_000, bm_steps=500)
     with pytest.raises(ValueError, match="scalar"):
@@ -141,6 +169,72 @@ def test_degenerate_joint_draws_are_redrawn_in_index_order(monkeypatch):
     redrawn = inference._chunk(pairs, True, 500, 11, 0, size)
     assert calls == [size] + [1] * size
     assert np.array_equal(redrawn, expected)
+
+
+def test_exact_table_has_no_monte_carlo_error():
+    law = sn.exact_quantiles(3, 2, bm_steps=500, use_cache=False)
+    assert (law.pairs, law.joint, law.replications, law.bm_steps, law.seed) == (
+        ((3, 2),), False, 0, 500, 0)
+    assert np.array_equal(law.alphas, sn.ALPHA_GRID)
+    q = law.quantiles
+    assert q[499] == 0.0 and np.array_equal(q, -q[::-1])
+    assert (np.diff(q) > 0).all()
+    assert sn.quantile_se(law, 0.05) == 0.0
+    # no seed and no thread count enter the exact engine
+    assert not {"replications", "seed", "threads"} & set(
+        inspect.signature(sn.exact_quantiles).parameters)
+
+
+@pytest.mark.parametrize("pair", [(3, 2), (4, 3), (2, 1), (2, 2)])
+def test_exact_table_is_converged_in_its_quadrature(pair):
+    # a four times finer s step and x grid move no quantile by more than 1e-4
+    from specnorm import inference
+
+    base = inference._exact_table(*pair, 500)
+    fine = inference._exact_table(*pair, 500, step=inference._S_STEP / 4,
+                                  points=4 * inference._X_POINTS)
+    nonzero = fine != 0
+    assert np.max(np.abs(base - fine)[nonzero] / np.abs(fine[nonzero])) <= 1e-4
+
+
+@pytest.mark.parametrize("pair", [(3, 2), (2, 2)])
+def test_exact_table_against_the_eigendecomposition_formula(pair):
+    # Reference: one dense eigh of C = D'D / n, D = diag(eta^g) L - eta^f a',
+    # and det(I - 2it(aa' - x^2 C)) by the determinant lemma on C's
+    # eigenbasis; at each tabulated quantile the CDF of |T| must read
+    # 2 alpha - 1. At (3, 2) the vector a lies in C's null space (C a = 0
+    # whenever f = g + 1); at (2, 2) it does not.
+    f, g = pair
+    n = 500
+    eta = np.arange(1, n + 1) / n
+    low = np.tril(np.ones((n, n))) / math.sqrt(n)
+    a = low[-1]
+    dev = eta[:, None] ** g * low - np.outer(eta**f, a)
+    lam, vec = np.linalg.eigh(dev.T @ dev / n)
+    lam = np.maximum(lam, 0.0)
+    b2 = (vec.T @ a) ** 2
+    s = np.linspace(-50.0, 30.0, 4001)
+    z = 1.0 + 2j * np.exp(s)[:, None] * lam
+    logdet = np.log(z).sum(axis=1)
+    rank_one = 2j * np.exp(s) * (b2 / z).sum(axis=1)
+
+    law = sn.exact_quantiles(f, g, bm_steps=n, use_cache=False)
+    upper = sn.ALPHA_GRID > 0.5
+    x = law.quantiles[upper][::7]
+    phi = np.exp(-0.5 * (logdet + np.log(1.0 - rank_one / (x * x)[:, None])))
+    cdf = 0.5 - (s[1] - s[0]) / math.pi * phi.imag.sum(axis=1)
+    assert np.abs(cdf - (2.0 * sn.ALPHA_GRID[upper][::7] - 1.0)).max() <= 1e-8
+
+
+def test_mc_tables_lie_within_4_se_of_the_exact_table(law_32, law_21, small_law):
+    laws = [law_32, law_21, small_law,
+            sn.mc_quantiles(2, 2, replications=10_000, bm_steps=500, threads=2, use_cache=False)]
+    for mc in laws:
+        exact = sn.exact_quantiles(*mc.pairs[0], bm_steps=mc.bm_steps, use_cache=False)
+        worst = max(
+            abs(mc.quantile(a) - exact.quantile(a)) / sn.quantile_se(mc, a) for a in sn.ALPHA_GRID
+        )
+        assert worst <= 4.0, (mc.pairs, mc.replications, mc.bm_steps, worst)
 
 
 def test_quantile_lookup_interpolates_and_guards_range(small_law):
