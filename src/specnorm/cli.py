@@ -2,9 +2,10 @@
 
 Orchestrates the pipeline simulate/ingest -> estimate -> measure -> infer and
 writes machine-readable JSON reports. Configuration is a line-oriented
-"key = value" file with ``#`` comments; unknown keys are rejected. Numbers in
-reports are serialized with 17 significant digits, so a fixed config and seed
-produce byte-identical output and CSV round trips are exact.
+"key = value" file with ``#`` comments; unknown and repeated keys are
+rejected. Numbers in reports are serialized with 17 significant digits, so a
+fixed config and seed produce byte-identical output and CSV round trips are
+exact.
 
 Subcommands: ``simulate`` (emit CSV), ``estimate`` (spectral tensor summary),
 ``measure`` (one deviation-measure path), ``infer`` (full inference report),
@@ -33,6 +34,8 @@ from .errors import ConfigError, DataError, NumericalError
 from .estimator import (
     SequentialSDO,
     TimeSeriesSample,
+    _check_exponents,
+    _validate_band,
     default_bandwidth_plan,
     estimate_sequential_sdo,  # not called here; bench/ takes its library calls from this module
     kernel_by_name,
@@ -79,7 +82,7 @@ _PROCESSES = ("iid", "tvfar1", "separable", "coherent_pair")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (defaults applied, ranges checked)."""
+    """Fully resolved run configuration: defaults applied, checked whenever one is built."""
 
     input: str | None = None
     process: str | None = None
@@ -116,6 +119,9 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        _validate_config(self)
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -155,11 +161,12 @@ _PARSERS = {f.name: _PARSER_BY_TYPE[f.type.removesuffix(" | None")] for f in fie
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a "key = value" configuration.
 
-    Lines may carry ``#`` comments; blank lines are skipped. Unknown keys,
-    type mismatches, out-of-range values, and inconsistent combinations all
-    raise :class:`ConfigError`.
+    Lines may carry ``#`` comments; blank lines are skipped. Unknown or
+    repeated keys, type mismatches, out-of-range values, and inconsistent
+    combinations all raise :class:`ConfigError`.
     """
     values: dict = {}
+    lines: dict[str, int] = {}
     unknown: list[str] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -170,6 +177,9 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in lines:
+            raise ConfigError(f"key {key!r} set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         if key not in _PARSERS:
             unknown.append(key)
             continue
@@ -178,9 +188,7 @@ def parse_config(text: str) -> RunConfig:
         values[key] = _PARSERS[key](raw, key)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
-    cfg = RunConfig(**values)
-    _validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def _validate_config(cfg: RunConfig) -> None:
@@ -194,19 +202,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"p = {cfg.p} must be at least 1")
     if cfg.measure is not None and cfg.measure not in _MEASURES:
         raise ConfigError(f"measure must be one of {_MEASURES}, got {cfg.measure!r}")
-    kernel = kernel_by_name(cfg.kernel)  # validates the name
-    lo = 1.0 / (2 * kernel.iota + 1)
-    if not lo < cfg.kappa < 1.0:
-        raise ConfigError(
-            f"kappa = {cfg.kappa} outside the admissible range ({lo:.6g}, 1) "
-            f"for the {kernel.name} kernel"
-        )
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError(f"alpha = {cfg.alpha} must lie strictly between 0 and 1")
-    if not 0.0 <= cfg.band_lo < cfg.band_hi <= math.pi + 1e-12:
-        raise ConfigError(
-            f"band [{cfg.band_lo}, {cfg.band_hi}] must satisfy 0 <= lo < hi <= pi"
-        )
+    _check_exponents(cfg.alpha, cfg.kappa, kernel_by_name(cfg.kernel))
+    _validate_band((cfg.band_lo, cfg.band_hi))
     if cfg.d < 1:
         raise ConfigError(f"d = {cfg.d} must be at least 1")
     if cfg.d_max is not None and cfg.d_max < 1:
@@ -223,9 +220,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"d0 = {cfg.d0} must be at least 1")
     if cfg.seed < 0 or cfg.quantile_seed < 0:
         raise ConfigError("seeds must be non-negative integers")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads = {cfg.threads} must be at least 1")
-    # the pivot engines' own bounds on quantile_n and quantile_r, checked before any stage runs
+    if (cfg.f_exp is None) != (cfg.g_exp is None):
+        raise ConfigError("keys 'f_exp' and 'g_exp' must be set together")
+    # the pivot engines' own bounds on quantile_n, quantile_r and threads, before any stage runs
     _checked_pairs([(0, 0)], cfg.quantile_n)
     _check_mc(cfg.quantile_r, cfg.quantile_seed, cfg.threads)
     if cfg.m is not None and cfg.m < 1:
@@ -314,14 +311,7 @@ def _diag_or_eye(diag: tuple[float, ...] | None, p: int | None, what: str) -> np
 
 
 def build_process_spec(cfg: RunConfig) -> ProcessSpec:
-    """Translate a configuration into a simulation spec whose dimension is ``p``, if set."""
-    spec = _process_spec(cfg)
-    if cfg.p is not None and cfg.p != spec.p:
-        raise ConfigError(f"p = {cfg.p} does not match the process dimension {spec.p}")
-    return spec
-
-
-def _process_spec(cfg: RunConfig) -> ProcessSpec:
+    """Translate a configuration into a simulation spec."""
     if cfg.process is None or cfg.T is None:
         raise ConfigError("simulation requires keys 'process' and 'T'")
     common = dict(T=cfg.T, burn_in=cfg.burn_in, seed=cfg.seed)
@@ -342,16 +332,15 @@ def _process_spec(cfg: RunConfig) -> ProcessSpec:
             sigma_y=np.diag(np.asarray(cfg.sigma_y_diag, dtype=float)),
             **common,
         )
-    if cfg.process == "coherent_pair":
-        if cfg.p1 is None or cfg.p2 is None:
-            raise ConfigError("process coherent_pair requires keys 'p1' and 'p2'")
-        coupling = None
-        if cfg.coupling is not None and cfg.coupling != 0.0:
-            if cfg.p1 != cfg.p2:
-                raise ConfigError("scalar coupling needs p1 = p2")
-            coupling = cfg.coupling * np.eye(cfg.p1)
-        return CoherentPairSpec(p1=cfg.p1, p2=cfg.p2, coupling=coupling, **common)
-    raise ConfigError(f"unknown process {cfg.process!r}")
+    # coherent_pair, the last of the processes RunConfig admits
+    if cfg.p1 is None or cfg.p2 is None:
+        raise ConfigError("process coherent_pair requires keys 'p1' and 'p2'")
+    coupling = None
+    if cfg.coupling is not None and cfg.coupling != 0.0:
+        if cfg.p1 != cfg.p2:
+            raise ConfigError("scalar coupling needs p1 = p2")
+        coupling = cfg.coupling * np.eye(cfg.p1)
+    return CoherentPairSpec(p1=cfg.p1, p2=cfg.p2, coupling=coupling, **common)
 
 
 @contextmanager
@@ -369,8 +358,8 @@ def _stage(name: str) -> Iterator[None]:
         raise
 
 
-def _estimate(cfg: RunConfig) -> SequentialSDO:
-    """The stages every analysis shares: data, bandwidth plan, sequential estimate."""
+def _sample(cfg: RunConfig) -> TimeSeriesSample:
+    """The data stage: the CSV or simulated sample, whose dimension must be ``p`` if set."""
     with _stage("data"):
         if cfg.input is not None:
             sample = ingest_csv(cfg.input)
@@ -378,13 +367,20 @@ def _estimate(cfg: RunConfig) -> SequentialSDO:
             sample = simulate(build_process_spec(cfg))
         else:
             raise ConfigError("exactly one of 'input' and 'process' is required")
+        if cfg.p is not None and cfg.p != sample.p:
+            raise ConfigError(f"p = {cfg.p} does not match the data dimension {sample.p}")
+    return sample
+
+
+def _estimate(cfg: RunConfig) -> SequentialSDO:
+    """The stages every analysis shares: data, bandwidth plan, sequential estimate."""
+    sample = _sample(cfg)
     with _stage("estimate"):
-        kernel = kernel_by_name(cfg.kernel)
         plan = default_bandwidth_plan(
-            T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel
+            T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel_by_name(cfg.kernel)
         )
         sdo = stream_sequential_sdo(
-            sample, plan, kernel=kernel, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega
+            sample, plan, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega
         )
     # the blocks are built inside the measures' block pass, but their errors belong here
     return replace(sdo, blocks=_stage("estimate")(sdo.blocks))
@@ -399,13 +395,15 @@ def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunct
         return tvdpsca_sequential(sdo, d, _require_ps(cfg), cfg.threads)
     if cfg.measure == "coherence":
         return coherence_sequential(sdo, d, _require_ps(cfg), cfg.threads)
-    if cfg.measure == "stationarity":
-        return stationarity_sequential(sdo, d, cfg.threads)
-    raise ConfigError(f"unknown measure {cfg.measure!r}")
+    return stationarity_sequential(sdo, d, cfg.threads)  # the last of RunConfig's measures
 
 
-def _pivot_law(cfg: RunConfig, f_exp: int, g_exp: int) -> PivotLaw:
-    return exact_quantiles(f_exp, g_exp, bm_steps=cfg.quantile_n)
+def _select_order(cfg: RunConfig, sdo: SequentialSDO, law: PivotLaw) -> OrderSelection:
+    """Order selection over the paths d = 1..d_max, each measured in stage ``measure``."""
+    with _stage("measure"):
+        paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
+    with _stage("inference"):
+        return estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
 
 
 def _report(cfg: RunConfig, body: dict, seed: bool = True) -> dict:
@@ -424,7 +422,7 @@ def _diagnostics(sdo: SequentialSDO, seq: SequentialFunctional | None = None) ->
         "M": plan.M,
         "k_omega": sdo.k_omega,
         "rho_sq": plan.rho_sq,
-        "kernel": sdo.kernel_name,
+        "kernel": plan.kernel.name,
         "plan_warnings": list(plan.warnings),
         "psd_clip_max": sdo.diagnostics.get("psd_clip_max", 0.0),
     }
@@ -447,7 +445,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         seq = _measure_path(cfg, sdo, cfg.d)
     with _stage("inference"):
         v = self_norm_V([seq]).values[0]
-        law = _pivot_law(cfg, seq.f_exponent, seq.g_exponent)
+        law = exact_quantiles(seq.f_exponent, seq.g_exponent, bm_steps=cfg.quantile_n)
         estimate = seq.point_estimate
         delta = cfg.delta if cfg.delta is not None else 0.0
         if v > 0:
@@ -462,10 +460,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         rel = relevant_test(estimate, v, law, delta, cfg.level_alpha)
         order_block: dict = {"nu": None, "d_hat": None, "stats": []}
         if cfg.nu is not None and cfg.d_max is not None:
-            if cfg.measure not in _ORDERED:
-                raise ConfigError("order selection requires measure tvdfpca or tvdpsca")
-            paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
-            sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
+            sel = _select_order(cfg, sdo, law)
             order_block = {"nu": sel.nu, "d_hat": sel.d_hat, "stats": _order_stats(sel)}
     return _report(cfg, {
         "estimate": estimate,
@@ -533,7 +528,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
     with _stage("data"):
         if cfg.process is None:
             raise ConfigError("subcommand 'simulate' requires key 'process'")
-        sample = simulate(build_process_spec(cfg))
+    sample = _sample(cfg)
     lines = [",".join(f"x{j + 1}" for j in range(sample.p))]
     for row in sample.data:
         lines.append(",".join(format(float(x), ".17g") for x in row))
@@ -577,11 +572,9 @@ def _cmd_select_d(cfg: RunConfig) -> dict:
         raise ConfigError("subcommand 'select-d' requires key 'd_max'")
     cfg = replace(cfg, measure=cfg.measure or "tvdfpca")
     sdo = _estimate(cfg)
-    with _stage("measure"):
-        paths = [_measure_path(cfg, sdo, d) for d in range(1, cfg.d_max + 1)]
     with _stage("inference"):
-        law = _pivot_law(cfg, paths[0].f_exponent, paths[0].g_exponent)
-        sel = estimate_dstar(paths, law, cfg.nu, cfg.level_alpha)
+        law = exact_quantiles(*SCALING_EXPONENTS[cfg.measure], bm_steps=cfg.quantile_n)
+    sel = _select_order(cfg, sdo, law)
     return _report(cfg, {
         "nu": sel.nu,
         "alpha": sel.alpha,
@@ -594,13 +587,13 @@ def _cmd_select_d(cfg: RunConfig) -> dict:
 
 def _cmd_quantiles(cfg: RunConfig) -> dict:
     with _stage("inference"):
-        if cfg.f_exp is not None and cfg.g_exp is not None:
+        if cfg.f_exp is not None:
             f_exp, g_exp = cfg.f_exp, cfg.g_exp
         elif cfg.measure is not None:
             f_exp, g_exp = SCALING_EXPONENTS[cfg.measure]
         else:
             raise ConfigError("subcommand 'quantiles' requires 'measure' or 'f_exp' and 'g_exp'")
-        law = _pivot_law(cfg, f_exp, g_exp)
+        law = exact_quantiles(f_exp, g_exp, bm_steps=cfg.quantile_n)
         cache_file = exact_cache_path(f_exp, g_exp, cfg.quantile_n)
     return _report(cfg, {
         "f_exponent": f_exp,
@@ -658,12 +651,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(str(exc)) from None
         cfg = parse_config(text)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
             cfg = replace(cfg, seed=args.seed)
         if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
             cfg = replace(cfg, threads=args.threads)
         out = args.out if args.out is not None else cfg.out
         result = _COMMANDS[args.command](cfg)

@@ -95,7 +95,7 @@ def kernel_by_name(name: str) -> Kernel:
 
 @dataclass(frozen=True)
 class BandwidthPlan:
-    """Resolved estimation plan: window length N, bandwidth b_f, midpoint count M.
+    """Resolved estimation plan: window length N, bandwidth b_f, midpoint count M, lag window.
 
     ``warnings`` lists any asymptotic-regime inequality the finite-sample
     choice violates; violations degrade the quality of the normal
@@ -108,14 +108,13 @@ class BandwidthPlan:
     N: int
     b_f: float
     M: int
-    iota: int
-    kappa_f: float
+    kernel: Kernel
     warnings: tuple[str, ...] = field(default=())
 
     @property
     def rho_sq(self) -> float:
         """Normalizing constant rho_T^2 = N * b_f / kappa_f."""
-        return self.N * self.b_f / self.kappa_f
+        return self.N * self.b_f / self.kernel.kappa_f
 
     @property
     def eta_points(self) -> np.ndarray:
@@ -139,18 +138,12 @@ def default_bandwidth_plan(
     since no finite T can satisfy an o(.) literally.
 
     :param T: series length, at least 64.
-    :param kernel: supplies the smoothness order iota and kappa_f.
+    :param kernel: the lag window of the estimate; supplies iota and kappa_f.
     """
     if T < 64:
         raise ConfigError(f"series too short: T = {T} < 64")
+    _check_exponents(alpha, kappa, kernel)
     iota = kernel.iota
-    lo = 1.0 / (2 * iota + 1)
-    if not lo < kappa < 1.0:
-        raise ConfigError(
-            f"kappa = {kappa} outside the admissible range ({lo:.6g}, 1) for iota = {iota}"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha = {alpha} outside (0, 1)")
     N = int(round(T**alpha))
     N -= N % 2
     if N < 2:
@@ -181,8 +174,20 @@ def default_bandwidth_plan(
         warnings.warn(f"bandwidth plan outside asymptotic regime: {msg}", stacklevel=2)
     return BandwidthPlan(
         T=T, alpha=alpha, kappa=kappa, N=N, b_f=b_f, M=M,
-        iota=iota, kappa_f=kernel.kappa_f, warnings=tuple(regime),
+        kernel=kernel, warnings=tuple(regime),
     )
+
+
+def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> None:
+    """Raise ConfigError unless kappa in (1/(2 iota + 1), 1) and alpha in (0, 1)."""
+    lo = 1.0 / (2 * kernel.iota + 1)
+    if not lo < kappa < 1.0:
+        raise ConfigError(
+            f"kappa = {kappa} outside the admissible range ({lo:.6g}, 1) "
+            f"for the {kernel.name} kernel"
+        )
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha = {alpha} must lie strictly between 0 and 1")
 
 
 def midpoint_grid(plan: BandwidthPlan) -> np.ndarray:
@@ -290,10 +295,9 @@ class SequentialSDO:
     omega_points: np.ndarray
     eta_points: np.ndarray
     band: tuple[float, float]
-    grid_weights: np.ndarray
+    p: int
     blocks: Callable[[int], tuple[np.ndarray, float]] = field(repr=False)
     plan: BandwidthPlan | None = None
-    kernel_name: str = "parzen"
     diagnostics: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -334,10 +338,6 @@ class SequentialSDO:
     def n_window(self) -> int:
         return self.eta_points.size
 
-    @property
-    def p(self) -> int:
-        return self.grid_weights.size
-
     @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "SequentialSDO":
         """Wrap an explicit (M, K, N, p, p) tensor on midpoint grids over [0, 1] and [0, pi]."""
@@ -348,8 +348,8 @@ class SequentialSDO:
         return cls(
             tensor=_read_only(tensor), u_points=cell_midpoints((0.0, 1.0), m),
             omega_points=cell_midpoints((0.0, math.pi), k), eta_points=np.arange(1, n + 1) / n,
-            band=(0.0, math.pi), grid_weights=np.full(p, 1.0 / p),
-            blocks=lambda j: (tensor[:, j], 0.0), kernel_name="analytic",
+            band=(0.0, math.pi), p=p,
+            blocks=lambda j: (tensor[:, j], 0.0),
         )
 
 
@@ -427,7 +427,6 @@ class _BlockKernel:
 def stream_sequential_sdo(
     sample: TimeSeriesSample,
     plan: BandwidthPlan,
-    kernel: Kernel = PARZEN,
     band: tuple[float, float] = (0.0, math.pi),
     k_omega: int | None = None,
 ) -> SequentialSDO:
@@ -442,11 +441,11 @@ def stream_sequential_sdo(
         raise ConfigError(f"k_omega = {k_omega} must be at least 1")
     omegas = cell_midpoints((a, b), k_omega)
     lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
-    coef = kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
+    coef = plan.kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
     return SequentialSDO(
         tensor=None, u_points=midpoint_grid(plan), omega_points=omegas,
-        eta_points=plan.eta_points, band=(a, b), plan=plan, kernel_name=kernel.name,
-        grid_weights=sample.grid_weights,
+        eta_points=plan.eta_points, band=(a, b), plan=plan,
+        p=sample.p,
         blocks=_BlockKernel(_embedded(sample), _window_starts(plan), plan.N, coef),
     )
 
@@ -454,7 +453,6 @@ def stream_sequential_sdo(
 def estimate_sequential_sdo(
     sample: TimeSeriesSample,
     plan: BandwidthPlan,
-    kernel: Kernel = PARZEN,
     band: tuple[float, float] = (0.0, math.pi),
     k_omega: int | None = None,
 ) -> SequentialSDO:
@@ -464,10 +462,11 @@ def estimate_sequential_sdo(
 
         F_hat(eta) = (1/k) sum_{s,t <= k} w_tilde(omega, s, t) x_{o+s} x_{o+t}^T
 
-    on the centered, quadrature-embedded window starting at offset
-    o = floor(u T) - N/2. Every stored slice is exactly Hermitian; the
-    eta = 1 slices are additionally PSD-projected. The blocks of
-    :func:`stream_sequential_sdo` are stacked into one read-only tensor.
+    with the lag window ``plan.kernel``, on the centered, quadrature-embedded
+    window starting at offset o = floor(u T) - N/2. Every stored slice is
+    exactly Hermitian; the eta = 1 slices are additionally PSD-projected. The
+    blocks of :func:`stream_sequential_sdo` are stacked into one read-only
+    tensor.
 
     :param band: frequency band [a, b] inside [0, pi].
     :param k_omega: number of midpoint frequency cells; default
@@ -477,7 +476,7 @@ def estimate_sequential_sdo(
     :raises NumericalError: if the data are so large that the lag products
         overflow.
     """
-    sdo = stream_sequential_sdo(sample, plan, kernel, band, k_omega)
+    sdo = stream_sequential_sdo(sample, plan, band, k_omega)
     tensor = np.empty((sdo.m, sdo.k_omega, sdo.n_window, sdo.p, sdo.p), dtype=complex)
     clips = [0.0] * sdo.k_omega
     for j in range(sdo.k_omega):

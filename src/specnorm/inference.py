@@ -131,7 +131,7 @@ def _check_mc(replications: int, seed: int, threads: int) -> None:
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     if threads < 1:
-        raise ConfigError("threads must be at least 1")
+        raise ConfigError(f"threads = {threads} must be at least 1")
 
 
 def _chunk(

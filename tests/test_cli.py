@@ -96,6 +96,8 @@ def test_parse_config_line_shape_and_value_errors():
         parse_config("alpha = inf\n")
     with pytest.raises(ConfigError, match="comma-separated"):
         parse_config("sigma_diag = ,\n")
+    with pytest.raises(ConfigError, match="key 'T' set twice, on lines 1 and 4"):
+        parse_config("T = 256\nprocess = iid\n# T = 64\nT = 128\n")
 
 
 def test_parse_config_kappa_range_depends_on_kernel():
@@ -111,6 +113,9 @@ def test_parse_config_kappa_range_depends_on_kernel():
 def test_parse_config_cross_field_rules():
     with pytest.raises(ConfigError, match="not both"):
         parse_config("input = x.csv\nprocess = iid\nT = 256\n")
+    for half in ("f_exp = 2", "g_exp = 1"):
+        with pytest.raises(ConfigError, match="'f_exp' and 'g_exp' must be set together"):
+            parse_config(f"measure = tvdfpca\n{half}\n")
     with pytest.raises(ConfigError, match="required key 'T'"):
         parse_config("process = iid\n")
     with pytest.raises(ConfigError, match="process must be one of"):
@@ -161,7 +166,8 @@ def test_parse_config_parses_each_key_to_its_annotated_type(name):
         expected = raw
     else:
         raw, expected = GOOD_BY_KEY.get(name, GOOD_VALUE[kind])
-    extra = "T = 256\n" if name == "process" else ""
+    # the partner key a key needs to be valid on its own line
+    extra = {"process": "T = 256\n", "f_exp": "g_exp = 1\n", "g_exp": "f_exp = 1\n"}.get(name, "")
     value = getattr(parse_config(f"{name} = {raw}\n{extra}"), name)
     assert type(value) is kind and value == expected
     if kind is tuple:
@@ -175,7 +181,7 @@ def test_parse_config_parses_each_key_to_its_annotated_type(name):
 def test_parse_config_numeric_ranges():
     for line, frag in [
         ("alpha = 1.5", "alpha = 1.5 must lie strictly between"),
-        ("band_lo = 2\nband_hi = 1", "band [2.0, 1.0]"),
+        ("band_lo = 2\nband_hi = 1", "band must satisfy 0 <= a < b <= pi, got (2.0, 1.0)"),
         ("d = 0", "d = 0 must be at least 1"),
         ("p = 0", "p = 0 must be at least 1"),
         ("p = -1", "p = -1 must be at least 1"),
@@ -265,8 +271,8 @@ def test_build_process_spec_iid_variants():
     with pytest.raises(ConfigError, match="diagonal or the dimension"):
         build_process_spec(RunConfig(process="iid", T=256))
     assert build_process_spec(RunConfig(process="iid", T=256, p=2, sigma_diag=(3.0, 1.0))).p == 2
-    with pytest.raises(ConfigError, match="p = 3 does not match the process dimension 4"):
-        build_process_spec(RunConfig(process="iid", T=256, p=3, sigma_diag=(4.0, 2.0, 1.0, 0.5)))
+    with pytest.raises(ConfigError, match="p = 3 does not match the data dimension 4"):
+        cli._sample(RunConfig(process="iid", T=256, p=3, sigma_diag=(4.0, 2.0, 1.0, 0.5)))
 
 
 def test_build_process_spec_tvfar1():
@@ -277,8 +283,8 @@ def test_build_process_spec_tvfar1():
     assert np.array_equal(spec.sigma_eps, np.diag([4.0, 1.0]))
     with pytest.raises(ConfigError, match="ar_coeff"):
         build_process_spec(RunConfig(process="tvfar1", T=512, p=2))
-    with pytest.raises(ConfigError, match="p = 3 does not match the process dimension 2"):
-        build_process_spec(replace(cfg, p=3))
+    with pytest.raises(ConfigError, match="p = 3 does not match the data dimension 2"):
+        cli._sample(replace(cfg, p=3))
 
 
 def test_build_process_spec_separable_and_pair():
@@ -294,15 +300,15 @@ def test_build_process_spec_separable_and_pair():
     assert np.array_equal(spec.coupling, np.eye(2))
     with pytest.raises(ConfigError, match="p1 = p2"):
         build_process_spec(
-            RunConfig(process="coherent_pair", T=256, p1=2, p2=3, coupling=0.5)
+            RunConfig(process="coherent_pair", T=256, p1=2, p2=3, coupling=1.0)
         )
     with pytest.raises(ConfigError, match="'process' and 'T'"):
         build_process_spec(RunConfig())
     sep = RunConfig(process="separable", T=256, sigma_x_diag=(1.0, 2.0), sigma_y_diag=(1.0, 3.0))
     assert build_process_spec(replace(sep, p=4)).p == 4
     for cfg in (replace(sep, p=3), RunConfig(process="coherent_pair", T=256, p=7, p1=2, p2=2)):
-        with pytest.raises(ConfigError, match=f"p = {cfg.p} does not match the process dimension 4"):
-            build_process_spec(cfg)
+        with pytest.raises(ConfigError, match=f"p = {cfg.p} does not match the data dimension 4"):
+            cli._sample(cfg)
 
 
 # ---------------------------------------------------------------- dumps_report
@@ -363,9 +369,23 @@ def test_run_pipeline_order_selection_block():
     assert report["order"]["nu"] == 0.5
     assert [st["d"] for st in report["order"]["stats"]]  # at least one tested order
     assert report["order"]["d_hat"] is None or 1 <= report["order"]["d_hat"] <= 2
-    cfg = RunConfig(**{**INFER_KEYS, "measure": "stationarity", "nu": 0.5, "d_max": 2})
     with pytest.raises(ConfigError, match="order selection"):
-        run_pipeline(cfg)
+        RunConfig(**{**INFER_KEYS, "measure": "stationarity", "nu": 0.5, "d_max": 2})
+
+
+@pytest.mark.parametrize(
+    "delta, pivot, reject", [(0.5, "Infinity", True), (1.0, "NaN", False), (1.5, "-Infinity", False)]
+)
+def test_infer_report_on_a_path_with_zero_v(tmp_path, capsys, delta, pivot, reject):
+    # at d = p1^2 the separable share is 1 at every fraction, so V = 0 exactly
+    cfg = write_cfg(tmp_path, process="iid", T=1024, p=4, measure="tvdpsca", p1=2, p2=2, d=4,
+                    quantile_n=500, delta=delta)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 0, out
+    report = json.loads(out)
+    assert (report["estimate"], report["V"], report["pivot"]) == (1.0, 0.0, pivot)
+    assert report["relevant_test"]["reject"] is reject
+    assert report["ci"]["lo"] == report["ci"]["hi"] == 1.0
 
 
 # ------------------------------------------------------------------- main exits
@@ -403,6 +423,27 @@ def test_main_bad_csv_exits_3_with_data_stage(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["stage"] == "data" and err["type"] == "DataError"
     assert "row 4" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "infer"])
+def test_main_checks_p_against_csv_data(tmp_path, capsys, command):
+    data = sn.simulate(sn.IidSpec(T=256, sigma=np.eye(4), seed=1)).data
+    cfg = write_cfg(tmp_path, input=write_csv(tmp_path, data), p=3, measure="tvdfpca", **QUICK)
+    code, out = run_main(capsys, command, "--config", cfg)
+    assert code == 2, out
+    assert json.loads(out)["error"] == {
+        "stage": "data", "type": "ConfigError", "message": "p = 3 does not match the data dimension 4",
+    }
+
+
+@pytest.mark.parametrize("command", ["infer", "select-d"])
+def test_order_selection_paths_fail_at_stage_measure(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, process="tvfar1", T=512, p=2, ar_coeff=0.5, measure="tvdfpca",
+                    nu=0.5, d_max=5, **QUICK)
+    code, out = run_main(capsys, command, "--config", cfg)
+    assert code == 2, out
+    err = json.loads(out)["error"]
+    assert (err["stage"], err["message"]) == ("measure", "d = 3 must lie in [1, 2]")
 
 
 def test_main_degenerate_spectrum_exits_4_with_measure_stage(tmp_path, capsys):
@@ -543,9 +584,9 @@ def test_main_select_d_requires_nu_and_d_max(tmp_path, capsys):
 def test_main_cli_seed_and_threads_validation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **INFER_KEYS)
     code, out = run_main(capsys, "infer", "--config", cfg, "--seed", "-1")
-    assert code == 2 and "--seed" in json.loads(out)["error"]["message"]
+    assert code == 2 and "seeds must be non-negative" in json.loads(out)["error"]["message"]
     code, out = run_main(capsys, "infer", "--config", cfg, "--threads", "0")
-    assert code == 2 and "--threads" in json.loads(out)["error"]["message"]
+    assert code == 2 and "threads = 0 must be at least 1" in json.loads(out)["error"]["message"]
 
 
 def test_main_rejects_unknown_subcommand(tmp_path, capsys):
@@ -632,7 +673,7 @@ def test_psd_clip_max_is_the_estimators_in_every_report(tmp_path, capsys, keys):
     with open(write_cfg(tmp_path, **base)) as fh:
         sample = sn.simulate(build_process_spec(parse_config(fh.read())))
     plan = sn.default_bandwidth_plan(sample.T, alpha=base.get("alpha", 0.5), kernel=sn.FLAT_TOP)
-    clip = sn.estimate_sequential_sdo(sample, plan, kernel=sn.FLAT_TOP).diagnostics["psd_clip_max"]
+    clip = sn.estimate_sequential_sdo(sample, plan).diagnostics["psd_clip_max"]
     assert (clip > 0) == (keys["T"] == 256)
     for command, measure in [("estimate", "tvdfpca"), *(("infer", m) for m in cli._MEASURES)]:
         cfg = write_cfg(tmp_path, **{**base, "measure": measure})

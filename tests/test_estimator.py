@@ -47,7 +47,7 @@ def test_plan_hard_errors():
         sn.default_bandwidth_plan(4096, alpha=1.2)
     # a smoother kernel admits smaller kappa
     plan = sn.default_bandwidth_plan(4096, kappa=0.1, kernel=sn.FLAT_TOP)
-    assert plan.iota == 8
+    assert plan.kernel is sn.FLAT_TOP and plan.kernel.iota == 8
 
 
 def test_plan_regime_warnings_are_stored():
@@ -137,7 +137,7 @@ def test_estimates_are_hermitian_and_full_window_slice_psd():
     clips = []
     for kernel in (sn.PARZEN, sn.FLAT_TOP):
         plan = sn.default_bandwidth_plan(256, kernel=kernel)
-        sdo = sn.estimate_sequential_sdo(sample, plan, kernel=kernel)
+        sdo = sn.estimate_sequential_sdo(sample, plan)
         # exactly Hermitian, bit for bit, including the PSD-projected eta = 1 slices
         assert np.array_equal(sdo.tensor, np.conj(np.swapaxes(sdo.tensor, -1, -2)))
         final = sdo.tensor[:, :, -1]
@@ -175,7 +175,7 @@ def test_recursion_matches_the_lag_cumsum_formula(kernel):
     data = rng.standard_normal((1024, 3)) @ rng.standard_normal((3, 3))
     plan = sn.default_bandwidth_plan(1024, kernel=kernel)
     sample = sn.TimeSeriesSample(data=data)
-    tensor = sn.estimate_sequential_sdo(sample, plan, kernel=kernel).tensor
+    tensor = sn.estimate_sequential_sdo(sample, plan).tensor
     oracle = lag_cumsum_estimate(sample, plan, kernel)
     assert np.max(np.abs(tensor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert np.array_equal(tensor, np.conj(np.swapaxes(tensor, -1, -2)))

@@ -225,7 +225,7 @@ def test_paths_do_not_depend_on_the_coordinate_order(seed, perm):
     for kernel in (sn.PARZEN, sn.FLAT_TOP):
         plan = sn.default_bandwidth_plan(512, kernel=kernel)
         sdo, swapped = (
-            sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=x), plan, kernel=kernel)
+            sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=x), plan)
             for x in (data, data[:, list(perm)])
         )
         for measure in (sn.tvdfpca_sequential, sn.stationarity_sequential):
@@ -334,7 +334,7 @@ def kernel_sdo(request):
     data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
     kernel = sn.kernel_by_name(request.param)
     plan = sn.default_bandwidth_plan(1024, kernel=kernel)
-    sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan, kernel=kernel)
+    sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
     assert sdo.k_omega > 3
     if request.param == "flat_top":
         vals = np.linalg.eigvalsh(sdo.tensor)
@@ -395,9 +395,9 @@ def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
                 assert np.array_equal(got, expected)
 
 
-def counted_stream(sample, plan, kernel):
+def counted_stream(sample, plan):
     """A streamed estimate that records every block it builds."""
-    sdo = sn.stream_sequential_sdo(sample, plan, kernel=kernel)
+    sdo = sn.stream_sequential_sdo(sample, plan)
     built = []
 
     def blocks(j):
@@ -411,15 +411,14 @@ def counted_stream(sample, plan, kernel):
 def test_streamed_and_collected_estimates_give_identical_measures(kernel):
     rng = np.random.default_rng(18)
     data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
-    kern = sn.kernel_by_name(kernel)
-    plan = sn.default_bandwidth_plan(1024, kernel=kern)
+    plan = sn.default_bandwidth_plan(1024, kernel=sn.kernel_by_name(kernel))
     sample = sn.TimeSeriesSample(data=data)
-    collected = sn.estimate_sequential_sdo(sample, plan, kernel=kern)
+    collected = sn.estimate_sequential_sdo(sample, plan)
     assert (collected.diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
     orders = {"tvdfpca": range(1, 5), "tvdpsca": (1, 2), "coherence": (1, 2), "stationarity": (1, 2)}
     for threads in (1, 2, 3):
         for kind, ds in orders.items():
-            streamed, built = counted_stream(sample, plan, kern)
+            streamed, built = counted_stream(sample, plan)
             for d in ds:
                 assert_same_path(
                     MEASURES[kind](streamed, d, threads), MEASURES[kind](fresh_copy(collected), d, 1)
