@@ -3,9 +3,10 @@
 Orchestrates the pipeline simulate/ingest -> estimate -> measure -> infer and
 writes machine-readable JSON reports. Configuration is a line-oriented
 "key = value" file with ``#`` comments; unknown and repeated keys are
-rejected. Numbers in reports are serialized with 17 significant digits, so a
-fixed config and seed produce byte-identical output and CSV round trips are
-exact.
+rejected. Each float in a report is written as the shortest text that reads
+back as the same double, and each number in ``simulate`` CSV with 17
+significant digits, so a fixed config and seed produce byte-identical output
+and both round trip exactly.
 
 Subcommands: ``simulate`` (emit CSV), ``estimate`` (spectral tensor summary),
 ``measure`` (one deviation-measure path), ``infer`` (full inference report),
@@ -34,6 +35,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .estimator import (
     SequentialSDO,
     TimeSeriesSample,
+    _check_count,
     _check_exponents,
     _validate_band,
     default_bandwidth_plan,
@@ -198,16 +200,13 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"process must be one of {_PROCESSES}, got {cfg.process!r}")
     if cfg.process is not None and cfg.T is None:
         raise ConfigError("missing required key 'T' for a simulated process")
-    if cfg.p is not None and cfg.p < 1:
-        raise ConfigError(f"p = {cfg.p} must be at least 1")
+    _check_count("p", cfg.p)
     if cfg.measure is not None and cfg.measure not in _MEASURES:
         raise ConfigError(f"measure must be one of {_MEASURES}, got {cfg.measure!r}")
     _check_exponents(cfg.alpha, cfg.kappa, kernel_by_name(cfg.kernel))
     _validate_band((cfg.band_lo, cfg.band_hi))
-    if cfg.d < 1:
-        raise ConfigError(f"d = {cfg.d} must be at least 1")
-    if cfg.d_max is not None and cfg.d_max < 1:
-        raise ConfigError(f"d_max = {cfg.d_max} must be at least 1")
+    _check_count("d", cfg.d)
+    _check_count("d_max", cfg.d_max)
     if not 0.002 <= cfg.level_alpha <= 0.5:
         raise ConfigError(
             f"level_alpha = {cfg.level_alpha} outside the supported range [0.002, 0.5]"
@@ -216,8 +215,7 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"delta = {cfg.delta} must be non-negative")
     if cfg.nu is not None and not 0.0 < cfg.nu < 1.0:
         raise ConfigError(f"nu = {cfg.nu} must lie strictly between 0 and 1")
-    if cfg.d0 is not None and cfg.d0 < 1:
-        raise ConfigError(f"d0 = {cfg.d0} must be at least 1")
+    _check_count("d0", cfg.d0)
     if cfg.seed < 0 or cfg.quantile_seed < 0:
         raise ConfigError("seeds must be non-negative integers")
     if (cfg.f_exp is None) != (cfg.g_exp is None):
@@ -225,10 +223,8 @@ def _validate_config(cfg: RunConfig) -> None:
     # the pivot engines' own bounds on quantile_n, quantile_r and threads, before any stage runs
     _checked_pairs([(0, 0)], cfg.quantile_n)
     _check_mc(cfg.quantile_r, cfg.quantile_seed, cfg.threads)
-    if cfg.m is not None and cfg.m < 1:
-        raise ConfigError(f"m = {cfg.m} must be at least 1")
-    if cfg.k_omega is not None and cfg.k_omega < 1:
-        raise ConfigError(f"k_omega = {cfg.k_omega} must be at least 1")
+    _check_count("m", cfg.m)
+    _check_count("k_omega", cfg.k_omega)
     if cfg.measure in ("tvdpsca", "coherence"):
         _require_ps(cfg)
     if cfg.nu is not None and cfg.d_max is not None and cfg.measure not in (None, *_ORDERED):
@@ -473,55 +469,30 @@ def run_pipeline(cfg: RunConfig) -> dict:
     })
 
 
-def _json_number(x: float) -> str:
-    if math.isnan(x):
-        return '"NaN"'
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(x, ".17g")
+def _plain(obj):
+    """``obj`` with numpy values as Python ones and non-finite floats as strings."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else "Infinity" if obj > 0 else "-Infinity"
+    return obj
 
 
-def _emit(obj, parts: list) -> None:
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_json_number(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _emit(val, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        parts.append("[")
-        for i, val in enumerate(seq):
-            if i:
-                parts.append(", ")
-            _emit(val, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+def _unserializable(obj):
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def dumps_report(obj: dict) -> str:
-    """Deterministic JSON with 17 significant digits on floats.
+    """Deterministic JSON; each float is the shortest text that reads back as the same double.
 
     Non-finite floats have no JSON representation and are emitted as the
     strings "Infinity", "-Infinity", "NaN".
     """
-    parts: list = []
-    _emit(obj, parts)
-    return "".join(parts)
+    return json.dumps(_plain(obj), default=_unserializable)
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
@@ -633,14 +604,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -657,7 +620,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = args.out if args.out is not None else cfg.out
         result = _COMMANDS[args.command](cfg)
         text_out = result if isinstance(result, str) else dumps_report(result) + "\n"
-        _write_output(text_out, out)
+        if out is None:
+            sys.stdout.write(text_out)
+        else:
+            with open(out, "w") as fh:
+                fh.write(text_out)
         return 0
     except (ConfigError, DataError, NumericalError, ValueError) as exc:
         # LinAlgError subclasses ValueError but is a LAPACK failure, not a bad config.

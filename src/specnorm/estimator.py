@@ -149,10 +149,9 @@ def default_bandwidth_plan(
     if N < 2:
         raise ConfigError(f"window length N = {N} too small (T = {T}, alpha = {alpha})")
     b_f = float(N ** (-kappa))
+    _check_count("M", M)
     if M is None:
         M = max(4, int(round(N**0.3)))
-    if M < 1:
-        raise ConfigError(f"M = {M} must be positive")
     if M * N > T:
         raise ConfigError(f"series too short for M windows: M * N = {M * N} > T = {T}")
 
@@ -188,6 +187,12 @@ def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> None:
         )
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha = {alpha} must lie strictly between 0 and 1")
+
+
+def _check_count(name: str, value: int | None) -> None:
+    """Raise ConfigError unless the count ``value`` is unset or at least 1."""
+    if value is not None and value < 1:
+        raise ConfigError(f"{name} = {value} must be at least 1")
 
 
 def midpoint_grid(plan: BandwidthPlan) -> np.ndarray:
@@ -436,9 +441,8 @@ def stream_sequential_sdo(
     a, b = _validate_band(band)
     if plan.T != sample.T:
         raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
+    _check_count("k_omega", k_omega)
     k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
-    if k_omega < 1:
-        raise ConfigError(f"k_omega = {k_omega} must be at least 1")
     omegas = cell_midpoints((a, b), k_omega)
     lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
     coef = plan.kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI

@@ -37,12 +37,12 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import map_ordered
+from .estimator import _check_count, map_ordered
 from .measures import SequentialFunctional
 
 __all__ = [
@@ -130,8 +130,7 @@ def _check_mc(replications: int, seed: int, threads: int) -> None:
         raise ConfigError(f"replications = {replications} too small; need at least 10000")
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    if threads < 1:
-        raise ConfigError(f"threads = {threads} must be at least 1")
+    _check_count("threads", threads)
 
 
 def _chunk(
@@ -232,14 +231,12 @@ def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ((f_exp, g_exp),) = law.pairs
-    lines = [f"{f_exp} {g_exp} {law.replications} {law.bm_steps} {law.seed}\n"]
-    lines.extend(
-        f"{a:.17g} {q:.17g}\n" for a, q in zip(law.alphas, law.quantiles)
-    )
+    header = f"{f_exp} {g_exp} {law.replications} {law.bm_steps} {law.seed}"
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(lines)
+            table = np.column_stack([law.alphas, law.quantiles])
+            np.savetxt(fh, table, fmt="%.17g", header=header, comments="")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -250,25 +247,16 @@ def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
 def load_pivot_law(path: str | os.PathLike) -> PivotLaw:
     """Read a quantile table written by :func:`save_pivot_law`."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError(f"malformed quantile table header in {path}")
-        f_exp, g_exp, reps, steps, seed = (int(x) for x in header)
-        alphas, quantiles = [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            a, q = line.split()
-            alphas.append(float(a))
-            quantiles.append(float(q))
+        f_exp, g_exp, reps, steps, seed = (int(x) for x in fh.readline().split())
+        alphas, quantiles = np.loadtxt(fh, ndmin=2, unpack=True)
     return PivotLaw(
         pairs=((f_exp, g_exp),),
         joint=False,
         replications=reps,
         bm_steps=steps,
         seed=seed,
-        alphas=np.asarray(alphas),
-        quantiles=np.asarray(quantiles),
+        alphas=alphas,
+        quantiles=quantiles,
     )
 
 
@@ -317,19 +305,24 @@ def mc_quantiles(
     path = pivot_cache_path(
         f_exponent, g_exponent, replications, bm_steps, seed, cache_dir
     )
-    if use_cache and (law := _cached_law(path, (pairs, replications, bm_steps, seed))):
-        return law
+    return _cached_or_built(
+        path if use_cache else None,
+        (pairs, replications, bm_steps, seed),
+        lambda: _tabulate(pairs, False, replications, bm_steps, seed, threads),
+    )
 
-    law = _tabulate(pairs, False, replications, bm_steps, seed, threads)
-    med = law.quantile(0.5)
-    se = quantile_se(law, 0.5)
-    if abs(med) > 3.0 * se:
-        warnings.warn(
-            f"pivot median {med:.3g} deviates from 0 by more than 3 standard errors",
-            stacklevel=2,
-        )
-    if use_cache:
-        _store_law(law, path)
+
+def _cached_or_built(path: Path | None, key: tuple, build: Callable[[], PivotLaw]) -> PivotLaw:
+    """The table cached at ``path`` if it is valid for ``key``, else ``build()``,
+    stored at ``path``; with no ``path`` the cache is neither read nor written."""
+    if path is not None and (law := _cached_law(path, key)):
+        return law
+    law = build()
+    if path is not None:
+        try:
+            save_pivot_law(law, path)
+        except OSError as exc:
+            warnings.warn(f"could not write quantile cache {path}: {exc}", stacklevel=3)
     return law
 
 
@@ -346,7 +339,7 @@ def _cached_law(path: Path, key: tuple) -> PivotLaw | None:
     try:
         law = load_pivot_law(path)
     except (ValueError, OSError):
-        warnings.warn(f"unreadable quantile cache at {path}; recomputing", stacklevel=3)
+        warnings.warn(f"unreadable quantile cache at {path}; recomputing", stacklevel=4)
         return None
     q = law.quantiles
     if (
@@ -358,15 +351,8 @@ def _cached_law(path: Path, key: tuple) -> PivotLaw | None:
         and (np.abs(q + q[::-1]) <= 1e-10 * np.abs(q).max()).all()
     ):
         return law
-    warnings.warn(f"stale quantile cache at {path}; recomputing", stacklevel=3)
+    warnings.warn(f"stale quantile cache at {path}; recomputing", stacklevel=4)
     return None
-
-
-def _store_law(law: PivotLaw, path: Path) -> None:
-    try:
-        save_pivot_law(law, path)
-    except OSError as exc:
-        warnings.warn(f"could not write quantile cache {path}: {exc}", stacklevel=3)
 
 
 def exact_quantiles(
@@ -387,13 +373,13 @@ def exact_quantiles(
     """
     pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
     path = exact_cache_path(f_exponent, g_exponent, bm_steps, cache_dir)
-    if use_cache and (law := _cached_law(path, (pairs, 0, bm_steps, 0))):
-        return law
-    quantiles = _exact_table(*pairs[0], bm_steps)
-    law = PivotLaw(pairs, False, 0, bm_steps, 0, ALPHA_GRID.copy(), quantiles)
-    if use_cache:
-        _store_law(law, path)
-    return law
+    return _cached_or_built(
+        path if use_cache else None,
+        (pairs, 0, bm_steps, 0),
+        lambda: PivotLaw(
+            pairs, False, 0, bm_steps, 0, ALPHA_GRID.copy(), _exact_table(*pairs[0], bm_steps)
+        ),
+    )
 
 
 # The exact engine's trapezoid rule in s, in units where E[Z'CZ] = 1 so that
@@ -642,8 +628,7 @@ def estimate_dstar(
 
 def test_order_upper(selection: OrderSelection, d0: int) -> bool:
     """Reject 'true order at most d0' when the selected order exceeds d0."""
-    if d0 < 1:
-        raise ConfigError(f"d0 = {d0} must be at least 1")
+    _check_count("d0", d0)
     return selection.d_hat is not None and selection.d_hat > d0
 
 

@@ -318,6 +318,8 @@ def test_dumps_report_floats_and_special_values():
     text = dumps_report(
         {
             "a": 1.0 / 3.0,
+            "zero": 0.0,
+            "negzero": -0.0,
             "inf": math.inf,
             "ninf": -math.inf,
             "nan": math.nan,
@@ -329,7 +331,9 @@ def test_dumps_report_floats_and_special_values():
         }
     )
     parsed = json.loads(text)
-    assert parsed["a"] == 1.0 / 3.0  # 17 significant digits round trip exactly
+    assert parsed["a"] == 1.0 / 3.0  # the shortest round-trip text reads back exactly
+    assert type(parsed["zero"]) is float and type(parsed["negzero"]) is float
+    assert parsed["zero"] == 0.0 and math.copysign(1.0, parsed["negzero"]) == -1.0
     assert parsed["inf"] == "Infinity" and parsed["ninf"] == "-Infinity"
     assert parsed["nan"] == "NaN"
     assert parsed["flag"] is True and parsed["n"] == 7
@@ -378,14 +382,18 @@ def test_run_pipeline_order_selection_block():
 )
 def test_infer_report_on_a_path_with_zero_v(tmp_path, capsys, delta, pivot, reject):
     # at d = p1^2 the separable share is 1 at every fraction, so V = 0 exactly
-    cfg = write_cfg(tmp_path, process="iid", T=1024, p=4, measure="tvdpsca", p1=2, p2=2, d=4,
-                    quantile_n=500, delta=delta)
+    cfg = write_cfg(tmp_path, process="iid", T=1024, p=4, sigma_diag="1, 1, 1, 1",
+                    measure="tvdpsca", p1=2, p2=2, d=4, quantile_n=500, delta=delta)
     code, out = run_main(capsys, "infer", "--config", cfg)
     assert code == 0, out
     report = json.loads(out)
     assert (report["estimate"], report["V"], report["pivot"]) == (1.0, 0.0, pivot)
     assert report["relevant_test"]["reject"] is reject
     assert report["ci"]["lo"] == report["ci"]["hi"] == 1.0
+    # integral floats stay floats in the JSON
+    floats = [report["estimate"], report["V"], report["ci"]["lo"], report["ci"]["hi"],
+              report["diagnostics"]["psd_clip_max"], *report["config_echo"]["sigma_diag"]]
+    assert all(type(x) is float for x in floats)
 
 
 # ------------------------------------------------------------------- main exits
@@ -511,11 +519,15 @@ QUICK = dict(quantile_r=10_000, quantile_n=500)
         ("simulate", dict(T=256), "data"),
         ("estimate", dict(process="iid", T=256, p=3, sigma_diag="4, 2, 1, 0.5"), "data"),
         ("select-d", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
+        ("estimate", dict(measure="tvdfpca"), "data"),
+        ("estimate", dict(process="coherent_pair", T=256), "data"),
+        ("measure", dict(**IID_256, measure="tvdpsca", p1=0, p2=2), "config"),
     ],
     ids=[
         "infer-no-measure", "infer-order-stationarity", "infer-quantile-r-50", "infer-m-40",
         "iid-without-p", "estimate-m-40", "measure-no-measure", "quantiles-no-exponents",
         "simulate-without-process", "estimate-p-mismatch", "select-d-stationarity",
+        "estimate-no-source", "pair-without-factors", "tvdpsca-p1-0",
     ],
 )
 def test_main_error_stage_table(tmp_path, capsys, command, keys, stage):

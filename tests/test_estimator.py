@@ -30,8 +30,9 @@ def test_default_plan_arithmetic():
 def test_plan_forces_even_window():
     # round(150**0.5) = 12 is already even; round(175**0.5) = 13 drops to 12
     assert sn.default_bandwidth_plan(175).N % 2 == 0
-    for t in (100, 313, 4097):
-        assert sn.default_bandwidth_plan(t).N % 2 == 0
+    with pytest.warns(UserWarning, match="M = 4 > N"):  # T = 100 is outside the regime
+        for t in (100, 313, 4097):
+            assert sn.default_bandwidth_plan(t).N % 2 == 0
 
 
 def test_plan_hard_errors():
@@ -120,7 +121,8 @@ def direct_partial_sum(window, k, omega, kernel, b_f):
 
 def test_partial_sum_identity_against_direct_double_sum():
     sample = white_noise(100, 2, seed=3)
-    plan = sn.default_bandwidth_plan(100)
+    with pytest.warns(UserWarning, match="M = 4 > N"):
+        plan = sn.default_bandwidth_plan(100)
     sdo = sn.estimate_sequential_sdo(sample, plan)
     centered = sample.data - sample.data.mean(axis=0)
     starts = _window_starts(plan)
@@ -193,7 +195,8 @@ def test_grid_weights_match_explicit_embedding():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((128, 3))
     weights = np.array([0.5, 0.3, 0.2])
-    plan = sn.default_bandwidth_plan(128)
+    with pytest.warns(UserWarning, match="M = 4 > N"):
+        plan = sn.default_bandwidth_plan(128)
     weighted = sn.estimate_sequential_sdo(
         sn.TimeSeriesSample(data=data, grid_weights=weights), plan
     )

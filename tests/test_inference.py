@@ -306,6 +306,8 @@ def test_order_selection_on_synthetic_shares(law_32):
     assert sel.stats[1].statistic > sel.quantile
     assert not sn.test_order_upper(sel, 2)
     assert sn.test_order_upper(sel, 1)
+    with pytest.raises(sn.ConfigError, match="d0 = 0 must be at least 1"):
+        sn.test_order_upper(sel, 0)
 
 
 def test_order_selection_sentinel_and_degenerate(law_32):

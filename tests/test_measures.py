@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
@@ -217,6 +217,7 @@ def test_measures_invariant_under_data_scaling():
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        perm=st.integers(2, 4).flatmap(lambda p: st.permutations(range(p))))
+@example(seed=861596, perm=[1, 0])  # a flat-top slice eigenvalue lands on the root floor
 def test_paths_do_not_depend_on_the_coordinate_order(seed, perm):
     # F -> P F P^T leaves every spectrum, so every tvdfpca and stationarity path, unchanged
     rng = np.random.default_rng(seed)
@@ -228,11 +229,19 @@ def test_paths_do_not_depend_on_the_coordinate_order(seed, perm):
             sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=x), plan)
             for x in (data, data[:, list(perm)])
         )
+        # A slice eigenvalue within roundoff (p eps lam) of zero may fall on either side of
+        # the root floor after the swap, and the square root is only Hoelder-1/2 there: a root
+        # moves by up to 2 p sqrt(eps lam) in Frobenius norm, a dispersion path value by up
+        # to 16 p^1.5 sqrt(eps) lam, and V by twice that (lam: the largest slice eigenvalue).
+        lam = np.linalg.eigvalsh(sdo.tensor).max()
+        stationarity_tol = 32 * p**1.5 * math.sqrt(np.finfo(float).eps) * lam
         for measure in (sn.tvdfpca_sequential, sn.stationarity_sequential):
             for d in range(1, p + 1):
                 a, b = measure(sdo, d), measure(swapped, d)
                 # V is compared on the scale of the path: near share 1 it is roundoff itself
                 tol = 1e-12 * np.max(np.abs(a.values))
+                if measure is sn.stationarity_sequential:
+                    tol = stationarity_tol
                 assert np.max(np.abs(a.values - b.values)) <= tol
                 assert np.array_equal(a.valid, b.valid)
                 assert abs(sn.self_norm_V([a]).values[0] - sn.self_norm_V([b]).values[0]) <= tol

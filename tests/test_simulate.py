@@ -46,6 +46,8 @@ def test_common_validation_errors():
         sn.IidSpec(T=128, sigma=np.diag([1.0, -1.0]))
     with pytest.raises(sn.ConfigError, match="symmetric"):
         sn.IidSpec(T=128, sigma=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(sn.ConfigError, match="square matrix, got shape"):
+        sn.IidSpec(T=128, sigma=np.ones((2, 3)))
 
 
 def test_ar_stability_guard_runs_before_sampling():
@@ -71,6 +73,8 @@ def test_coherent_pair_coupling_validation():
         sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=0.5 * rot)
     with pytest.raises(sn.ConfigError, match="shape"):
         sn.CoherentPairSpec(T=128, p1=2, p2=3, coupling=rot)
+    with pytest.raises(sn.ConfigError, match=r"has shape \(3, 3\), expected \(2, 2\)"):
+        sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=lambda u: np.eye(3))
     # time-varying rotation stays orthonormal at every checked time
     turning = lambda u: np.array(
         [[math.cos(u), -math.sin(u)], [math.sin(u), math.cos(u)]]
