@@ -48,7 +48,9 @@ from .inference import (
     DEFAULT_QUANTILE_SEED,
     OrderSelection,
     PivotLaw,
+    _check_delta,
     _check_mc,
+    _check_nu,
     _checked_pairs,
     confidence_interval,
     estimate_dstar,
@@ -211,10 +213,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"level_alpha = {cfg.level_alpha} outside the supported range [0.002, 0.5]"
         )
-    if cfg.delta is not None and cfg.delta < 0:
-        raise ConfigError(f"delta = {cfg.delta} must be non-negative")
-    if cfg.nu is not None and not 0.0 < cfg.nu < 1.0:
-        raise ConfigError(f"nu = {cfg.nu} must lie strictly between 0 and 1")
+    _check_delta(cfg.delta)
+    _check_nu(cfg.nu)
     _check_count("d0", cfg.d0)
     if cfg.seed < 0 or cfg.quantile_seed < 0:
         raise ConfigError("seeds must be non-negative integers")
@@ -251,9 +251,9 @@ def _require_ps(cfg: RunConfig) -> ProductStructure:
 def ingest_csv(path: str) -> TimeSeriesSample:
     """Read a T x p numeric CSV, auto-detecting an optional header row."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -318,16 +318,12 @@ def build_process_spec(cfg: RunConfig) -> ProcessSpec:
         if cfg.ar_coeff is None:
             raise ConfigError("process tvfar1 requires key 'ar_coeff'")
         sigma = _diag_or_eye(cfg.sigma_eps_diag, cfg.p, "process tvfar1")
-        a = cfg.ar_coeff * np.eye(sigma.shape[0])
-        return TvFar1Spec(a=a, sigma_eps=sigma, **common)
+        return TvFar1Spec(a=cfg.ar_coeff * np.eye(len(sigma)), sigma_eps=sigma, **common)
     if cfg.process == "separable":
         if cfg.sigma_x_diag is None or cfg.sigma_y_diag is None:
             raise ConfigError("process separable requires keys 'sigma_x_diag' and 'sigma_y_diag'")
-        return SeparableSpec(
-            sigma_x=np.diag(np.asarray(cfg.sigma_x_diag, dtype=float)),
-            sigma_y=np.diag(np.asarray(cfg.sigma_y_diag, dtype=float)),
-            **common,
-        )
+        return SeparableSpec(sigma_x=np.diag(cfg.sigma_x_diag), sigma_y=np.diag(cfg.sigma_y_diag),
+                             **common)
     # coherent_pair, the last of the processes RunConfig admits
     if cfg.p1 is None or cfg.p2 is None:
         raise ConfigError("process coherent_pair requires keys 'p1' and 'p2'")
@@ -608,7 +604,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc)) from None
@@ -623,8 +619,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if out is None:
             sys.stdout.write(text_out)
         else:
-            with open(out, "w") as fh:
-                fh.write(text_out)
+            try:
+                with open(out, "w") as fh:
+                    fh.write(text_out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {out}: {exc}") from None
         return 0
     except (ConfigError, DataError, NumericalError, ValueError) as exc:
         # LinAlgError subclasses ValueError but is a LAPACK failure, not a bad config.

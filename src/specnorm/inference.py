@@ -133,6 +133,18 @@ def _check_mc(replications: int, seed: int, threads: int) -> None:
     _check_count("threads", threads)
 
 
+def _check_delta(delta: float | None) -> None:
+    """Raise ConfigError unless the relevance threshold ``delta`` is unset or non-negative."""
+    if delta is not None and delta < 0:
+        raise ConfigError(f"delta = {delta} must be non-negative")
+
+
+def _check_nu(nu: float | None) -> None:
+    """Raise ConfigError unless the share threshold ``nu`` is unset or in (0, 1)."""
+    if nu is not None and not 0.0 < nu < 1.0:
+        raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
+
+
 def _chunk(
     pairs: _Pairs, joint: bool, bm_steps: int, seed: int, index: int, size: int
 ) -> np.ndarray:
@@ -556,8 +568,7 @@ def relevant_test(
 
     Rejects when estimate > delta + q_{1-alpha} V.
     """
-    if delta < 0:
-        raise ConfigError(f"delta = {delta} must be non-negative")
+    _check_delta(delta)
     q = law.quantile(alpha, upper=True)
     threshold = delta + q * v
     return RelevantTestResult(
@@ -615,8 +626,7 @@ def estimate_dstar(
     """
     if not paths:
         raise ValueError("need at least one candidate order")
-    if not 0.0 < nu < 1.0:
-        raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
+    _check_nu(nu)
     ds = [pth.d for pth in paths]
     if any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValueError("candidate paths must have strictly increasing d")

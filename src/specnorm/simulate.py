@@ -14,16 +14,17 @@ form for its true time-varying spectral density:
   common part; with unitary C every canonical coherence of the first
   min(p1, p2) orders equals 1 at all (u, omega).
 
-All generators draw burn_in + T innovations from a single stream and keep
-the last T rows, so processes sharing a seed share innovations; a
-time-varying AR with A identically zero reproduces the white-noise sample
-bit for bit. For times at or before the sample start the AR coefficient is
-held at A(0).
+Each spec draws its own sample and states its own density. Every draw takes
+burn_in + T innovations from one stream and keeps the last T rows, so specs
+sharing a seed share innovations; a time-varying AR with A identically zero
+reproduces the white-noise sample bit for bit. Up to the sample start, A and
+a pair's coupling are held at their u = 0 values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Union
 
 import numpy as np
@@ -74,6 +75,11 @@ def _validate_common(T: int, burn_in: int, seed: int) -> None:
         raise ConfigError("seed must be a non-negative integer")
 
 
+def _row_times(T: int, burn_in: int) -> list[float]:
+    """Rescaled time u = clip((j - burn_in + 1) / T, 0, 1) of each generated row j."""
+    return np.clip(np.arange(1 - burn_in, T + 1) / T, 0.0, 1.0).tolist()
+
+
 @dataclass(frozen=True)
 class IidSpec:
     """Gaussian white noise with covariance ``sigma``."""
@@ -92,6 +98,13 @@ class IidSpec:
     def p(self) -> int:
         return self.sigma.shape[0]
 
+    def _draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
+        return rng.standard_normal((total, self.p)) @ _as_psd_factor(self.sigma, "sigma").T
+
+    def _truth(self) -> Callable[[float, float], np.ndarray]:
+        f0 = np.asarray(self.sigma, dtype=complex) / TWO_PI
+        return lambda u, omega: f0
+
 
 @dataclass(frozen=True)
 class TvFar1Spec:
@@ -99,7 +112,7 @@ class TvFar1Spec:
 
     ``a`` is either a constant matrix or a callable u -> matrix on [0, 1].
     The family must satisfy sup_u ||A(u)||_op <= 0.95, checked on a fixed
-    grid before any sampling.
+    grid when the spec is built, so no explosive family exists to sample.
     """
 
     T: int
@@ -112,12 +125,17 @@ class TvFar1Spec:
         _validate_common(self.T, self.burn_in, self.seed)
         object.__setattr__(self, "sigma_eps", np.asarray(self.sigma_eps, dtype=float))
         _as_psd_factor(self.sigma_eps, "sigma_eps")
-        p = self.sigma_eps.shape[0]
         if not callable(self.a):
             a = np.asarray(self.a, dtype=float)
-            if a.shape != (p, p):
-                raise ConfigError(f"a must have shape ({p}, {p}), got {a.shape}")
+            if a.shape != (self.p, self.p):
+                raise ConfigError(f"a must have shape ({self.p}, {self.p}), got {a.shape}")
             object.__setattr__(self, "a", a)
+        # a constant A needs one norm, not one per grid point
+        grid = np.linspace(0.0, 1.0, _STABILITY_GRID) if callable(self.a) else (0.0,)
+        worst = max(float(np.linalg.norm(self.a_at(float(u)), 2)) for u in grid)
+        if worst > _MAX_AR_NORM:
+            raise ConfigError("autoregressive family is too close to instability: "
+                              f"sup ||A(u)|| = {worst:.4g} > {_MAX_AR_NORM}")
 
     @property
     def p(self) -> int:
@@ -127,6 +145,28 @@ class TvFar1Spec:
         if callable(self.a):
             return np.asarray(self.a(u), dtype=float)
         return self.a
+
+    def _draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
+        eps = rng.standard_normal((total, self.p)) @ _as_psd_factor(self.sigma_eps, "sigma_eps").T
+        # a constant A costs no per-row time or call
+        coeffs = (map(self.a_at, _row_times(self.T, self.burn_in)) if callable(self.a)
+                  else repeat(self.a, total))
+        x = np.empty((total, self.p))
+        prev = np.zeros(self.p)
+        for j, a in enumerate(coeffs):
+            prev = a @ prev + eps[j]
+            x[j] = prev
+        return x
+
+    def _truth(self) -> Callable[[float, float], np.ndarray]:
+        eye = np.eye(self.p, dtype=complex)
+        sig = np.asarray(self.sigma_eps, dtype=complex)
+
+        def f_ar(u: float, omega: float) -> np.ndarray:
+            b = np.linalg.inv(eye - self.a_at(u) * np.exp(-1j * omega))
+            return hermitian_part(b @ sig @ b.conj().T / TWO_PI)
+
+        return f_ar
 
 
 @dataclass(frozen=True)
@@ -163,6 +203,9 @@ class SeparableSpec:
         """The covariance sigma_x (x) sigma_y; samples and truth read it as an IidSpec's."""
         return np.kron(self.sigma_x, self.sigma_y)
 
+    _draw = IidSpec._draw
+    _truth = IidSpec._truth
+
 
 @dataclass(frozen=True)
 class CoherentPairSpec:
@@ -186,12 +229,7 @@ class CoherentPairSpec:
         if self.p1 < 1 or self.p2 < 1:
             raise ConfigError("block dimensions must be at least 1")
         if self.coupling is not None and not callable(self.coupling):
-            c = np.asarray(self.coupling, dtype=float)
-            if c.shape != (self.p2, self.p1):
-                raise ConfigError(
-                    f"coupling must have shape ({self.p2}, {self.p1}), got {c.shape}"
-                )
-            object.__setattr__(self, "coupling", c)
+            object.__setattr__(self, "coupling", np.asarray(self.coupling, dtype=float))
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
             _check_coupling(self.coupling_at(u), self.p1, self.p2, u)
 
@@ -206,34 +244,36 @@ class CoherentPairSpec:
             return np.asarray(self.coupling(u), dtype=float)
         return self.coupling
 
+    def _draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
+        z = rng.standard_normal((total, self.p1))
+        xi = rng.standard_normal((total, self.p2))
+        if callable(self.coupling):
+            times = _row_times(self.T, self.burn_in)
+            cz = np.array([self.coupling_at(u) @ z_j for u, z_j in zip(times, z)])
+        else:
+            cz = z @ self.coupling_at(0.0).T  # constant (or zero) coupling
+        return np.hstack([z, cz + xi])
+
+    def _truth(self) -> Callable[[float, float], np.ndarray]:
+        eye1, eye2 = np.eye(self.p1), np.eye(self.p2)
+
+        def f_pair(u: float, omega: float) -> np.ndarray:
+            c = self.coupling_at(u)
+            top = np.hstack([eye1, c.T])
+            bot = np.hstack([c, c @ c.T + eye2])
+            return np.vstack([top, bot]).astype(complex) / TWO_PI
+
+        return f_pair
+
 
 def _check_coupling(c: np.ndarray, p1: int, p2: int, u: float) -> None:
     if c.shape != (p2, p1):
         raise ConfigError(f"coupling at u = {u} has shape {c.shape}, expected ({p2}, {p1})")
-    if np.allclose(c, 0.0, atol=1e-12):
-        return
-    gram = c.T @ c
-    if not np.allclose(gram, np.eye(p1), atol=1e-8):
-        raise ConfigError(
-            f"coupling at u = {u} is neither zero nor column-orthonormal"
-        )
+    if not (np.allclose(c, 0.0, atol=1e-12) or np.allclose(c.T @ c, np.eye(p1), atol=1e-8)):
+        raise ConfigError(f"coupling at u = {u} is neither zero nor column-orthonormal")
 
 
 ProcessSpec = Union[IidSpec, TvFar1Spec, SeparableSpec, CoherentPairSpec]
-
-
-def _stability_check(spec: TvFar1Spec) -> None:
-    # a constant A needs one norm, not one per grid point
-    grid = np.linspace(0.0, 1.0, _STABILITY_GRID) if callable(spec.a) else (0.0,)
-    worst = 0.0
-    for u in grid:
-        a = spec.a_at(float(u))
-        worst = max(worst, float(np.linalg.norm(a, 2)))
-    if worst > _MAX_AR_NORM:
-        raise ConfigError(
-            f"autoregressive family is too close to instability: "
-            f"sup ||A(u)|| = {worst:.4g} > {_MAX_AR_NORM}"
-        )
 
 
 def simulate(spec: ProcessSpec) -> TimeSeriesSample:
@@ -243,48 +283,8 @@ def simulate(spec: ProcessSpec) -> TimeSeriesSample:
     first ``burn_in`` rows are discarded, so two specs with the same seed and
     innovation dimension consume the same random numbers.
     """
-    rng = np.random.default_rng(spec.seed)
-    total = spec.burn_in + spec.T
-
-    if isinstance(spec, (IidSpec, SeparableSpec)):
-        l = _as_psd_factor(spec.sigma, "sigma")
-        x = rng.standard_normal((total, spec.p)) @ l.T
-        return TimeSeriesSample(data=x[spec.burn_in :])
-
-    if isinstance(spec, TvFar1Spec):
-        _stability_check(spec)
-        l = _as_psd_factor(spec.sigma_eps, "sigma_eps")
-        eps = rng.standard_normal((total, spec.p)) @ l.T
-        constant_a = None if callable(spec.a) else spec.a
-        x = np.empty((total, spec.p))
-        prev = np.zeros(spec.p)
-        for j in range(total):
-            tau = j - spec.burn_in + 1  # time index; <= 0 during burn-in
-            if constant_a is not None:
-                a = constant_a
-            else:
-                u = min(max(tau / spec.T, 0.0), 1.0)
-                a = spec.a_at(u)
-            prev = a @ prev + eps[j]
-            x[j] = prev
-        return TimeSeriesSample(data=x[spec.burn_in :])
-
-    if isinstance(spec, CoherentPairSpec):
-        z = rng.standard_normal((total, spec.p1))
-        xi = rng.standard_normal((total, spec.p2))
-        x = np.empty((total, spec.p))
-        x[:, : spec.p1] = z
-        if spec.coupling is None or not callable(spec.coupling):
-            c = spec.coupling_at(0.0)  # constant (or zero) coupling
-            x[:, spec.p1 :] = z @ c.T + xi
-        else:
-            for j in range(total):
-                tau = j - spec.burn_in + 1
-                u = min(max(tau / spec.T, 0.0), 1.0)
-                x[j, spec.p1 :] = spec.coupling_at(u) @ z[j] + xi[j]
-        return TimeSeriesSample(data=x[spec.burn_in :])
-
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+    x = spec._draw(np.random.default_rng(spec.seed), spec.burn_in + spec.T)
+    return TimeSeriesSample(data=x[spec.burn_in :])
 
 
 def true_sdo(spec: ProcessSpec) -> Callable[[float, float], np.ndarray]:
@@ -292,35 +292,4 @@ def true_sdo(spec: ProcessSpec) -> Callable[[float, float], np.ndarray]:
 
     Returns a callable (u, omega) -> Hermitian PSD matrix of size p x p.
     """
-    if isinstance(spec, (IidSpec, SeparableSpec)):
-        f0 = np.asarray(spec.sigma, dtype=complex) / TWO_PI
-
-        def f_white(u: float, omega: float) -> np.ndarray:
-            return f0
-
-        return f_white
-
-    if isinstance(spec, TvFar1Spec):
-        eye = np.eye(spec.p, dtype=complex)
-        sig = np.asarray(spec.sigma_eps, dtype=complex)
-
-        def f_ar(u: float, omega: float) -> np.ndarray:
-            b = np.linalg.inv(eye - spec.a_at(u) * np.exp(-1j * omega))
-            f = b @ sig @ b.conj().T / TWO_PI
-            return hermitian_part(f)
-
-        return f_ar
-
-    if isinstance(spec, CoherentPairSpec):
-        eye1 = np.eye(spec.p1)
-        eye2 = np.eye(spec.p2)
-
-        def f_pair(u: float, omega: float) -> np.ndarray:
-            c = spec.coupling_at(u)
-            top = np.hstack([eye1, c.T])
-            bot = np.hstack([c, c @ c.T + eye2])
-            return np.vstack([top, bot]).astype(complex) / TWO_PI
-
-        return f_pair
-
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+    return spec._truth()

@@ -217,6 +217,13 @@ def test_ingest_csv_header_autodetect(tmp_path):
     assert a.data.dtype == data.dtype
     assert a.data.tobytes() == data.tobytes()  # 17 digits parse back bit for bit
     assert a.data.tobytes() == b.data.tobytes()
+    # a leading UTF-8 byte-order mark neither hides the header nor makes row 1 one
+    for name, header in (("bom-h.csv", ("x1", "x2")), ("bom-n.csv", None)):
+        path = tmp_path / name
+        write_csv(tmp_path, data, name, header)
+        path.write_text(path.read_text(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ingest_csv(str(path)).data.tobytes() == data.tobytes()
 
 
 def test_ingest_csv_ragged_row_reports_coordinates(tmp_path):
@@ -237,6 +244,11 @@ def test_ingest_csv_bad_cells_report_coordinates(tmp_path):
         ingest_csv(str(path))
 
     rows[9] = "1,nan"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match="non-finite value at row 10, column 2"):
+        ingest_csv(str(path))
+
+    rows[19] = "oops,2"  # the non-finite cell comes first, so it is the one reported
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DataError, match="non-finite value at row 10, column 2"):
         ingest_csv(str(path))
@@ -505,37 +517,63 @@ IID_256 = dict(process="iid", T=256, p=2)
 QUICK = dict(quantile_r=10_000, quantile_n=500)
 
 
+CONFIG_ERROR = (2, "ConfigError")
+
+
 @pytest.mark.parametrize(
-    "command, keys, stage",
+    "command, keys, stage, error",
     [
-        ("infer", dict(**IID_256, **QUICK), "measure"),
-        ("infer", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
-        ("infer", dict(**IID_256, measure="tvdfpca", quantile_r=50), "config"),
-        ("infer", dict(**IID_256, **QUICK, m=40, measure="tvdfpca"), "estimate"),
-        ("infer", dict(process="iid", T=256, measure="tvdfpca", **QUICK), "data"),
-        ("estimate", dict(**IID_256, m=40), "estimate"),
-        ("measure", dict(**IID_256), "measure"),
-        ("quantiles", dict(T=256), "inference"),
-        ("simulate", dict(T=256), "data"),
-        ("estimate", dict(process="iid", T=256, p=3, sigma_diag="4, 2, 1, 0.5"), "data"),
-        ("select-d", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config"),
-        ("estimate", dict(measure="tvdfpca"), "data"),
-        ("estimate", dict(process="coherent_pair", T=256), "data"),
-        ("measure", dict(**IID_256, measure="tvdpsca", p1=0, p2=2), "config"),
+        ("infer", dict(**IID_256, **QUICK), "measure", CONFIG_ERROR),
+        ("infer", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config",
+         CONFIG_ERROR),
+        ("infer", dict(**IID_256, measure="tvdfpca", quantile_r=50), "config", CONFIG_ERROR),
+        ("infer", dict(**IID_256, **QUICK, m=40, measure="tvdfpca"), "estimate", CONFIG_ERROR),
+        ("infer", dict(process="iid", T=256, measure="tvdfpca", **QUICK), "data", CONFIG_ERROR),
+        ("estimate", dict(**IID_256, m=40), "estimate", CONFIG_ERROR),
+        ("measure", dict(**IID_256), "measure", CONFIG_ERROR),
+        ("quantiles", dict(T=256), "inference", CONFIG_ERROR),
+        ("simulate", dict(T=256), "data", CONFIG_ERROR),
+        ("estimate", dict(process="iid", T=256, p=3, sigma_diag="4, 2, 1, 0.5"), "data",
+         CONFIG_ERROR),
+        ("select-d", dict(**IID_256, **QUICK, measure="stationarity", nu=0.5, d_max=2), "config",
+         CONFIG_ERROR),
+        ("estimate", dict(measure="tvdfpca"), "data", CONFIG_ERROR),
+        ("estimate", dict(process="coherent_pair", T=256), "data", CONFIG_ERROR),
+        ("measure", dict(**IID_256, measure="tvdpsca", p1=0, p2=2), "config", CONFIG_ERROR),
+        ("infer", dict(input="binary.csv", measure="tvdfpca"), "data", (3, "DataError")),
     ],
     ids=[
         "infer-no-measure", "infer-order-stationarity", "infer-quantile-r-50", "infer-m-40",
         "iid-without-p", "estimate-m-40", "measure-no-measure", "quantiles-no-exponents",
         "simulate-without-process", "estimate-p-mismatch", "select-d-stationarity",
-        "estimate-no-source", "pair-without-factors", "tvdpsca-p1-0",
+        "estimate-no-source", "pair-without-factors", "tvdpsca-p1-0", "input-not-utf8",
     ],
 )
-def test_main_error_stage_table(tmp_path, capsys, command, keys, stage):
+def test_main_error_stage_table(tmp_path, capsys, monkeypatch, command, keys, stage, error):
+    monkeypatch.chdir(tmp_path)  # relative paths in ``keys`` name files here
+    (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81" * 64)
     cfg = write_cfg(tmp_path, **keys)
     code, out = run_main(capsys, command, "--config", cfg)
+    err = json.loads(out)["error"]
+    assert (code, err["type"]) == error, out
+    assert err["stage"] == stage
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("via", ["flag", "key"])
+def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, target, via):
+    monkeypatch.chdir(tmp_path)
+    keys = dict(process="iid", T=256, p=2)
+    if via == "key":
+        cfg = write_cfg(tmp_path, out=target, **keys)
+        code, out = run_main(capsys, "simulate", "--config", cfg)
+    else:
+        code, out = run_main(capsys, "simulate", "--config", write_cfg(tmp_path, **keys),
+                             "--out", target)
     assert code == 2, out
     err = json.loads(out)["error"]
-    assert (err["stage"], err["type"]) == (stage, "ConfigError")
+    assert (err["stage"], err["type"]) == ("config", "ConfigError")
+    assert err["message"].startswith(f"cannot write {target}: ")
 
 
 def count_block_decompositions(monkeypatch, ndim=4):

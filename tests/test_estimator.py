@@ -95,6 +95,10 @@ def test_sample_validation():
         sn.TimeSeriesSample(data=np.array([[1.0, 2.0], [np.nan, 0.0]]))
     with pytest.raises(sn.DataError, match="T x p"):
         sn.TimeSeriesSample(data=np.zeros(5))
+    with pytest.raises(sn.DataError, match="T >= 2"):
+        sn.TimeSeriesSample(data=np.zeros((1, 2)))
+    with pytest.raises(sn.DataError, match=r"grid_weights must have shape \(2,\)"):
+        sn.TimeSeriesSample(data=np.zeros((4, 2)), grid_weights=np.full(3, 1 / 3))
     with pytest.raises(sn.DataError, match="sum to 1"):
         sn.TimeSeriesSample(data=np.zeros((4, 2)), grid_weights=np.array([0.9, 0.9]))
     with pytest.raises(sn.DataError, match="positive"):

@@ -1,6 +1,7 @@
 """Synthetic process generators and their closed-form spectral densities."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -51,12 +52,13 @@ def test_common_validation_errors():
 
 
 def test_ar_stability_guard_runs_before_sampling():
+    # an unstable family cannot be built, so neither simulate nor true_sdo ever sees one
     with pytest.raises(sn.ConfigError, match="instability"):
-        sn.simulate(sn.TvFar1Spec(T=128, a=0.99 * np.eye(2), sigma_eps=np.eye(2)))
+        sn.TvFar1Spec(T=128, a=0.99 * np.eye(2), sigma_eps=np.eye(2))
     # time-varying family violating the bound only in the interior
     bump = lambda u: (0.5 + 0.5 * math.sin(math.pi * u)) * np.eye(2)
     with pytest.raises(sn.ConfigError, match="instability"):
-        sn.simulate(sn.TvFar1Spec(T=128, a=bump, sigma_eps=np.eye(2)))
+        sn.TvFar1Spec(T=128, a=bump, sigma_eps=np.eye(2))
     safe = lambda u: (0.3 + 0.5 * u) * np.eye(2)
     sample = sn.simulate(sn.TvFar1Spec(T=128, a=safe, sigma_eps=np.eye(2)))
     assert sample.T == 128
@@ -73,6 +75,8 @@ def test_coherent_pair_coupling_validation():
         sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=0.5 * rot)
     with pytest.raises(sn.ConfigError, match="shape"):
         sn.CoherentPairSpec(T=128, p1=2, p2=3, coupling=rot)
+    with pytest.raises(sn.ConfigError, match="block dimensions must be at least 1"):
+        sn.CoherentPairSpec(T=128, p1=0, p2=2)
     with pytest.raises(sn.ConfigError, match=r"has shape \(3, 3\), expected \(2, 2\)"):
         sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=lambda u: np.eye(3))
     # time-varying rotation stays orthonormal at every checked time
@@ -87,6 +91,19 @@ def test_uncoupled_pair_blocks_are_independent_streams():
     sample = sn.simulate(spec)
     corr = np.corrcoef(sample.data, rowvar=False)
     assert np.max(np.abs(corr[:2, 2:])) < 0.2
+
+
+def test_simulate_and_true_sdo_accept_every_process_spec():
+    examples = {
+        sn.IidSpec: sn.IidSpec(T=128, sigma=np.eye(2)),
+        sn.TvFar1Spec: sn.TvFar1Spec(T=128, a=0.5 * np.eye(2), sigma_eps=np.eye(2)),
+        sn.SeparableSpec: sn.SeparableSpec(T=128, sigma_x=np.eye(2), sigma_y=np.eye(3)),
+        sn.CoherentPairSpec: sn.CoherentPairSpec(T=128, p1=1, p2=2),
+    }
+    assert set(typing.get_args(sn.ProcessSpec)) == set(examples)
+    for spec in examples.values():
+        assert sn.simulate(spec).data.shape == (128, spec.p)
+        assert sn.true_sdo(spec)(0.5, 1.0).shape == (spec.p, spec.p)
 
 
 def test_true_sdo_iid_and_separable_are_flat():
