@@ -372,7 +372,7 @@ def _estimate(cfg: RunConfig) -> SequentialSDO:
             T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel_by_name(cfg.kernel)
         )
         sdo = stream_sequential_sdo(
-            sample, plan, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega
+            sample, plan, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega, threads=cfg.threads
         )
     # the blocks are built inside the measures' block pass, but their errors belong here
     return replace(sdo, blocks=_stage("estimate")(sdo.blocks))
@@ -382,12 +382,12 @@ def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunct
     if cfg.measure is None:
         raise ConfigError("missing required key 'measure'")
     if cfg.measure == "tvdfpca":
-        return tvdfpca_sequential(sdo, d, cfg.threads)
+        return tvdfpca_sequential(sdo, d)
     if cfg.measure == "tvdpsca":
-        return tvdpsca_sequential(sdo, d, _require_ps(cfg), cfg.threads)
+        return tvdpsca_sequential(sdo, d, _require_ps(cfg))
     if cfg.measure == "coherence":
-        return coherence_sequential(sdo, d, _require_ps(cfg), cfg.threads)
-    return stationarity_sequential(sdo, d, cfg.threads)  # the last of RunConfig's measures
+        return coherence_sequential(sdo, d, _require_ps(cfg))
+    return stationarity_sequential(sdo, d)  # the last of RunConfig's measures
 
 
 def _select_order(cfg: RunConfig, sdo: SequentialSDO, law: PivotLaw) -> OrderSelection:
@@ -504,7 +504,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_estimate(cfg: RunConfig) -> dict:
     sdo = _estimate(cfg)
-    (trace,) = sdo.map_blocks(lambda f: (np.einsum("mii->m", f[:, -1]).real,), cfg.threads)
+    (trace,) = sdo.map_blocks(lambda f: (np.einsum("mii->m", f[:, -1]).real,))
     return _report(cfg, {
         "shape": {"m": sdo.m, "k_omega": sdo.k_omega, "n_window": sdo.n_window, "p": sdo.p},
         "u_points": sdo.u_points,
@@ -604,7 +604,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc)) from None
@@ -626,9 +626,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"cannot write {out}: {exc}") from None
         return 0
     except (ConfigError, DataError, NumericalError, ValueError) as exc:
-        # LinAlgError subclasses ValueError but is a LAPACK failure, not a bad config.
-        numerical = isinstance(exc, (NumericalError, np.linalg.LinAlgError))
-        code = 4 if numerical else 3 if isinstance(exc, DataError) else 2
+        code = 4 if isinstance(exc, NumericalError) else 3 if isinstance(exc, DataError) else 2
         error_report = {
             "error": {
                 "stage": getattr(exc, "stage", "config"),

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -274,6 +275,15 @@ def map_ordered(work: Callable[[int], object], n: int, threads: int = 1) -> list
         return list(pool.map(work, range(n)))
 
 
+@contextmanager
+def _lapack_errors(j: int) -> Iterator[None]:
+    """Raise a LAPACK failure on frequency block j as a NumericalError naming its cell."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failure in frequency cell {j + 1}: {exc}") from exc
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -288,11 +298,11 @@ class SequentialSDO:
     observations of the window; its eta = 1 slices are PSD-projected.
     ``blocks(j)`` returns block j with the largest eigenvalue that projection
     clipped: a streamed estimate (:func:`stream_sequential_sdo`) builds it
-    inside each block pass (:meth:`map_blocks`, on ``threads`` workers), a
-    collected one reads it from its read-only ``tensor`` (M, K, N, p, p).
-    Results depend on neither the thread count nor the source. A block pass
-    run under a ``key`` is kept read-only and shared by later passes under
-    the same key.
+    inside each block pass (:meth:`map_blocks`), a collected one reads it from
+    its read-only ``tensor`` (M, K, N, p, p). Every block pass runs on the
+    estimate's ``threads`` worker threads. Results depend on neither the
+    thread count nor the source. A block pass run under a ``key`` is kept
+    read-only and shared by later passes under the same key.
     """
 
     tensor: np.ndarray | None
@@ -303,27 +313,30 @@ class SequentialSDO:
     p: int
     blocks: Callable[[int], tuple[np.ndarray, float]] = field(repr=False)
     plan: BandwidthPlan | None = None
+    threads: int = 1
     diagnostics: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def map_blocks(
-        self, work: Callable[[np.ndarray], tuple], threads: int = 1, key: object = None
+        self, work: Callable[[np.ndarray], tuple], key: object = None
     ) -> tuple[np.ndarray, ...]:
         """``work`` on every frequency block, its per-cell arrays stacked to (M, K, N, ...).
 
         ``work`` maps one read-only block to arrays with leading axes (M, N).
-        Blocks run on ``threads`` threads, each streamed one built where it is
-        reduced. The pass records ``diagnostics["psd_clip_max"]``, the largest
+        Blocks run on ``self.threads`` threads, each streamed one built where it
+        is reduced. The pass records ``diagnostics["psd_clip_max"]``, the largest
         eta = 1 clip. With a ``key``, the first pass is kept and returned again.
+        A LAPACK failure in ``work`` is raised as a NumericalError naming the block.
         """
         if key in self._memo:
             return self._memo[key]
 
         def run(j: int) -> tuple:
             block, clip = self.blocks(j)
-            return work(_read_only(block)), clip
+            with _lapack_errors(j):
+                return work(_read_only(block)), clip
 
-        runs = map_ordered(run, self.k_omega, threads)
+        runs = map_ordered(run, self.k_omega, self.threads)
         self.diagnostics["psd_clip_max"] = max(clip for _, clip in runs)
         parts = zip(*(part for part, _ in runs))
         result = tuple(_read_only(np.stack(cells, axis=1)) for cells in parts)
@@ -425,7 +438,8 @@ class _BlockKernel:
                 f"cell {j + 1}: the lag products of the data overflow"
             )
         # PSD projection of the full-window slices; slices at eta < 1 stay raw.
-        f[:, -1], lowest = psd_project_batch(f[:, -1])
+        with _lapack_errors(j):
+            f[:, -1], lowest = psd_project_batch(f[:, -1])
         return f, max(0.0, -float(lowest.min()))
 
 
@@ -434,14 +448,16 @@ def stream_sequential_sdo(
     plan: BandwidthPlan,
     band: tuple[float, float] = (0.0, math.pi),
     k_omega: int | None = None,
+    threads: int = 1,
 ) -> SequentialSDO:
     """:func:`estimate_sequential_sdo` without the tensor: every block pass of a
     measure builds the blocks it reduces, bit-identical to the collected ones.
-    Same arguments and errors; the overflow error comes from the block pass."""
+    Same arguments and errors; the block-building errors come from the block pass."""
     a, b = _validate_band(band)
     if plan.T != sample.T:
         raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
     _check_count("k_omega", k_omega)
+    _check_count("threads", threads)
     k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
     omegas = cell_midpoints((a, b), k_omega)
     lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
@@ -449,7 +465,7 @@ def stream_sequential_sdo(
     return SequentialSDO(
         tensor=None, u_points=midpoint_grid(plan), omega_points=omegas,
         eta_points=plan.eta_points, band=(a, b), plan=plan,
-        p=sample.p,
+        p=sample.p, threads=threads,
         blocks=_BlockKernel(_embedded(sample), _window_starts(plan), plan.N, coef),
     )
 
@@ -459,6 +475,7 @@ def estimate_sequential_sdo(
     plan: BandwidthPlan,
     band: tuple[float, float] = (0.0, math.pi),
     k_omega: int | None = None,
+    threads: int = 1,
 ) -> SequentialSDO:
     """Sequential spectral density estimator over the full (u, omega, eta) grid.
 
@@ -476,16 +493,21 @@ def estimate_sequential_sdo(
     :param k_omega: number of midpoint frequency cells; default
         ceil((b - a)/pi * N^kappa), matching frequency resolution to the
         smoothing bandwidth.
-    :raises ConfigError: for invalid band, cell count, or plan/sample mismatch.
+    :param threads: worker threads of every block pass, this collection included.
+    :raises ConfigError: for invalid band, cell or thread count, or plan/sample mismatch.
     :raises NumericalError: if the data are so large that the lag products
-        overflow.
+        overflow, or LAPACK fails on a block.
     """
-    sdo = stream_sequential_sdo(sample, plan, band, k_omega)
+    sdo = stream_sequential_sdo(sample, plan, band, k_omega, threads)
     tensor = np.empty((sdo.m, sdo.k_omega, sdo.n_window, sdo.p, sdo.p), dtype=complex)
-    clips = [0.0] * sdo.k_omega
-    for j in range(sdo.k_omega):
-        tensor[:, j], clips[j] = sdo.blocks(j)
-    collected = replace(sdo, tensor=_read_only(tensor), blocks=lambda j: (tensor[:, j], clips[j]))
-    collected.map_blocks(lambda f: ())  # an empty block pass records psd_clip_max
-    return collected
+
+    def fill(j: int) -> float:
+        tensor[:, j], clip = sdo.blocks(j)
+        return clip
+
+    clips = map_ordered(fill, sdo.k_omega, threads)
+    return replace(
+        sdo, tensor=_read_only(tensor), blocks=lambda j: (tensor[:, j], clips[j]),
+        diagnostics={"psd_clip_max": max(clips)},
+    )
 

@@ -21,7 +21,7 @@ averages (midpoint rule divided by band length), so ratio measures are
 unaffected, perfect coherence reads 1, and the stationarity measure is
 reported per unit band.
 
-Each measure works one frequency block of the tensor at a time, on up to
+Each measure works one frequency block at a time, on the estimate's
 ``threads`` worker threads; its path does not depend on the thread count.
 """
 
@@ -131,7 +131,7 @@ def _share(sdo: SequentialSDO, num: np.ndarray, den: np.ndarray) -> tuple[np.nda
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0), valid
 
 
-def tvdfpca_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> SequentialFunctional:
+def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     """Fraction of spectral mass explained by the d leading eigenvalues.
 
     s_hat_d(eta) is the ratio of the time/band average of the d largest
@@ -147,16 +147,14 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> Sequenti
     if not 1 <= d <= p:
         raise ValueError(f"d = {d} must lie in [1, {p}]")
     (vals,) = sdo.map_blocks(
-        lambda f: (np.maximum(np.linalg.eigvalsh(f)[..., ::-1], 0.0),), threads, key="tvdfpca"
+        lambda f: (np.maximum(np.linalg.eigvalsh(f)[..., ::-1], 0.0),), key="tvdfpca"
     )
     num = vals[..., :d].sum(axis=-1).mean(axis=(0, 1))
     values, valid = _share(sdo, num, vals.sum(axis=-1).mean(axis=(0, 1)))
     return _functional("tvdfpca", sdo, d, values, valid, {"near_tie_count": _tie_count(vals, d)})
 
 
-def tvdpsca_sequential(
-    sdo: SequentialSDO, d: int, ps: ProductStructure, threads: int = 1
-) -> SequentialFunctional:
+def tvdpsca_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> SequentialFunctional:
     """Fraction of squared Hilbert-Schmidt mass in the d leading separable terms.
 
     Each slice is rearranged so Kronecker products become rank one; the
@@ -177,7 +175,7 @@ def tvdpsca_sequential(
         svals = np.linalg.svd(kron_rearrange(f, ps), compute_uv=False)
         return svals, (np.abs(f) ** 2).sum(axis=(-2, -1))
 
-    scores, mass = sdo.map_blocks(work, threads, key=("tvdpsca", ps))
+    scores, mass = sdo.map_blocks(work, key=("tvdpsca", ps))
     den = mass.mean(axis=(0, 1))
     # at d_cap the scores carry all the mass: the share is 1 exactly, not up to roundoff
     num = den if d == d_cap else (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
@@ -200,9 +198,7 @@ def _canonical_parts(f: np.ndarray, d: int, p1: int) -> tuple[np.ndarray, ...]:
     return lam1, lam2, sig
 
 
-def coherence_sequential(
-    sdo: SequentialSDO, d: int, ps: ProductStructure, threads: int = 1
-) -> SequentialFunctional:
+def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> SequentialFunctional:
     """Band average of the d-th order canonical coherence between two blocks.
 
     The operator dimension splits as p = p1 + p2 (direct sum). Per cell,
@@ -229,7 +225,7 @@ def coherence_sequential(
         ratio = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
         return ratio, defined
 
-    ratio, defined = sdo.map_blocks(work, threads)
+    ratio, defined = sdo.map_blocks(work)
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
     avail = _available(sdo)
@@ -259,7 +255,7 @@ def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
     return eig_reconstruct(vecs, roots)
 
 
-def stationarity_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> SequentialFunctional:
+def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     """Dispersion of d-restricted square roots around their time average.
 
     Per frequency block, each window slice is rank-restricted to its d leading
@@ -285,7 +281,7 @@ def stationarity_sequential(sdo: SequentialSDO, d: int, threads: int = 1) -> Seq
         s -= s.mean(axis=0, keepdims=True)
         return (np.abs(s) ** 2).sum(axis=(-2, -1)), vals
 
-    dispersion, vals = sdo.map_blocks(work, threads)
+    dispersion, vals = sdo.map_blocks(work)
     diag = {"near_tie_count": _tie_count(np.maximum(vals[..., ::-1], 0.0), d)}
     return _functional("stationarity", sdo, d, dispersion.mean(axis=(0, 1)), _available(sdo), diag)
 

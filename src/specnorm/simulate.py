@@ -111,8 +111,9 @@ class TvFar1Spec:
     """Time-varying AR(1): X_t = A(t/T) X_{t-1} + eps_t, eps ~ N(0, sigma_eps).
 
     ``a`` is either a constant matrix or a callable u -> matrix on [0, 1].
-    The family must satisfy sup_u ||A(u)||_op <= 0.95, checked on a fixed
-    grid when the spec is built, so no explosive family exists to sample.
+    The family must have shape (p, p) and satisfy sup_u ||A(u)||_op <= 0.95,
+    both checked on a fixed grid when the spec is built, so no explosive or
+    ill-shaped family exists to sample.
     """
 
     T: int
@@ -126,13 +127,15 @@ class TvFar1Spec:
         object.__setattr__(self, "sigma_eps", np.asarray(self.sigma_eps, dtype=float))
         _as_psd_factor(self.sigma_eps, "sigma_eps")
         if not callable(self.a):
-            a = np.asarray(self.a, dtype=float)
-            if a.shape != (self.p, self.p):
-                raise ConfigError(f"a must have shape ({self.p}, {self.p}), got {a.shape}")
-            object.__setattr__(self, "a", a)
-        # a constant A needs one norm, not one per grid point
+            object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        # a constant A needs one check, not one per grid point
         grid = np.linspace(0.0, 1.0, _STABILITY_GRID) if callable(self.a) else (0.0,)
-        worst = max(float(np.linalg.norm(self.a_at(float(u)), 2)) for u in grid)
+        worst = 0.0
+        for u in grid:
+            a = self.a_at(float(u))
+            if a.shape != (self.p, self.p):
+                raise ConfigError(f"a at u = {u:g} has shape {a.shape}, expected {(self.p,) * 2}")
+            worst = max(worst, float(np.linalg.norm(a, 2)))
         if worst > _MAX_AR_NORM:
             raise ConfigError("autoregressive family is too close to instability: "
                               f"sup ||A(u)|| = {worst:.4g} > {_MAX_AR_NORM}")

@@ -487,7 +487,8 @@ def test_main_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     code, out = run_main(capsys, "infer", "--config", cfg)
     assert code == 4
     err = json.loads(out)["error"]
-    assert err["stage"] == "estimate" and err["type"] == "LinAlgError"
+    assert err["stage"] == "estimate" and err["type"] == "NumericalError"
+    assert err["message"] == "LAPACK failure in frequency cell 1: Eigenvalues did not converge"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -652,8 +653,12 @@ def test_main_infer_deterministic_byte_output(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **INFER_KEYS)
     code1, out1 = run_main(capsys, "infer", "--config", cfg)
     code2, out2 = run_main(capsys, "infer", "--config", cfg)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # the same config saved with a UTF-8 byte-order mark
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "run.cfg").read_bytes())
+    code3, out3 = run_main(capsys, "infer", "--config", str(bom))
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3
     report = json.loads(out1)
     assert report["seed"] == 0
     assert report["relevant_test"]["delta"] == 0.0
@@ -756,7 +761,8 @@ def test_lapack_failure_reports_the_first_failing_block(tmp_path, capsys, monkey
         errors.append(json.loads(out)["error"])
     assert tensor.shape[1] > 3  # later blocks fail too; the lowest one is reported
     assert errors[0] == errors[1] == {
-        "stage": "measure", "type": "LinAlgError", "message": "eigh did not converge in block 2",
+        "stage": "measure", "type": "NumericalError",
+        "message": "LAPACK failure in frequency cell 3: eigh did not converge in block 2",
     }
 
 

@@ -46,6 +46,8 @@ def test_plan_hard_errors():
         sn.default_bandwidth_plan(32)
     with pytest.raises(sn.ConfigError, match="alpha"):
         sn.default_bandwidth_plan(4096, alpha=1.2)
+    with pytest.raises(sn.ConfigError, match="window length N = 0 too small"):
+        sn.default_bandwidth_plan(64, alpha=0.05)
     # a smoother kernel admits smaller kappa
     plan = sn.default_bandwidth_plan(4096, kappa=0.1, kernel=sn.FLAT_TOP)
     assert plan.kernel is sn.FLAT_TOP and plan.kernel.iota == 8
@@ -56,6 +58,9 @@ def test_plan_regime_warnings_are_stored():
         plan = sn.default_bandwidth_plan(4096, kappa=0.21, M=48)
     assert plan.warnings
     assert any("M = 48" in msg for msg in plan.warnings)
+    with pytest.warns(UserWarning, match=r"> M\^3 = 8"):
+        plan = sn.default_bandwidth_plan(4096, M=2)
+    assert plan.warnings == ("N^(1 - kappa) = 12.13 > M^3 = 8",)
 
 
 def test_midpoint_grid_is_symmetric_and_equispaced():
@@ -67,6 +72,10 @@ def test_midpoint_grid_is_symmetric_and_equispaced():
     assert np.allclose(np.diff(u), np.diff(u)[0])
     starts = _window_starts(plan)
     assert starts[0] >= 0 and starts[-1] + plan.N <= plan.T
+    # one window is centered
+    with pytest.warns(UserWarning, match="outside asymptotic regime"):
+        single = sn.default_bandwidth_plan(4096, M=1)
+    assert np.array_equal(sn.midpoint_grid(single), [0.5])
 
 
 @pytest.mark.parametrize("kernel", [sn.PARZEN, sn.FLAT_TOP])
@@ -225,6 +234,8 @@ def test_band_and_frequency_cell_defaults():
         sn.estimate_sequential_sdo(sample, plan, band=(2.0, 1.0))
     with pytest.raises(sn.ConfigError, match="plan built for"):
         sn.estimate_sequential_sdo(white_noise(512, 2), plan)
+    with pytest.raises(sn.ConfigError, match="threads = 0 must be at least 1"):
+        sn.estimate_sequential_sdo(sample, plan, threads=0)
 
 
 def test_from_tensor_wraps_analytic_input():

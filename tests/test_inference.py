@@ -1,5 +1,6 @@
 """Self-normalization, the exact and Monte Carlo pivot tables, and the rules on them."""
 
+import dataclasses
 import inspect
 import math
 import os
@@ -180,6 +181,9 @@ def test_exact_table_has_no_monte_carlo_error():
     assert q[499] == 0.0 and np.array_equal(q, -q[::-1])
     assert (np.diff(q) > 0).all()
     assert sn.quantile_se(law, 0.05) == 0.0
+    # a Monte Carlo table that is flat around alpha has no finite density there
+    flat = dataclasses.replace(law, replications=10_000, quantiles=np.zeros_like(q))
+    assert sn.quantile_se(flat, 0.05) == math.inf
     # no seed and no thread count enter the exact engine
     assert not {"replications", "seed", "threads"} & set(
         inspect.signature(sn.exact_quantiles).parameters)
@@ -258,6 +262,8 @@ def test_mc_argument_validation():
         sn.mc_quantiles(-1, 2)
     with pytest.raises(sn.ConfigError, match="threads"):
         sn.mc_quantiles(3, 2, threads=0)
+    with pytest.raises(sn.ConfigError, match="seed must be a non-negative integer"):
+        sn.mc_quantiles(3, 2, seed=-1)
 
 
 def test_pivot_law_is_roughly_symmetric(law_32):
@@ -323,6 +329,8 @@ def test_order_selection_sentinel_and_degenerate(law_32):
         sn.estimate_dstar([low[1], low[0]], law_32, nu=0.9)
     with pytest.raises(sn.ConfigError, match="nu"):
         sn.estimate_dstar(low, law_32, nu=1.5)
+    with pytest.raises(ValueError, match="at least one candidate order"):
+        sn.estimate_dstar([], law_32, nu=0.9)
 
 
 def test_joint_statistic_against_joint_law(small_law):
@@ -338,6 +346,8 @@ def test_joint_statistic_against_joint_law(small_law):
     assert res.reject == (res.statistic > res.quantile)
     with pytest.raises(ValueError, match="does not match"):
         sn.joint_statistic(np.zeros(3), v, law)
+    with pytest.raises(ValueError, match="different number of paths"):
+        sn.joint_statistic(np.zeros(1), sn.self_norm_V([a]), law)
     singular = sn.SelfNormV(matrix=np.ones((2, 2)), values=np.ones(2))
     with pytest.raises(sn.NumericalError, match="singular"):
         sn.joint_statistic(np.zeros(2), singular, law)

@@ -53,6 +53,8 @@ def test_eigenvalue_share_on_analytic_diagonal():
     assert np.allclose(pth.values, 8.0 / 15.0, atol=1e-14)
     with pytest.raises(ValueError, match="d = 5"):
         sn.tvdfpca_sequential(sdo, 5)
+    with pytest.raises(ValueError, match="d = 5"):
+        sn.stationarity_sequential(sdo, 5)
 
 
 def test_degenerate_mass_raises():
@@ -96,6 +98,8 @@ def test_separable_share_denominator_is_squared_norm(iid_sdo):
     assert pth.diagnostics["isometry_defect_max"] < 1e-10
     with pytest.raises(ValueError, match="does not factor"):
         sn.tvdpsca_sequential(sdo, 1, sn.ProductStructure(3, 2))
+    with pytest.raises(ValueError, match=r"d = 5 must lie in \[1, min\(p1\^2, p2\^2\) = 4\]"):
+        sn.tvdpsca_sequential(sdo, 5, sn.ProductStructure(2, 2))
 
 
 def test_coherence_zero_on_block_diagonal_input():
@@ -104,6 +108,10 @@ def test_coherence_zero_on_block_diagonal_input():
     block[2:, 2:] = np.diag([3.0, 0.5])
     pth = sn.coherence_sequential(analytic_sdo(block), 1, sn.ProductStructure(2, 2))
     assert np.all(pth.values == 0.0)
+    with pytest.raises(ValueError, match="does not add up"):
+        sn.coherence_sequential(analytic_sdo(block), 1, sn.ProductStructure(3, 2))
+    with pytest.raises(ValueError, match=r"d = 3 must lie in \[1, min\(p1, p2\) = 2\]"):
+        sn.coherence_sequential(analytic_sdo(block), 3, sn.ProductStructure(2, 2))
 
 
 def test_coherence_one_on_perfectly_coupled_blocks():
@@ -134,6 +142,10 @@ def test_coherence_rank_deficiency_handling():
     mat[2:, 2:] = np.diag([1.0, 1.0])
     with pytest.raises(sn.NumericalError, match="rank-deficient marginal"):
         sn.coherence_sequential(analytic_sdo(mat), 2, sn.ProductStructure(2, 2))
+    with pytest.raises(sn.NumericalError, match="rank-deficient marginal"):
+        sn.measure_population(
+            lambda u, w: mat, "coherence", d=2, ps=sn.ProductStructure(2, 2), m_u=4, k_omega=2
+        )
     # deficiency only at interior fractions: those cells are skipped with a warning
     tensor = np.tile(np.eye(4, dtype=complex), (2, 2, 6, 1, 1))
     tensor[:, :, 4] = 0.0
@@ -284,9 +296,9 @@ def test_non_finite_point_estimate_is_rejected():
     make_path([math.nan, 0.5])  # interior values are not checked
 
 
-def fresh_copy(sdo):
-    """The same estimate with no block pass kept and no diagnostics."""
-    return dataclasses.replace(sdo, diagnostics={})
+def fresh_copy(sdo, threads=1):
+    """The same estimate on ``threads`` threads, with no block pass kept and no diagnostics."""
+    return dataclasses.replace(sdo, diagnostics={}, threads=threads)
 
 
 def assert_same_path(a, b):
@@ -321,18 +333,18 @@ def test_cached_spectra_and_tensor_are_read_only():
     for arr in (tensor, sdo.tensor, vals):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    # a kept pass is run once, then shared, whatever the work or thread count asked later
-    assert sdo.map_blocks(lambda f: (f,), threads=2, key="spectrum")[0] is vals
+    # a kept pass is run once, then shared, whatever the work asked later
+    assert sdo.map_blocks(lambda f: (f,), key="spectrum")[0] is vals
     assert np.array_equal(vals[0, 0, 0], [4.0, 3.0, 2.0, 1.0])
     assert sdo.diagnostics == {"psd_clip_max": 0.0}
 
 
 PS = sn.ProductStructure(2, 2)
 MEASURES = {
-    "tvdfpca": lambda sdo, d, threads: sn.tvdfpca_sequential(sdo, d, threads),
-    "tvdpsca": lambda sdo, d, threads: sn.tvdpsca_sequential(sdo, d, PS, threads),
-    "coherence": lambda sdo, d, threads: sn.coherence_sequential(sdo, d, PS, threads),
-    "stationarity": lambda sdo, d, threads: sn.stationarity_sequential(sdo, d, threads),
+    "tvdfpca": sn.tvdfpca_sequential,
+    "tvdpsca": lambda sdo, d: sn.tvdpsca_sequential(sdo, d, PS),
+    "coherence": lambda sdo, d: sn.coherence_sequential(sdo, d, PS),
+    "stationarity": sn.stationarity_sequential,
 }
 
 
@@ -354,9 +366,9 @@ def kernel_sdo(request):
 @pytest.mark.parametrize("kind", list(MEASURES))
 def test_measures_do_not_depend_on_the_thread_count(kernel_sdo, kind):
     for d in (1, 2):
-        one = MEASURES[kind](fresh_copy(kernel_sdo), d, 1)
+        one = MEASURES[kind](fresh_copy(kernel_sdo), d)
         for threads in (2, 3):
-            assert_same_path(MEASURES[kind](fresh_copy(kernel_sdo), d, threads), one)
+            assert_same_path(MEASURES[kind](fresh_copy(kernel_sdo, threads), d), one)
 
 
 def whole_tensor_path(sdo, kind, d):
@@ -396,7 +408,7 @@ def whole_tensor_path(sdo, kind, d):
 def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
     for d in (1, 2):
         for threads in (1, 2):
-            got = MEASURES[kind](fresh_copy(kernel_sdo), d, threads).values
+            got = MEASURES[kind](fresh_copy(kernel_sdo, threads), d).values
             expected = whole_tensor_path(kernel_sdo, kind, d)
             if kind == "coherence":  # only slices with a negative eigenvalue are rebuilt
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -404,9 +416,9 @@ def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
                 assert np.array_equal(got, expected)
 
 
-def counted_stream(sample, plan):
-    """A streamed estimate that records every block it builds."""
-    sdo = sn.stream_sequential_sdo(sample, plan)
+def counted_stream(sample, plan, threads):
+    """A streamed estimate on ``threads`` threads that records every block it builds."""
+    sdo = sn.stream_sequential_sdo(sample, plan, threads=threads)
     built = []
 
     def blocks(j):
@@ -424,14 +436,17 @@ def test_streamed_and_collected_estimates_give_identical_measures(kernel):
     sample = sn.TimeSeriesSample(data=data)
     collected = sn.estimate_sequential_sdo(sample, plan)
     assert (collected.diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
+    # blocks collected on several threads carry the same bits and the same clip
+    for threads in (2, 3):
+        again = sn.estimate_sequential_sdo(sample, plan, threads=threads)
+        assert again.threads == threads and again.tensor.tobytes() == collected.tensor.tobytes()
+        assert again.diagnostics == collected.diagnostics
     orders = {"tvdfpca": range(1, 5), "tvdpsca": (1, 2), "coherence": (1, 2), "stationarity": (1, 2)}
     for threads in (1, 2, 3):
         for kind, ds in orders.items():
-            streamed, built = counted_stream(sample, plan)
+            streamed, built = counted_stream(sample, plan, threads)
             for d in ds:
-                assert_same_path(
-                    MEASURES[kind](streamed, d, threads), MEASURES[kind](fresh_copy(collected), d, 1)
-                )
+                assert_same_path(MEASURES[kind](streamed, d), MEASURES[kind](fresh_copy(collected), d))
             assert streamed.diagnostics == collected.diagnostics
             # tvdfpca and tvdpsca read every order from one block pass
             passes = 1 if kind in ("tvdfpca", "tvdpsca") else len(ds)

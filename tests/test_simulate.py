@@ -64,6 +64,9 @@ def test_ar_stability_guard_runs_before_sampling():
     assert sample.T == 128
     with pytest.raises(sn.ConfigError, match="shape"):
         sn.TvFar1Spec(T=128, a=np.eye(3), sigma_eps=np.eye(2))
+    # a callable family is shape-checked on the same grid, before simulate or true_sdo
+    with pytest.raises(sn.ConfigError, match=r"a at u = 0 has shape \(3, 3\), expected \(2, 2\)"):
+        sn.TvFar1Spec(T=128, a=lambda u: 0.5 * np.eye(3), sigma_eps=np.eye(2))
 
 
 def test_coherent_pair_coupling_validation():
