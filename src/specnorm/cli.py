@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -39,9 +40,8 @@ from .estimator import (
     _check_exponents,
     _validate_band,
     default_bandwidth_plan,
-    estimate_sequential_sdo,  # not called here; bench/ takes its library calls from this module
+    estimate_sequential_sdo,
     kernel_by_name,
-    stream_sequential_sdo,
 )
 from .hermitian import ProductStructure
 from .inference import (
@@ -371,7 +371,7 @@ def _estimate(cfg: RunConfig) -> SequentialSDO:
         plan = default_bandwidth_plan(
             T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel_by_name(cfg.kernel)
         )
-        sdo = stream_sequential_sdo(
+        sdo = estimate_sequential_sdo(
             sample, plan, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega, threads=cfg.threads
         )
     # the blocks are built inside the measures' block pass, but their errors belong here
@@ -614,6 +614,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
         out = args.out if args.out is not None else cfg.out
+        # fail before any stage runs; the write checks again, as the directory can vanish
+        if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(f"cannot write {out}: not a file in an existing directory")
         result = _COMMANDS[args.command](cfg)
         text_out = result if isinstance(result, str) else dumps_report(result) + "\n"
         if out is None:
@@ -625,12 +628,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write {out}: {exc}") from None
         return 0
-    except (ConfigError, DataError, NumericalError, ValueError) as exc:
+    except (ConfigError, DataError, NumericalError, ValueError, MemoryError) as exc:
+        # a MemoryError is exit 2: every array size follows from the config and its input
         code = 4 if isinstance(exc, NumericalError) else 3 if isinstance(exc, DataError) else 2
         error_report = {
             "error": {
                 "stage": getattr(exc, "stage", "config"),
-                "type": type(exc).__name__,
+                "type": "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__,
                 "message": str(exc),
             },
             "version": __version__,

@@ -23,7 +23,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "midpoint_grid",
     "TimeSeriesSample",
     "SequentialSDO",
-    "stream_sequential_sdo",
     "estimate_sequential_sdo",
 ]
 
@@ -297,15 +296,14 @@ class SequentialSDO:
     estimate at u_points[i], omega_points[j] and eta = k/N from the first k
     observations of the window; its eta = 1 slices are PSD-projected.
     ``blocks(j)`` returns block j with the largest eigenvalue that projection
-    clipped: a streamed estimate (:func:`stream_sequential_sdo`) builds it
-    inside each block pass (:meth:`map_blocks`), a collected one reads it from
-    its read-only ``tensor`` (M, K, N, p, p). Every block pass runs on the
-    estimate's ``threads`` worker threads. Results depend on neither the
-    thread count nor the source. A block pass run under a ``key`` is kept
-    read-only and shared by later passes under the same key.
+    clipped, built where it is read: every block pass (:meth:`map_blocks`)
+    builds the blocks it reduces on the estimate's ``threads`` worker threads,
+    and the read-only ``tensor`` (M, K, N, p, p) is collected from them on
+    first read. Results depend on neither the thread count nor whether the
+    tensor was read. A block pass run under a ``key`` is kept read-only and
+    shared by later passes under the same key.
     """
 
-    tensor: np.ndarray | None
     u_points: np.ndarray
     omega_points: np.ndarray
     eta_points: np.ndarray
@@ -345,6 +343,21 @@ class SequentialSDO:
         return result
 
     @property
+    def tensor(self) -> np.ndarray:
+        """The read-only (M, K, N, p, p) tensor; the first read fills it in place from
+        the blocks, on ``self.threads`` threads, and records ``psd_clip_max``."""
+        if "tensor" not in self._memo:
+            tensor = np.empty((self.m, self.k_omega, self.n_window, self.p, self.p), dtype=complex)
+
+            def fill(j: int) -> float:
+                tensor[:, j], clip = self.blocks(j)
+                return clip
+
+            self.diagnostics["psd_clip_max"] = max(map_ordered(fill, self.k_omega, self.threads))
+            self._memo["tensor"] = _read_only(tensor)
+        return self._memo["tensor"]
+
+    @property
     def m(self) -> int:
         return self.u_points.size
 
@@ -363,12 +376,14 @@ class SequentialSDO:
         if tensor.ndim != 5 or tensor.shape[3] != tensor.shape[4]:
             raise ValueError(f"tensor must have shape (M, K, N, p, p), got {tensor.shape}")
         m, k, n, p = tensor.shape[:4]
-        return cls(
-            tensor=_read_only(tensor), u_points=cell_midpoints((0.0, 1.0), m),
+        sdo = cls(
+            u_points=cell_midpoints((0.0, 1.0), m),
             omega_points=cell_midpoints((0.0, math.pi), k), eta_points=np.arange(1, n + 1) / n,
             band=(0.0, math.pi), p=p,
             blocks=lambda j: (tensor[:, j], 0.0),
         )
+        sdo._memo["tensor"] = _read_only(tensor)
+        return sdo
 
 
 def cell_midpoints(band: tuple[float, float], k: int) -> np.ndarray:
@@ -443,33 +458,6 @@ class _BlockKernel:
         return f, max(0.0, -float(lowest.min()))
 
 
-def stream_sequential_sdo(
-    sample: TimeSeriesSample,
-    plan: BandwidthPlan,
-    band: tuple[float, float] = (0.0, math.pi),
-    k_omega: int | None = None,
-    threads: int = 1,
-) -> SequentialSDO:
-    """:func:`estimate_sequential_sdo` without the tensor: every block pass of a
-    measure builds the blocks it reduces, bit-identical to the collected ones.
-    Same arguments and errors; the block-building errors come from the block pass."""
-    a, b = _validate_band(band)
-    if plan.T != sample.T:
-        raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
-    _check_count("k_omega", k_omega)
-    _check_count("threads", threads)
-    k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
-    omegas = cell_midpoints((a, b), k_omega)
-    lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
-    coef = plan.kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
-    return SequentialSDO(
-        tensor=None, u_points=midpoint_grid(plan), omega_points=omegas,
-        eta_points=plan.eta_points, band=(a, b), plan=plan,
-        p=sample.p, threads=threads,
-        blocks=_BlockKernel(_embedded(sample), _window_starts(plan), plan.N, coef),
-    )
-
-
 def estimate_sequential_sdo(
     sample: TimeSeriesSample,
     plan: BandwidthPlan,
@@ -485,29 +473,31 @@ def estimate_sequential_sdo(
 
     with the lag window ``plan.kernel``, on the centered, quadrature-embedded
     window starting at offset o = floor(u T) - N/2. Every stored slice is
-    exactly Hermitian; the eta = 1 slices are additionally PSD-projected. The
-    blocks of :func:`stream_sequential_sdo` are stacked into one read-only
-    tensor.
+    exactly Hermitian; the eta = 1 slices are additionally PSD-projected.
+    No block is built here: each block pass builds the blocks it reduces, and
+    ``.tensor`` collects them on first read; the first of these sets ``psd_clip_max``.
 
     :param band: frequency band [a, b] inside [0, pi].
     :param k_omega: number of midpoint frequency cells; default
         ceil((b - a)/pi * N^kappa), matching frequency resolution to the
         smoothing bandwidth.
-    :param threads: worker threads of every block pass, this collection included.
+    :param threads: worker threads of every block pass and of the tensor's collection.
     :raises ConfigError: for invalid band, cell or thread count, or plan/sample mismatch.
-    :raises NumericalError: if the data are so large that the lag products
-        overflow, or LAPACK fails on a block.
+    :raises NumericalError: from a block pass or the tensor's collection, if
+        the data are so large that the lag products overflow, or LAPACK fails on a block.
     """
-    sdo = stream_sequential_sdo(sample, plan, band, k_omega, threads)
-    tensor = np.empty((sdo.m, sdo.k_omega, sdo.n_window, sdo.p, sdo.p), dtype=complex)
-
-    def fill(j: int) -> float:
-        tensor[:, j], clip = sdo.blocks(j)
-        return clip
-
-    clips = map_ordered(fill, sdo.k_omega, threads)
-    return replace(
-        sdo, tensor=_read_only(tensor), blocks=lambda j: (tensor[:, j], clips[j]),
-        diagnostics={"psd_clip_max": max(clips)},
+    a, b = _validate_band(band)
+    if plan.T != sample.T:
+        raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
+    _check_count("k_omega", k_omega)
+    _check_count("threads", threads)
+    k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
+    omegas = cell_midpoints((a, b), k_omega)
+    lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
+    coef = plan.kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
+    return SequentialSDO(
+        u_points=midpoint_grid(plan), omega_points=omegas,
+        eta_points=plan.eta_points, band=(a, b), plan=plan,
+        p=sample.p, threads=threads,
+        blocks=_BlockKernel(_embedded(sample), _window_starts(plan), plan.N, coef),
     )
-

@@ -52,6 +52,8 @@ def _as_psd_factor(sigma: np.ndarray, name: str) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ConfigError(f"{name} must be a square matrix, got shape {sigma.shape}")
+    if not np.all(np.isfinite(sigma)):
+        raise ConfigError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(sigma).max()))
     if not np.allclose(sigma, sigma.T, atol=1e-10 * scale):
         raise ConfigError(f"{name} must be symmetric")
@@ -188,6 +190,7 @@ class SeparableSpec:
         object.__setattr__(self, "sigma_y", np.asarray(self.sigma_y, dtype=float))
         _as_psd_factor(self.sigma_x, "sigma_x")
         _as_psd_factor(self.sigma_y, "sigma_y")
+        _as_psd_factor(self.sigma, "sigma_x (x) sigma_y")  # finite factors can overflow
 
     @property
     def p1(self) -> int:
@@ -204,7 +207,8 @@ class SeparableSpec:
     @property
     def sigma(self) -> np.ndarray:
         """The covariance sigma_x (x) sigma_y; samples and truth read it as an IidSpec's."""
-        return np.kron(self.sigma_x, self.sigma_y)
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check when built
+            return np.kron(self.sigma_x, self.sigma_y)
 
     _draw = IidSpec._draw
     _truth = IidSpec._truth

@@ -542,12 +542,15 @@ CONFIG_ERROR = (2, "ConfigError")
         ("estimate", dict(process="coherent_pair", T=256), "data", CONFIG_ERROR),
         ("measure", dict(**IID_256, measure="tvdpsca", p1=0, p2=2), "config", CONFIG_ERROR),
         ("infer", dict(input="binary.csv", measure="tvdfpca"), "data", (3, "DataError")),
+        ("simulate", dict(process="separable", T=256, sigma_x_diag="1e200, 1",
+                          sigma_y_diag="1e200, 1"), "data", CONFIG_ERROR),
     ],
     ids=[
         "infer-no-measure", "infer-order-stationarity", "infer-quantile-r-50", "infer-m-40",
         "iid-without-p", "estimate-m-40", "measure-no-measure", "quantiles-no-exponents",
         "simulate-without-process", "estimate-p-mismatch", "select-d-stationarity",
         "estimate-no-source", "pair-without-factors", "tvdpsca-p1-0", "input-not-utf8",
+        "separable-kron-overflow",
     ],
 )
 def test_main_error_stage_table(tmp_path, capsys, monkeypatch, command, keys, stage, error):
@@ -560,21 +563,70 @@ def test_main_error_stage_table(tmp_path, capsys, monkeypatch, command, keys, st
     assert err["stage"] == stage
 
 
+@pytest.mark.parametrize(
+    "command, owner, name, stage",
+    [("simulate", sn.IidSpec, "_draw", "data"),
+     ("estimate", estimator._BlockKernel, "__call__", "estimate")],
+    ids=["draw", "block"],
+)
+def test_main_memory_error_exits_2(tmp_path, capsys, monkeypatch, command, owner, name, stage):
+    class ArrayMemoryError(MemoryError):  # numpy's private subclass, raised before allocating
+        pass
+
+    def allocate(*args):
+        raise ArrayMemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(owner, name, allocate)
+    code, out = run_main(capsys, command, "--config", write_cfg(tmp_path, **IID_256))
+    assert code == 2, out
+    assert json.loads(out)["error"] == {
+        "stage": stage, "type": "MemoryError", "message": "Unable to allocate 745. GiB for an array",
+    }
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
 @pytest.mark.parametrize("via", ["flag", "key"])
 def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, target, via):
     monkeypatch.chdir(tmp_path)
+    built = []
+    build = estimator._BlockKernel.__call__
+
+    def counted(self, j):
+        built.append(j)
+        return build(self, j)
+
+    monkeypatch.setattr(estimator._BlockKernel, "__call__", counted)
     keys = dict(process="iid", T=256, p=2)
     if via == "key":
         cfg = write_cfg(tmp_path, out=target, **keys)
-        code, out = run_main(capsys, "simulate", "--config", cfg)
+        code, out = run_main(capsys, "estimate", "--config", cfg)
     else:
-        code, out = run_main(capsys, "simulate", "--config", write_cfg(tmp_path, **keys),
+        code, out = run_main(capsys, "estimate", "--config", write_cfg(tmp_path, **keys),
                              "--out", target)
     assert code == 2, out
     err = json.loads(out)["error"]
     assert (err["stage"], err["type"]) == ("config", "ConfigError")
     assert err["message"].startswith(f"cannot write {target}: ")
+    assert built == []  # refused before any stage ran
+
+
+def test_main_out_vanishing_during_the_run_exits_2(tmp_path, capsys, monkeypatch):
+    # the target passes the check before the stages, then its directory goes
+    target = tmp_path / "gone" / "report.json"
+    target.parent.mkdir()
+    sample = cli._sample
+
+    def sample_then_remove(cfg):
+        target.parent.rmdir()
+        return sample(cfg)
+
+    monkeypatch.setattr(cli, "_sample", sample_then_remove)
+    cfg = write_cfg(tmp_path, process="iid", T=256, p=2)
+    code, out = run_main(capsys, "estimate", "--config", cfg, "--out", str(target))
+    assert code == 2, out
+    err = json.loads(out)["error"]
+    assert (err["stage"], err["type"]) == ("config", "ConfigError")
+    assert err["message"].startswith(f"cannot write {target}: [Errno 2]")
 
 
 def count_block_decompositions(monkeypatch, ndim=4):
@@ -728,7 +780,9 @@ def test_psd_clip_max_is_the_estimators_in_every_report(tmp_path, capsys, keys):
     with open(write_cfg(tmp_path, **base)) as fh:
         sample = sn.simulate(build_process_spec(parse_config(fh.read())))
     plan = sn.default_bandwidth_plan(sample.T, alpha=base.get("alpha", 0.5), kernel=sn.FLAT_TOP)
-    clip = sn.estimate_sequential_sdo(sample, plan).diagnostics["psd_clip_max"]
+    sdo = sn.estimate_sequential_sdo(sample, plan)
+    sdo.tensor  # the first read records psd_clip_max
+    clip = sdo.diagnostics["psd_clip_max"]
     assert (clip > 0) == (keys["T"] == 256)
     for command, measure in [("estimate", "tvdfpca"), *(("infer", m) for m in cli._MEASURES)]:
         cfg = write_cfg(tmp_path, **{**base, "measure": measure})

@@ -97,6 +97,28 @@ def test_quantile_table_roundtrip_and_cache(tmp_path):
     assert len(list(tmp_path.glob("pivot_*.txt"))) == 2
 
 
+def test_failed_cache_write_warns_and_returns_the_built_table(tmp_path, monkeypatch):
+    uncached = [sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, use_cache=False),
+                sn.exact_quantiles(3, 2, bm_steps=500, use_cache=False)]
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "file" / "cache"  # a directory no user, root included, can make
+    for (build, _, _), law in zip(ENGINES.values(), uncached):
+        with pytest.warns(UserWarning, match="could not write quantile cache"):
+            assert np.array_equal(build(blocked).quantiles, law.quantiles)
+
+    # a write that fails partway leaves neither a table nor its temporary file
+    def disk_full(fh, *args, **kwargs):
+        fh.write("0.001 -3.")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savetxt", disk_full)
+    for (build, cache_path, _), law in zip(ENGINES.values(), uncached):
+        with pytest.warns(UserWarning, match="could not write quantile cache"):
+            assert np.array_equal(build(tmp_path).quantiles, law.quantiles)
+        assert not cache_path(tmp_path).exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]  # no *.tmp left behind
+
+
 def test_corrupt_cache_recomputes_with_warning(tmp_path):
     # a table for different parameters in the same slot counts as stale, and
     # so does the right key over a table that is off the grid, not a finite,

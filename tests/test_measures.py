@@ -417,8 +417,8 @@ def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
 
 
 def counted_stream(sample, plan, threads):
-    """A streamed estimate on ``threads`` threads that records every block it builds."""
-    sdo = sn.stream_sequential_sdo(sample, plan, threads=threads)
+    """An estimate on ``threads`` threads that records every block it builds."""
+    sdo = sn.estimate_sequential_sdo(sample, plan, threads=threads)
     built = []
 
     def blocks(j):
@@ -435,6 +435,8 @@ def test_streamed_and_collected_estimates_give_identical_measures(kernel):
     plan = sn.default_bandwidth_plan(1024, kernel=sn.kernel_by_name(kernel))
     sample = sn.TimeSeriesSample(data=data)
     collected = sn.estimate_sequential_sdo(sample, plan)
+    assert collected.diagnostics == {}  # nothing is built before a block pass or a tensor read
+    assert collected.tensor is collected.tensor  # collected once, on the first read
     assert (collected.diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
     # blocks collected on several threads carry the same bits and the same clip
     for threads in (2, 3):
@@ -445,12 +447,16 @@ def test_streamed_and_collected_estimates_give_identical_measures(kernel):
     for threads in (1, 2, 3):
         for kind, ds in orders.items():
             streamed, built = counted_stream(sample, plan, threads)
+            read_first, read_built = counted_stream(sample, plan, threads)
+            read_first.tensor
             for d in ds:
-                assert_same_path(MEASURES[kind](streamed, d), MEASURES[kind](fresh_copy(collected), d))
-            assert streamed.diagnostics == collected.diagnostics
+                assert_same_path(MEASURES[kind](streamed, d), MEASURES[kind](read_first, d))
+            assert streamed.diagnostics == read_first.diagnostics == collected.diagnostics
             # tvdfpca and tvdpsca read every order from one block pass
             passes = 1 if kind in ("tvdfpca", "tvdpsca") else len(ds)
             assert sorted(built) == sorted(list(range(streamed.k_omega)) * passes)
+            # a pass after the tensor read still builds its blocks: one block source
+            assert sorted(read_built) == sorted(list(range(streamed.k_omega)) * (passes + 1))
 
 
 def test_eig_reconstruct_matches_einsum_form():

@@ -49,6 +49,11 @@ def test_common_validation_errors():
         sn.IidSpec(T=128, sigma=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(sn.ConfigError, match="square matrix, got shape"):
         sn.IidSpec(T=128, sigma=np.ones((2, 3)))
+    with pytest.raises(sn.ConfigError, match="sigma must be finite"):
+        sn.IidSpec(T=128, sigma=np.diag([np.inf, 1.0]))
+    big = np.diag([1e200, 1.0])  # finite factors whose Kronecker product overflows
+    with pytest.raises(sn.ConfigError, match=r"sigma_x \(x\) sigma_y must be finite"):
+        sn.SeparableSpec(T=128, sigma_x=big, sigma_y=big)
 
 
 def test_ar_stability_guard_runs_before_sampling():
