@@ -12,9 +12,10 @@ Subcommands: ``simulate`` (emit CSV), ``estimate`` (spectral tensor summary),
 ``measure`` (one deviation-measure path), ``infer`` (full inference report),
 ``select-d`` (order selection), ``quantiles`` (build/cache a pivot table).
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error. Failures are reported as an error JSON with the pipeline stage tag
-(``config``, ``data``, ``estimate``, ``measure`` or ``inference``).
+Exit codes: 0 success, 2 configuration error (bad flags included), 3 data
+error, 4 numerical error, 1 any other (internal) error. Every failure is
+reported as an error JSON with the pipeline stage tag (``config``, ``data``,
+``estimate``, ``measure`` or ``inference``).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import json
 import math
 import os
 import sys
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -585,8 +587,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, whose usage errors are ConfigErrors."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specnorm",
         description="Self-normalized inference for time-varying spectral density operators.",
     )
@@ -601,8 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         try:
             with open(args.config, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
                 text = fh.read()
@@ -628,9 +637,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write {out}: {exc}") from None
         return 0
-    except (ConfigError, DataError, NumericalError, ValueError, MemoryError) as exc:
-        # a MemoryError is exit 2: every array size follows from the config and its input
-        code = 4 if isinstance(exc, NumericalError) else 3 if isinstance(exc, DataError) else 2
+    except Exception as exc:
+        # a MemoryError is exit 2: every array size follows from the config and its input;
+        # an exception outside the taxonomy is a bug, exit 1
+        code = (4 if isinstance(exc, NumericalError) else 3 if isinstance(exc, DataError)
+                else 2 if isinstance(exc, (ValueError, MemoryError)) else 1)
+        if code == 1:
+            traceback.print_exc()  # the bug's traceback, on stderr
         error_report = {
             "error": {
                 "stage": getattr(exc, "stage", "config"),

@@ -7,20 +7,11 @@ length N centered at the equidistant midpoints u_1 = N/(2T), ...,
 u_M = 1 - N/(2T), and the full sequential path eta -> F_hat_{u,omega}(eta)
 over the fraction grid {k/N}, where each slice is an exact partial-sum
 estimate; the self-normalization layer integrates over that grid.
-
-Grid weights: sample rows are embedded once as x * sqrt(p * q) with q the
-quadrature weights of the function-space inner product. Under the default
-uniform q = 1/p the embedding is the identity and the stored matrices are the
-plain multivariate spectral density (white noise Sigma gives Sigma/(2 pi)
-entrywise); under non-uniform q, matrix traces and Hilbert-Schmidt norms equal
-p times the quadrature approximation of their functional counterparts, so all
-normalized deviation measures are weight-consistent.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -134,8 +125,8 @@ def default_bandwidth_plan(
     Defaults: alpha = 0.5, kappa = 0.4, M = max(4, round(N^0.3)). The hard
     constraints kappa in (1/(2 iota + 1), 1) and M * N <= T raise; the
     asymptotic-regime inequalities (alpha bound of the relevant bandwidth
-    case, M = o(N^{1-kappa}), N^{1-kappa} = o(M^3)) only produce warnings,
-    since no finite T can satisfy an o(.) literally.
+    case, M = o(N^{1-kappa}), N^{1-kappa} = o(M^3)) are only listed in
+    ``plan.warnings``, since no finite T can satisfy an o(.) literally.
 
     :param T: series length, at least 64.
     :param kernel: the lag window of the estimate; supplies iota and kappa_f.
@@ -169,8 +160,6 @@ def default_bandwidth_plan(
         regime.append(f"M = {M} > N^(1 - kappa) = {N ** (1.0 - kappa):.4g}")
     if N ** (1.0 - kappa) > M**3:
         regime.append(f"N^(1 - kappa) = {N ** (1.0 - kappa):.4g} > M^3 = {M**3}")
-    for msg in regime:
-        warnings.warn(f"bandwidth plan outside asymptotic regime: {msg}", stacklevel=2)
     return BandwidthPlan(
         T=T, alpha=alpha, kappa=kappa, N=N, b_f=b_f, M=M,
         kernel=kernel, warnings=tuple(regime),
@@ -220,14 +209,9 @@ def _window_starts(plan: BandwidthPlan) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
-    """T x p real sample of a discretized functional time series.
-
-    ``grid_weights`` are the quadrature weights of the function-space inner
-    product (positive, summing to 1); the default is uniform 1/p.
-    """
+    """T x p real sample of a discretized functional time series."""
 
     data: np.ndarray
-    grid_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
@@ -239,19 +223,7 @@ class TimeSeriesSample:
         if not np.all(np.isfinite(data)):
             bad = np.argwhere(~np.isfinite(data))[0]
             raise DataError(f"non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")
-        w = self.grid_weights
-        if w is None:
-            w = np.full(p, 1.0 / p)
-        else:
-            w = np.asarray(w, dtype=float)
-            if w.shape != (p,):
-                raise DataError(f"grid_weights must have shape ({p},), got {w.shape}")
-            if not np.all(w > 0):
-                raise DataError("grid_weights must be positive")
-            if abs(float(w.sum()) - 1.0) > 1e-8:
-                raise DataError(f"grid_weights must sum to 1, got {float(w.sum()):.12g}")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "grid_weights", w)
 
     @property
     def T(self) -> int:
@@ -405,12 +377,8 @@ def _default_k_omega(plan: BandwidthPlan, band: tuple[float, float]) -> int:
 
 
 def _embedded(sample: TimeSeriesSample) -> np.ndarray:
-    # Center per grid point, then apply the sqrt(p q) quadrature embedding.
-    x = sample.data - sample.data.mean(axis=0)
-    scale = np.sqrt(sample.p * sample.grid_weights)
-    if not np.allclose(scale, 1.0, rtol=0.0, atol=1e-15):
-        x = x * scale
-    return x
+    """The sample centered per grid point, the one form the estimate reads it in."""
+    return sample.data - sample.data.mean(axis=0)
 
 
 class _BlockKernel:
@@ -471,9 +439,9 @@ def estimate_sequential_sdo(
 
         F_hat(eta) = (1/k) sum_{s,t <= k} w_tilde(omega, s, t) x_{o+s} x_{o+t}^T
 
-    with the lag window ``plan.kernel``, on the centered, quadrature-embedded
-    window starting at offset o = floor(u T) - N/2. Every stored slice is
-    exactly Hermitian; the eta = 1 slices are additionally PSD-projected.
+    with the lag window ``plan.kernel``, on the centered window starting at
+    offset o = floor(u T) - N/2. Every stored slice is exactly Hermitian; the
+    eta = 1 slices are additionally PSD-projected.
     No block is built here: each block pass builds the blocks it reduces, and
     ``.tensor`` collects them on first read; the first of these sets ``psd_clip_max``.
 

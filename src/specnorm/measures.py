@@ -206,8 +206,8 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
     PSD-projected slice (only slices with a negative eigenvalue are
     rebuilt). Cells whose d-th marginal eigenvalue is numerically
     zero (below 1e-12 of the marginal trace) are undefined: at eta = 1 that
-    is an error, at interior eta the cell is skipped with a warning and the
-    average runs over the remaining cells.
+    is an error, at interior eta the cell is skipped, counted in
+    ``diagnostics["skipped_cells"]``, and the average runs over the remaining cells.
     """
     p = sdo.p
     if ps.p1 + ps.p2 != p:
@@ -234,12 +234,6 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
     cells = sdo.m * sdo.k_omega
     valid = (count == cells) & avail
     skipped = int(cells * int(avail.sum()) - int(count[avail].sum()))
-    if skipped:
-        warnings.warn(
-            f"coherence undefined in {skipped} partial-sum cells (rank-deficient marginals); "
-            "those cells were skipped",
-            stacklevel=2,
-        )
     return _functional("coherence", sdo, d, values, valid, {"skipped_cells": skipped})
 
 

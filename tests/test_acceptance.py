@@ -7,7 +7,6 @@ use fixed seed ranges, so the whole gate is deterministic.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -21,13 +20,6 @@ SIGMA4 = np.diag([8.0, 4.0, 2.0, 1.0])
 def announce(capsys, num, name, ok, detail):
     with capsys.disabled():
         print(f"\nacceptance {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def quiet_plan(*args, **kwargs):
-    # small-sample regime notes are expected at these study sizes
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sn.default_bandwidth_plan(*args, **kwargs)
 
 
 def sequential_path(spec, plan, kind, d, ps=None):
@@ -109,7 +101,7 @@ def test_criterion_3_coherence_nullity(capsys):
     # spurious coherence of independent blocks scales like (N b_f)^(-1/2),
     # so this check runs at a wide window: N = 338 gives N b_f near 100
     ps = sn.ProductStructure(p1=2, p2=2)
-    plan = quiet_plan(4096, alpha=0.7, kappa=0.21)
+    plan = sn.default_bandwidth_plan(4096, alpha=0.7, kappa=0.21)
     estimates = [
         sequential_path(
             sn.CoherentPairSpec(T=4096, p1=2, p2=2, coupling=None, seed=seed),
@@ -200,7 +192,7 @@ def test_criterion_6_ci_coverage(capsys, law_32):
                              sigma_eps=np.diag([4.0, 1.0]), seed=seed)
 
     pop = sn.measure_population(sn.true_sdo(spec(0)), "tvdfpca", 1)
-    plan = quiet_plan(1024, alpha=0.6, kappa=0.25)
+    plan = sn.default_bandwidth_plan(1024, alpha=0.6, kappa=0.25)
     n_rep = 200
     hits = 0
     for seed in range(n_rep):
@@ -219,7 +211,7 @@ def test_criterion_6_ci_coverage(capsys, law_32):
 
 
 def test_criterion_7_order_selection(capsys, law_32):
-    plan = quiet_plan(4096, kappa=0.21, M=48)
+    plan = sn.default_bandwidth_plan(4096, kappa=0.21, M=48)
     n_rep = 100
     correct = 0
     upper_rejects = 0

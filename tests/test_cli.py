@@ -693,9 +693,59 @@ def test_main_cli_seed_and_threads_validation(tmp_path, capsys):
 
 
 def test_main_rejects_unknown_subcommand(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["transmogrify", "--config", "x"])
-    capsys.readouterr()
+    code, out = run_main(capsys, "transmogrify", "--config", "x")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert (err["stage"], err["type"]) == ("config", "ConfigError")
+    assert "invalid choice: 'transmogrify'" in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["infer", "--config", "x", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["infer", "--seed", "1"], "the following arguments are required: --config"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-flag", "no-config", "no-command"])
+def test_main_argument_errors_are_error_json(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    (line,) = captured.out.splitlines()
+    err = json.loads(line)["error"]
+    assert (err["stage"], err["type"]) == ("config", "ConfigError")
+    assert message in err["message"]
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_main_internal_error_exits_1_with_error_json(tmp_path, capsys, monkeypatch):
+    # an exception outside the error taxonomy is a bug: still an error JSON, at exit 1
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "estimate_sequential_sdo", broken)
+    code = main(["infer", "--config", write_cfg(tmp_path, **INFER_KEYS)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == {
+        "stage": "estimate", "type": "TypeError", "message": "unsupported operand",
+    }
+    assert "Traceback" in captured.err and "in broken" in captured.err
+
+
+def test_plan_notes_are_in_the_report_not_on_stderr(tmp_path, capsys):
+    # the README study config: its plan is outside the asymptotic regime
+    cfg = write_cfg(tmp_path, process="tvfar1", T=1024, ar_coeff=0.5, sigma_eps_diag="4, 1",
+                    alpha=0.6, kappa=0.25, measure="tvdfpca", d=1, level_alpha=0.05)
+    assert main(["infer", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    notes = json.loads(captured.out)["diagnostics"]["plan_warnings"]
+    assert notes == ["M = 4 > N^((2 iota + 1) kappa - 1)"]
 
 
 # ----------------------------------------------------------------- main happy
@@ -770,7 +820,6 @@ def test_infer_report_does_not_depend_on_the_thread_count(tmp_path, capsys, meas
     assert out2.replace('"threads": 2', '"threads": 1') == out1
 
 
-@pytest.mark.filterwarnings("ignore:bandwidth plan outside asymptotic regime")
 @pytest.mark.parametrize("keys", [dict(T=1024, alpha=0.6), dict(T=256)], ids=["T1024", "T256"])
 def test_psd_clip_max_is_the_estimators_in_every_report(tmp_path, capsys, keys):
     # one figure: the largest eigenvalue clipped by the eta = 1 projection of
@@ -820,7 +869,6 @@ def test_lapack_failure_reports_the_first_failing_block(tmp_path, capsys, monkey
     }
 
 
-@pytest.mark.filterwarnings("ignore:bandwidth plan outside asymptotic regime")
 def test_infer_never_holds_the_whole_tensor(tmp_path, capsys, small_law):
     # the estimate is streamed block by block into the measure, never stacked
     keys = dict(process="iid", T=8192, p=16, alpha=0.6, measure="tvdfpca", threads=2,
@@ -923,9 +971,8 @@ def test_main_quantiles_report_and_cache_file(tmp_path, capsys):
     assert all(a <= b for a, b in zip(qs, qs[1:]))
     assert os.path.exists(report["cache_file"])
     assert report["cache_file"] == str(sn.exact_cache_path(3, 2, 500))
-    with pytest.raises(SystemExit):
-        main(["quantiles"])  # --config is required
-    capsys.readouterr()
+    code, out = run_main(capsys, "quantiles")  # --config is required
+    assert code == 2 and "required: --config" in json.loads(out)["error"]["message"]
     bare = write_cfg(tmp_path, name="bare.cfg", T=256)
     code, out = run_main(capsys, "quantiles", "--config", bare)
     assert code == 2 and "f_exp" in json.loads(out)["error"]["message"]

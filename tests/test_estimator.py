@@ -1,7 +1,6 @@
 """Sequential spectral estimator: plans, kernels, and partial-sum identities."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +29,10 @@ def test_default_plan_arithmetic():
 def test_plan_forces_even_window():
     # round(150**0.5) = 12 is already even; round(175**0.5) = 13 drops to 12
     assert sn.default_bandwidth_plan(175).N % 2 == 0
-    with pytest.warns(UserWarning, match="M = 4 > N"):  # T = 100 is outside the regime
-        for t in (100, 313, 4097):
-            assert sn.default_bandwidth_plan(t).N % 2 == 0
+    for t in (100, 313, 4097):
+        assert sn.default_bandwidth_plan(t).N % 2 == 0
+    # T = 100 is outside the regime
+    assert any("M = 4 > N" in msg for msg in sn.default_bandwidth_plan(100).warnings)
 
 
 def test_plan_hard_errors():
@@ -54,12 +54,10 @@ def test_plan_hard_errors():
 
 
 def test_plan_regime_warnings_are_stored():
-    with pytest.warns(UserWarning, match="outside asymptotic regime"):
-        plan = sn.default_bandwidth_plan(4096, kappa=0.21, M=48)
-    assert plan.warnings
+    # stored only: the suite turns any UserWarning into an error
+    plan = sn.default_bandwidth_plan(4096, kappa=0.21, M=48)
     assert any("M = 48" in msg for msg in plan.warnings)
-    with pytest.warns(UserWarning, match=r"> M\^3 = 8"):
-        plan = sn.default_bandwidth_plan(4096, M=2)
+    plan = sn.default_bandwidth_plan(4096, M=2)
     assert plan.warnings == ("N^(1 - kappa) = 12.13 > M^3 = 8",)
 
 
@@ -73,8 +71,8 @@ def test_midpoint_grid_is_symmetric_and_equispaced():
     starts = _window_starts(plan)
     assert starts[0] >= 0 and starts[-1] + plan.N <= plan.T
     # one window is centered
-    with pytest.warns(UserWarning, match="outside asymptotic regime"):
-        single = sn.default_bandwidth_plan(4096, M=1)
+    single = sn.default_bandwidth_plan(4096, M=1)
+    assert single.warnings
     assert np.array_equal(sn.midpoint_grid(single), [0.5])
 
 
@@ -106,14 +104,7 @@ def test_sample_validation():
         sn.TimeSeriesSample(data=np.zeros(5))
     with pytest.raises(sn.DataError, match="T >= 2"):
         sn.TimeSeriesSample(data=np.zeros((1, 2)))
-    with pytest.raises(sn.DataError, match=r"grid_weights must have shape \(2,\)"):
-        sn.TimeSeriesSample(data=np.zeros((4, 2)), grid_weights=np.full(3, 1 / 3))
-    with pytest.raises(sn.DataError, match="sum to 1"):
-        sn.TimeSeriesSample(data=np.zeros((4, 2)), grid_weights=np.array([0.9, 0.9]))
-    with pytest.raises(sn.DataError, match="positive"):
-        sn.TimeSeriesSample(data=np.zeros((4, 2)), grid_weights=np.array([1.0, 0.0]))
     sample = sn.TimeSeriesSample(data=np.zeros((4, 2)))
-    assert np.allclose(sample.grid_weights, 0.5)
     assert (sample.T, sample.p) == (4, 2)
 
 
@@ -134,8 +125,7 @@ def direct_partial_sum(window, k, omega, kernel, b_f):
 
 def test_partial_sum_identity_against_direct_double_sum():
     sample = white_noise(100, 2, seed=3)
-    with pytest.warns(UserWarning, match="M = 4 > N"):
-        plan = sn.default_bandwidth_plan(100)
+    plan = sn.default_bandwidth_plan(100)
     sdo = sn.estimate_sequential_sdo(sample, plan)
     centered = sample.data - sample.data.mean(axis=0)
     starts = _window_starts(plan)
@@ -202,22 +192,6 @@ def test_white_noise_recovers_flat_spectrum():
     sdo = sn.estimate_sequential_sdo(sample, sn.default_bandwidth_plan(4096))
     est = sdo.tensor[:, :, -1].real.mean(axis=(0, 1))
     assert np.allclose(est, sigma / (2 * math.pi), atol=0.12)
-
-
-def test_grid_weights_match_explicit_embedding():
-    rng = np.random.default_rng(7)
-    data = rng.standard_normal((128, 3))
-    weights = np.array([0.5, 0.3, 0.2])
-    with pytest.warns(UserWarning, match="M = 4 > N"):
-        plan = sn.default_bandwidth_plan(128)
-    weighted = sn.estimate_sequential_sdo(
-        sn.TimeSeriesSample(data=data, grid_weights=weights), plan
-    )
-    # same as scaling centered columns by sqrt(p * w) under uniform weights
-    scaled = (data - data.mean(axis=0)) * np.sqrt(3 * weights)
-    scaled = scaled - scaled.mean(axis=0)  # already centered; keeps the pipeline identical
-    plain = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=scaled), plan)
-    assert np.allclose(weighted.tensor, plain.tensor, atol=1e-13)
 
 
 def test_band_and_frequency_cell_defaults():

@@ -1,6 +1,7 @@
 """Deviation measures: shares, coherence, stationarity, and their invariances."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -146,15 +147,15 @@ def test_coherence_rank_deficiency_handling():
         sn.measure_population(
             lambda u, w: mat, "coherence", d=2, ps=sn.ProductStructure(2, 2), m_u=4, k_omega=2
         )
-    # deficiency only at interior fractions: those cells are skipped with a warning
+    # deficiency only at interior fractions: those cells are skipped and counted
     tensor = np.tile(np.eye(4, dtype=complex), (2, 2, 6, 1, 1))
     tensor[:, :, 4] = 0.0
     tensor[:, :, 4, 0, 0] = 1.0
     sdo = sn.SequentialSDO.from_tensor(tensor)
-    with pytest.warns(UserWarning, match="skipped"):
-        pth = sn.coherence_sequential(sdo, 1, sn.ProductStructure(2, 2))
+    pth = sn.coherence_sequential(sdo, 1, sn.ProductStructure(2, 2))
     assert not pth.valid[4]
     assert pth.valid[-1]
+    assert pth.diagnostics["skipped_cells"] == 2 * 2  # the M * K cells at eta = 5/6
 
 
 def test_stationarity_zero_for_time_constant_estimates():
@@ -206,24 +207,36 @@ def test_stationarity_warns_off_full_band():
         sn.stationarity_sequential(sdo, 2)
 
 
-def test_measures_invariant_under_data_scaling():
-    rng = np.random.default_rng(15)
-    data = rng.standard_normal((512, 4))
-    plan = sn.default_bandwidth_plan(512)
-    base = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
-    scaled = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=3.0 * data), plan)
+@functools.lru_cache(maxsize=None)
+def scaled_paths(scale, kernel):
+    """tvdfpca, tvdpsca, coherence and stationarity paths of one iid sample times ``scale``."""
+    sample = sn.simulate(sn.IidSpec(T=1024, sigma=np.eye(4), seed=3))
+    plan = sn.default_bandwidth_plan(1024, alpha=0.6, kernel=kernel)
+    sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=scale * sample.data), plan)
     ps = sn.ProductStructure(2, 2)
-    for make in (
-        lambda s: sn.tvdfpca_sequential(s, 1),
-        lambda s: sn.tvdpsca_sequential(s, 1, ps),
-        lambda s: sn.coherence_sequential(s, 1, ps),
-    ):
-        a, b = make(base), make(scaled)
-        mask = a.valid & b.valid
-        assert np.allclose(a.values[mask], b.values[mask], atol=1e-10)
-    qa = sn.stationarity_sequential(base, 4)
-    qb = sn.stationarity_sequential(scaled, 4)
-    assert np.allclose(qb.values, 9.0 * qa.values, rtol=1e-10)
+    return (sn.tvdfpca_sequential(sdo, 1), sn.tvdpsca_sequential(sdo, 1, ps),
+            sn.coherence_sequential(sdo, 1, ps), sn.stationarity_sequential(sdo, 4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(-60, 60))
+@example(k=60)
+@example(k=-60)
+def test_measures_invariant_under_data_scaling(k):
+    for kernel in (sn.PARZEN, sn.FLAT_TOP):
+        base = scaled_paths(1.0, kernel)
+        # times 2^k is exact in floating point: the ratio paths keep their bits, and the
+        # stationarity path, quadratic in the data, is multiplied by exactly 4^k
+        *ratios, stationarity = scaled_paths(2.0**k, kernel)
+        for a, b in zip(base, ratios):
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.valid, b.valid)
+        assert np.array_equal(stationarity.values, 4.0**k * base[-1].values)
+        # any other factor leaves them to roundoff
+        *ratios, stationarity = scaled_paths(3.0, kernel)
+        for a, b in zip(base, ratios):
+            mask = a.valid & b.valid
+            assert np.allclose(a.values[mask], b.values[mask], atol=1e-10)
+        assert np.allclose(stationarity.values, 9.0 * base[-1].values, rtol=1e-10)
 
 
 @settings(max_examples=12, deadline=None)
