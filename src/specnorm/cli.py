@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -251,12 +252,58 @@ def _require_ps(cfg: RunConfig) -> ProductStructure:
 
 
 def ingest_csv(path: str) -> TimeSeriesSample:
-    """Read a T x p numeric CSV, auto-detecting an optional header row."""
+    """Read a T x p numeric CSV, auto-detecting an optional header row.
+
+    numpy's C reader parses the rows. A file it refuses or that holds a
+    non-finite value is read again with the ``csv`` module and ``float``,
+    which accept the same files and name the first bad cell.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
-            rows = [row for row in csv.reader(fh) if row]
-    except (OSError, UnicodeDecodeError) as exc:
+            values = _loadtxt(fh)
+            if values is None:
+                fh.seek(0)
+                values = _parse_rows(path, [row for row in csv.reader(fh) if row])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over its size limit
         raise DataError(f"cannot read {path}: {exc}") from None
+    if len(values) < 64:
+        raise DataError(f"{path}: need at least 64 rows, got {len(values)}")
+    return TimeSeriesSample(data=values)
+
+
+# float() strips only ASCII whitespace; numpy's reader also strips these four
+# separators, which str.isspace() counts as whitespace.
+_FLOAT_REJECTS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _loadtxt(fh) -> np.ndarray | None:
+    """The finite rows after the header by ``np.loadtxt``, or None if it cannot
+    parse them to the values ``float`` gives, or finds no rows.
+
+    The file is streamed line by line, never held whole: one large buffer
+    would raise glibc's mmap threshold and with it the peak memory of the
+    estimate that follows.
+    """
+    try:
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            if any(c in chunk for c in _FLOAT_REJECTS):
+                return None
+        fh.seek(0)
+        first = next((row for row in csv.reader(fh) if row), None)
+        if first is not None and all(_is_number(c) for c in first):
+            fh.seek(0)
+        line = next((line for line in fh if line.strip("\r\n")), None)
+        if line is None:
+            return None  # no rows, on which loadtxt would warn
+        lines = itertools.chain([line], fh)
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:  # a cell or row it cannot parse, or a UnicodeDecodeError
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_rows(path: str, rows: list[list[str]]) -> np.ndarray:
+    """The rows after the header, each cell by ``float``; DataError names the first bad one."""
     if not rows:
         raise DataError(f"{path}: empty file")
     start = 0 if all(_is_number(c) for c in rows[0]) else 1
@@ -274,9 +321,7 @@ def ingest_csv(path: str) -> TimeSeriesSample:
         raise DataError(
             f"{path}: non-finite value at row {start + i + 1}, column {j + 1}: {data_rows[i][j]!r}"
         )
-    if len(data_rows) < 64:
-        raise DataError(f"{path}: need at least 64 rows, got {len(data_rows)}")
-    return TimeSeriesSample(data=values)
+    return values
 
 
 def _is_number(cell: str) -> bool:

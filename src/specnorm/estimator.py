@@ -43,13 +43,19 @@ class Kernel:
     """Lag-window kernel: even, supported on [-1, 1], w(0) = 1, w - 1 = O(x^iota).
 
     ``kappa_f`` is the squared-kernel mass integral over [-1, 1], the constant
-    in the normalizing sequence rho_T^2 = N * b_f / kappa_f.
+    in the normalizing sequence rho_T^2 = N * b_f / kappa_f. ``psd`` says that
+    the spectral window (the Fourier transform of w) is nonnegative, so the
+    Toeplitz matrix of w(b_f h) e^{i omega h} and every partial-sum slice of
+    the estimate are positive semidefinite up to roundoff: true for Parzen
+    (Priestley, *Spectral Analysis and Time Series*, 1981, section 6.2.3),
+    false for the truncated flat-top window, whose slices can be indefinite.
     """
 
     name: str
     weight: Callable[[np.ndarray], np.ndarray]
     iota: int
     kappa_f: float
+    psd: bool
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray:
         return self.weight(np.asarray(x, dtype=float))
@@ -69,8 +75,10 @@ def _flat_top(x: np.ndarray) -> np.ndarray:
 
 # kappa_f values are the exact integrals of w^2 over [-1, 1]:
 # Parzen 151/280, trapezoidal flat-top 4/3 (verified against quadrature in tests).
-PARZEN = Kernel(name="parzen", weight=_parzen, iota=2, kappa_f=151.0 / 280.0)
-FLAT_TOP = Kernel(name="truncated_flat_top", weight=_flat_top, iota=8, kappa_f=4.0 / 3.0)
+PARZEN = Kernel(name="parzen", weight=_parzen, iota=2, kappa_f=151.0 / 280.0, psd=True)
+FLAT_TOP = Kernel(
+    name="truncated_flat_top", weight=_flat_top, iota=8, kappa_f=4.0 / 3.0, psd=False
+)
 
 _KERNELS = {PARZEN.name: PARZEN, FLAT_TOP.name: FLAT_TOP, "flat_top": FLAT_TOP}
 

@@ -202,12 +202,15 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
     """Band average of the d-th order canonical coherence between two blocks.
 
     The operator dimension splits as p = p1 + p2 (direct sum). Per cell,
-    R_hat_d = sigma_d(F12) / sqrt(lambda_d(F11) lambda_d(F22)) on the
-    PSD-projected slice (only slices with a negative eigenvalue are
-    rebuilt). Cells whose d-th marginal eigenvalue is numerically
-    zero (below 1e-12 of the marginal trace) are undefined: at eta = 1 that
-    is an error, at interior eta the cell is skipped, counted in
-    ``diagnostics["skipped_cells"]``, and the average runs over the remaining cells.
+    R_hat_d = sigma_d(F12) / sqrt(lambda_d(F11) lambda_d(F22)) on a PSD
+    slice. A lag window with a nonnegative spectral window (``kernel.psd``,
+    Parzen) already gives PSD slices, so they are read as estimated; other
+    kernels and estimates without a plan (``from_tensor``) are PSD-projected
+    first, rebuilding only the slices with a negative eigenvalue. Cells
+    whose d-th marginal eigenvalue is numerically zero (below 1e-12 of the
+    marginal trace) are undefined: at eta = 1 that is an error, at interior
+    eta the cell is skipped, counted in ``diagnostics["skipped_cells"]``, and
+    the average runs over the remaining cells.
     """
     p = sdo.p
     if ps.p1 + ps.p2 != p:
@@ -215,9 +218,11 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
     if not 1 <= d <= min(ps.p1, ps.p2):
         raise ValueError(f"d = {d} must lie in [1, min(p1, p2) = {min(ps.p1, ps.p2)}]")
     p1 = ps.p1
+    project = sdo.plan is None or not sdo.plan.kernel.psd
 
     def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
-        f, _ = psd_project_batch(f)
+        if project:
+            f, _ = psd_project_batch(f)
         lam1, lam2, sig = _canonical_parts(f, d, p1)
         tr1 = np.einsum("...ii->...", f[..., :p1, :p1]).real
         tr2 = np.einsum("...ii->...", f[..., p1:, p1:]).real

@@ -1,11 +1,13 @@
 """Command line front end: config parsing, CSV ingestion, reports, exit codes."""
 
+import csv
 import json
 import math
 import os
 import tracemalloc
 import types
 import typing
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -254,6 +256,44 @@ def test_ingest_csv_bad_cells_report_coordinates(tmp_path):
         ingest_csv(str(path))
 
 
+def test_ingest_csv_reads_17_digits_as_float_does(tmp_path):
+    rng = np.random.default_rng(5)
+    data = rng.choice([-1.0, 1.0], (4096, 4)) * 10.0 ** rng.uniform(-323.5, 308.2, (4096, 4))
+    data[:3, 0] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    data[:2, 1] = [0.0, -0.0]
+    path = write_csv(tmp_path, data, header=("a", "b", "c", "d"))
+    with open(path, newline="") as fh:
+        by_float = [[float(c) for c in row] for row in list(csv.reader(fh))[1:]]
+    assert ingest_csv(path).data.tobytes() == np.array(by_float).tobytes() == data.tobytes()
+
+
+def test_ingest_csv_accepts_and_refuses_cells_as_float_does(tmp_path):
+    path = tmp_path / "cells.csv"
+
+    def ingest(row10):
+        rows = ["1,2"] * 70
+        rows[9] = row10
+        path.write_text("\n".join(rows) + "\n")
+        return ingest_csv(str(path)).data
+
+    assert np.array_equal(ingest('"1.5"," 2"')[9], [1.5, 2.0])  # quoted cells are numbers
+    assert np.array_equal(ingest("1_000,2")[9], [1000.0, 2.0])  # as float() reads it
+    for row10, message in [
+        ("1,2#3", "non-numeric cell at row 10, column 2: '2#3'"),  # '#' is no comment
+        ("#1,2", "non-numeric cell at row 10, column 1: '#1'"),
+        ("1,\x1c2", "non-numeric cell at row 10, column 2: '\\x1c2'"),
+        ("1,1E999", "non-finite value at row 10, column 2: '1E999'"),
+        ("1, -Infinity ", "non-finite value at row 10, column 2: ' -Infinity '"),
+    ]:
+        with pytest.raises(DataError) as err:
+            ingest(row10)
+        assert message in str(err.value), (row10, str(err.value))
+    # float() reads a 200,000-digit cell; the csv module refuses it, as a DataError
+    assert np.array_equal(ingest("1," + "0" * 200_000 + "1")[9], [1.0, 1.0])
+    with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
+        ingest("1," + "0" * 200_000 + "1,3")
+
+
 def test_ingest_csv_length_and_existence_checks(tmp_path):
     short = write_csv(tmp_path, np.ones((63, 2)), "short.csv")
     with pytest.raises(DataError, match="at least 64 rows"):
@@ -265,9 +305,12 @@ def test_ingest_csv_length_and_existence_checks(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         ingest_csv(str(tmp_path / "missing.csv"))
     header_only = tmp_path / "header.csv"
-    header_only.write_text("x1,x2\n")
-    with pytest.raises(DataError, match="no data rows"):
-        ingest_csv(str(header_only))
+    for text in ("x1,x2\n", "\nx1,x2\n\n\r\n"):
+        header_only.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" stays silent
+            with pytest.raises(DataError, match="no data rows"):
+                ingest_csv(str(header_only))
 
 
 # ----------------------------------------------------------- build_process_spec

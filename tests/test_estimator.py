@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specnorm as sn
 from specnorm.estimator import _default_k_omega, _window_starts
@@ -87,6 +89,22 @@ def test_kernel_shape_and_squared_mass(kernel):
     grid = np.linspace(-1.0, 1.0, 200_001)
     quad = np.trapezoid(kernel(grid) ** 2, grid)
     assert quad == pytest.approx(kernel.kappa_f, rel=1e-6)
+    # psd says the spectral window sum_h w(b h) cos(omega h) is nonnegative, at any bandwidth
+    omega = np.linspace(0.0, math.pi, 2001)[:, None]
+    for b in (0.25, 64.0**-0.4, 0.037):
+        lags = np.arange(-math.ceil(1 / b), math.ceil(1 / b) + 1)
+        window = (kernel(b * lags) * np.cos(omega * lags)).sum(axis=1)
+        assert (window.min() >= -1e-12 * window.max()) == kernel.psd
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), alpha=st.sampled_from([0.5, 0.6]))
+def test_parzen_partial_sums_are_psd_to_roundoff(seed, p, alpha):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((1024, p)) @ rng.standard_normal((p, p))
+    plan = sn.default_bandwidth_plan(1024, alpha=alpha)
+    vals = np.linalg.eigvalsh(sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan).tensor)
+    assert np.all(vals[..., 0] >= -8 * p * np.finfo(float).eps * vals[..., -1])
 
 
 def test_kernel_lookup_and_alias():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import specnorm as sn
 from conftest import make_path
-from specnorm.hermitian import eig_reconstruct, kron_rearrange
+from specnorm.hermitian import eig_reconstruct, kron_rearrange, psd_project_batch
 
 
 @pytest.fixture(scope="module")
@@ -370,10 +370,16 @@ def kernel_sdo(request):
     plan = sn.default_bandwidth_plan(1024, kernel=kernel)
     sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
     assert sdo.k_omega > 3
-    if request.param == "flat_top":
-        vals = np.linalg.eigvalsh(sdo.tensor)
-        assert vals.min() < -1e-3 * vals.max()
     return sdo
+
+
+def test_only_the_flat_top_kernel_leaves_indefinite_slices(kernel_sdo):
+    vals = np.linalg.eigvalsh(kernel_sdo.tensor)
+    lowest = (vals[..., 0] / vals[..., -1]).min()
+    if kernel_sdo.plan.kernel.psd:
+        assert lowest >= -8 * kernel_sdo.p * np.finfo(float).eps
+    else:
+        assert lowest < -1e-3
 
 
 @pytest.mark.parametrize("kind", list(MEASURES))
@@ -384,9 +390,15 @@ def test_measures_do_not_depend_on_the_thread_count(kernel_sdo, kind):
             assert_same_path(MEASURES[kind](fresh_copy(kernel_sdo, threads), d), one)
 
 
-def whole_tensor_path(sdo, kind, d):
-    """The path of ``kind`` from decompositions of the whole (M, K, N, p, p) tensor."""
+def whole_tensor_path(sdo, kind, d, project=None):
+    """The path of ``kind`` from decompositions of the whole (M, K, N, p, p) tensor.
+
+    Coherence reads every slice PSD-projected when ``project``, by default
+    when the estimate's kernel is not PSD.
+    """
     t, p1 = sdo.tensor, PS.p1
+    if project is None:
+        project = not sdo.plan.kernel.psd
 
     def ratio(num, den):
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -400,7 +412,7 @@ def whole_tensor_path(sdo, kind, d):
         return ratio(num, (np.abs(t) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1)))
     vals, vecs = np.linalg.eigh(t)
     if kind == "coherence":
-        proj = t if vals.min() >= 0 else eig_reconstruct(vecs, np.maximum(vals, 0.0))
+        proj = eig_reconstruct(vecs, np.maximum(vals, 0.0)) if project else t
         lam1 = np.maximum(np.linalg.eigvalsh(proj[..., :p1, :p1])[..., p1 - d], 0.0)
         lam2 = np.maximum(np.linalg.eigvalsh(proj[..., p1:, p1:])[..., -d], 0.0)
         sig = np.linalg.svd(proj[..., :p1, p1:], compute_uv=False)[..., d - 1]
@@ -423,10 +435,34 @@ def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
         for threads in (1, 2):
             got = MEASURES[kind](fresh_copy(kernel_sdo, threads), d).values
             expected = whole_tensor_path(kernel_sdo, kind, d)
-            if kind == "coherence":  # only slices with a negative eigenvalue are rebuilt
+            if kind == "coherence" and not kernel_sdo.plan.kernel.psd:
+                # only slices with a negative eigenvalue are rebuilt
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
             else:
                 assert np.array_equal(got, expected)
+
+
+def test_coherence_without_projection_moves_only_roundoff(kernel_sdo):
+    for d in (1, 2):
+        path = sn.coherence_sequential(fresh_copy(kernel_sdo), d, PS)
+        projected = whole_tensor_path(kernel_sdo, "coherence", d, project=True)
+        gap = np.abs(path.values - projected)[path.valid]
+        assert np.all(gap <= 1e-13 * np.abs(projected[path.valid]))
+
+
+def test_coherence_projects_only_where_the_kernel_is_not_psd(kernel_sdo, monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f.shape)
+        return psd_project_batch(f)
+
+    monkeypatch.setattr("specnorm.measures.psd_project_batch", counted)
+    sn.coherence_sequential(fresh_copy(kernel_sdo), 1, PS)
+    assert len(calls) == (0 if kernel_sdo.plan.kernel.psd else kernel_sdo.k_omega)
+    calls.clear()
+    sn.coherence_sequential(sn.SequentialSDO.from_tensor(kernel_sdo.tensor), 1, PS)
+    assert len(calls) == kernel_sdo.k_omega  # no plan, so no kernel to vouch for the slices
 
 
 def counted_stream(sample, plan, threads):
