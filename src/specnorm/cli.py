@@ -421,8 +421,14 @@ def _estimate(cfg: RunConfig) -> SequentialSDO:
         sdo = estimate_sequential_sdo(
             sample, plan, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega, threads=cfg.threads
         )
-    # the blocks are built inside the measures' block pass, but their errors belong here
-    return replace(sdo, blocks=_stage("estimate")(sdo.blocks))
+    build = sdo.blocks
+
+    def blocks(j: int) -> Iterator[tuple]:
+        # the chunks are built inside the measures' block pass, but their errors belong here
+        with _stage("estimate"):
+            yield from build(j)
+
+    return replace(sdo, blocks=blocks)
 
 
 def _measure_path(cfg: RunConfig, sdo: SequentialSDO, d: int) -> SequentialFunctional:
@@ -551,13 +557,14 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_estimate(cfg: RunConfig) -> dict:
     sdo = _estimate(cfg)
-    (trace,) = sdo.map_blocks(lambda f: (np.einsum("mii->m", f[:, -1]).real,))
+    # the trace of every slice, as a block pass sees chunks of fractions; the report keeps eta = 1
+    (trace,) = sdo.map_blocks(lambda f: (np.einsum("mkii->mk", f).real,))
     return _report(cfg, {
         "shape": {"m": sdo.m, "k_omega": sdo.k_omega, "n_window": sdo.n_window, "p": sdo.p},
         "u_points": sdo.u_points,
         "omega_points": sdo.omega_points,
         "eta_points": sdo.eta_points,
-        "trace_eta1": trace,
+        "trace_eta1": trace[..., -1],
         "diagnostics": _diagnostics(sdo),
     })
 

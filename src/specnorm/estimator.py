@@ -12,10 +12,11 @@ estimate; the self-normalization layer integrates over that grid.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -268,6 +269,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The key of the tensor's collection among the block passes: no caller's key equals it.
+_TENSOR = object()
+
+
 @dataclass(frozen=True)
 class SequentialSDO:
     """Sequential spectral density estimates on the (u, omega, eta) grid.
@@ -275,13 +280,15 @@ class SequentialSDO:
     Frequency block j, (M, N, p, p), holds at ``[i, k-1]`` the Hermitian
     estimate at u_points[i], omega_points[j] and eta = k/N from the first k
     observations of the window; its eta = 1 slices are PSD-projected.
-    ``blocks(j)`` returns block j with the largest eigenvalue that projection
-    clipped, built where it is read: every block pass (:meth:`map_blocks`)
-    builds the blocks it reduces on the estimate's ``threads`` worker threads,
-    and the read-only ``tensor`` (M, K, N, p, p) is collected from them on
-    first read. Results depend on neither the thread count nor whether the
-    tensor was read. A block pass run under a ``key`` is kept read-only and
-    shared by later passes under the same key.
+    ``blocks(j)`` yields block j in eta chunks, each as (k0, the block's rows
+    k0.., the largest eigenvalue the projection clipped in them), built where
+    they are read: every block pass (:meth:`map_blocks`) builds the chunks it
+    reduces on the estimate's ``threads`` worker threads, so it holds about
+    one chunk per thread, never a whole block, and the read-only ``tensor``
+    (M, K, N, p, p) is collected from them on first read. Results depend on
+    neither the thread count, the chunk length, nor whether the tensor was
+    read. A block pass run under a ``key`` is kept read-only and shared by
+    later passes under the same key.
     """
 
     u_points: np.ndarray
@@ -289,7 +296,7 @@ class SequentialSDO:
     eta_points: np.ndarray
     band: tuple[float, float]
     p: int
-    blocks: Callable[[int], tuple[np.ndarray, float]] = field(repr=False)
+    blocks: Callable[[int], Iterable[tuple[int, np.ndarray, float]]] = field(repr=False)
     plan: BandwidthPlan | None = None
     threads: int = 1
     diagnostics: dict = field(default_factory=dict)
@@ -300,24 +307,36 @@ class SequentialSDO:
     ) -> tuple[np.ndarray, ...]:
         """``work`` on every frequency block, its per-cell arrays stacked to (M, K, N, ...).
 
-        ``work`` maps one read-only block to arrays with leading axes (M, N).
-        Blocks run on ``self.threads`` threads, each streamed one built where it
-        is reduced. The pass records ``diagnostics["psd_clip_max"]``, the largest
-        eta = 1 clip. With a ``key``, the first pass is kept and returned again.
-        A LAPACK failure in ``work`` is raised as a NumericalError naming the block.
+        ``work`` maps one read-only chunk of a block, (M, rows, p, p), to arrays
+        with leading axes (M, rows), each slice reduced on its own. Blocks run
+        on ``self.threads`` threads, one block per thread at a time, and each
+        chunk is reduced as soon as it is built and written to its fractions.
+        The pass records ``diagnostics["psd_clip_max"]``, the largest eta = 1
+        clip. With a ``key``, the first pass is kept and returned again. A
+        LAPACK failure in ``work`` is raised as a NumericalError naming the block.
         """
         if key in self._memo:
             return self._memo[key]
+        outs: list[np.ndarray] = []
+        alloc = threading.Lock()
 
-        def run(j: int) -> tuple:
-            block, clip = self.blocks(j)
-            with _lapack_errors(j):
-                return work(_read_only(block)), clip
+        def run(j: int) -> float:
+            clip = 0.0
+            for k0, chunk, chunk_clip in self.blocks(j):
+                with _lapack_errors(j):
+                    parts = work(_read_only(chunk))
+                with alloc:
+                    if not outs:
+                        outs.extend(np.empty((self.m, self.k_omega, self.n_window, *part.shape[2:]),
+                                             part.dtype) for part in parts)
+                for out, part in zip(outs, parts):
+                    out[:, j, k0 : k0 + chunk.shape[1]] = part
+                clip = max(clip, chunk_clip)
+                del chunk, parts  # before the next chunk is built
+            return clip
 
-        runs = map_ordered(run, self.k_omega, self.threads)
-        self.diagnostics["psd_clip_max"] = max(clip for _, clip in runs)
-        parts = zip(*(part for part, _ in runs))
-        result = tuple(_read_only(np.stack(cells, axis=1)) for cells in parts)
+        self.diagnostics["psd_clip_max"] = max(map_ordered(run, self.k_omega, self.threads))
+        result = tuple(_read_only(out) for out in outs)
         if key is not None:
             self._memo[key] = result
         return result
@@ -325,17 +344,8 @@ class SequentialSDO:
     @property
     def tensor(self) -> np.ndarray:
         """The read-only (M, K, N, p, p) tensor; the first read fills it in place from
-        the blocks, on ``self.threads`` threads, and records ``psd_clip_max``."""
-        if "tensor" not in self._memo:
-            tensor = np.empty((self.m, self.k_omega, self.n_window, self.p, self.p), dtype=complex)
-
-            def fill(j: int) -> float:
-                tensor[:, j], clip = self.blocks(j)
-                return clip
-
-            self.diagnostics["psd_clip_max"] = max(map_ordered(fill, self.k_omega, self.threads))
-            self._memo["tensor"] = _read_only(tensor)
-        return self._memo["tensor"]
+        the blocks' chunks, on ``self.threads`` threads, and records ``psd_clip_max``."""
+        return self.map_blocks(lambda f: (f,), key=_TENSOR)[0]
 
     @property
     def m(self) -> int:
@@ -351,7 +361,8 @@ class SequentialSDO:
 
     @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "SequentialSDO":
-        """Wrap an explicit (M, K, N, p, p) tensor on midpoint grids over [0, 1] and [0, pi]."""
+        """Wrap an explicit (M, K, N, p, p) tensor on midpoint grids over [0, 1] and [0, pi];
+        each block is one chunk."""
         tensor = np.asarray(tensor, dtype=complex)
         if tensor.ndim != 5 or tensor.shape[3] != tensor.shape[4]:
             raise ValueError(f"tensor must have shape (M, K, N, p, p), got {tensor.shape}")
@@ -360,9 +371,9 @@ class SequentialSDO:
             u_points=cell_midpoints((0.0, 1.0), m),
             omega_points=cell_midpoints((0.0, math.pi), k), eta_points=np.arange(1, n + 1) / n,
             band=(0.0, math.pi), p=p,
-            blocks=lambda j: (tensor[:, j], 0.0),
+            blocks=lambda j: [(0, tensor[:, j], 0.0)],
         )
-        sdo._memo["tensor"] = _read_only(tensor)
+        sdo._memo[_TENSOR] = (_read_only(tensor),)
         return sdo
 
 
@@ -389,14 +400,23 @@ def _embedded(sample: TimeSeriesSample) -> np.ndarray:
     return sample.data - sample.data.mean(axis=0)
 
 
+# A block is built and reduced in chunks of rows along eta: about this many bytes of
+# partial sums per chunk, and never fewer rows than this, as tiny chunks are slow.
+_CHUNK_BYTES = 3 << 19
+_CHUNK_ROWS = 32
+
+
 class _BlockKernel:
-    """Builds frequency block j of the sequential estimate for all M windows.
+    """Builds frequency block j of the sequential estimate for all M windows, in eta chunks.
 
     With lag coefficients c_h = w(b_f h) e^{i omega h} / (2 pi) and the
     filtered series y_k = sum_{h=1..L} c_h x_{k-h} (zero before the window
     starts), the partial sums F_num(k) = sum_{s,t <= k} c_{s-t} x_s x_t^T
     grow by the rank-2 increment a_k + a_k^H with a_k = x_k (c_0 x_k / 2 + y_k)^T.
-    Forming it as a + a^H keeps every slice Hermitian bit for bit.
+    Forming it as a + a^H keeps every slice Hermitian bit for bit. The chunk of
+    slices k = k0+1..k1 adds the undivided F_num(k0) to its first increment
+    before its cumulative sum, which adds in sequence, so every slice has the
+    bits of a whole-block sum.
     """
 
     def __init__(self, x: np.ndarray, starts: np.ndarray, n: int, coef: np.ndarray) -> None:
@@ -410,28 +430,45 @@ class _BlockKernel:
         self.coef = np.stack([coef[:, :0:-1].real, coef[:, :0:-1].imag], axis=-1)  # (K, L, 2)
         self.half_c0 = coef[0, 0].real / 2.0
         self.ks = np.arange(1, n + 1, dtype=float)[:, None, None]
+        self.rows = max(_CHUNK_ROWS, _CHUNK_BYTES // (16 * len(starts) * x.shape[1] ** 2))
 
-    def __call__(self, j: int) -> tuple[np.ndarray, float]:
-        """Block j and the largest eigenvalue clipped by its eta = 1 PSD projection."""
-        z = self.lagged @ self.coef[j]  # (M, N, p, 2): y_k as (real, imag)
-        z[..., 0] += self.half_c0 * self.windows
-        a = (self.windows[..., :, None, None] * z[..., None, :, :]).view(complex)[..., 0]
-        f = np.empty_like(a)  # the increments F_num(k) - F_num(k-1), k = 1..N
+    def _partial_sums(self, j: int, k0: int, k1: int, carry: np.ndarray | None) -> np.ndarray:
+        """F_num(k) of block j for k = k0+1..k1, from ``carry`` = F_num(k0) (None at k0 = 0)."""
+        z = self.lagged[:, k0:k1] @ self.coef[j]  # (M, rows, p, 2): y_k as (real, imag)
+        windows = self.windows[:, k0:k1]
+        z[..., 0] += self.half_c0 * windows
+        a = (windows[..., :, None, None] * z[..., None, :, :]).view(complex)[..., 0]
+        f = np.empty_like(a)  # the increments F_num(k) - F_num(k-1)
         np.conjugate(a.swapaxes(-1, -2), out=f)
         f += a
-        np.cumsum(f, axis=1, out=f)
-        f /= self.ks
-        # Partial sums are cumulative, so an overflow anywhere reaches eta = 1.
-        bad = ~np.isfinite(f[:, -1]).all(axis=(-2, -1))
-        if bad.any():
-            raise NumericalError(
-                f"non-finite spectral estimate in window {int(np.argmax(bad)) + 1}, frequency "
-                f"cell {j + 1}: the lag products of the data overflow"
-            )
-        # PSD projection of the full-window slices; slices at eta < 1 stay raw.
-        with _lapack_errors(j):
-            f[:, -1], lowest = psd_project_batch(f[:, -1])
-        return f, max(0.0, -float(lowest.min()))
+        if carry is not None:
+            f[:, 0] += carry
+        return np.cumsum(f, axis=1, out=f)
+
+    def __call__(self, j: int) -> Iterator[tuple[int, np.ndarray, float]]:
+        """The chunks of block j in eta order, each as (k0, the block's rows k0..k1-1, the
+        largest eigenvalue clipped by the eta = 1 PSD projection, 0 before the last chunk)."""
+        n = self.ks.shape[0]
+        carry = None
+        for k0 in range(0, n, self.rows):
+            k1 = min(k0 + self.rows, n)
+            f = self._partial_sums(j, k0, k1, carry)
+            carry = f[:, -1].copy()
+            f /= self.ks[k0:k1]
+            # Partial sums are cumulative, so an overflow in a chunk reaches its last row.
+            bad = ~np.isfinite(f[:, -1]).all(axis=(-2, -1))
+            if bad.any():
+                raise NumericalError(
+                    f"non-finite spectral estimate in window {int(np.argmax(bad)) + 1}, frequency "
+                    f"cell {j + 1}: the lag products of the data overflow"
+                )
+            clip = 0.0
+            if k1 == n:  # PSD projection of the full-window slices; slices at eta < 1 stay raw
+                with _lapack_errors(j):
+                    f[:, -1], lowest = psd_project_batch(f[:, -1])
+                clip = max(0.0, -float(lowest.min()))
+            yield k0, f, clip
+            del f  # the reader drops the chunk, so it is gone before the next one is built
 
 
 def estimate_sequential_sdo(
@@ -450,8 +487,9 @@ def estimate_sequential_sdo(
     with the lag window ``plan.kernel``, on the centered window starting at
     offset o = floor(u T) - N/2. Every stored slice is exactly Hermitian; the
     eta = 1 slices are additionally PSD-projected.
-    No block is built here: each block pass builds the blocks it reduces, and
-    ``.tensor`` collects them on first read; the first of these sets ``psd_clip_max``.
+    No block is built here: each block pass builds the blocks it reduces, in eta
+    chunks of about 1.5 MiB and at least 32 rows, and ``.tensor`` collects them
+    on first read; the first of these sets ``psd_clip_max``.
 
     :param band: frequency band [a, b] inside [0, pi].
     :param k_omega: number of midpoint frequency cells; default

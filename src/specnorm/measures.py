@@ -22,7 +22,9 @@ unaffected, perfect coherence reads 1, and the stationarity measure is
 reported per unit band.
 
 Each measure works one frequency block at a time, on the estimate's
-``threads`` worker threads; its path does not depend on the thread count.
+``threads`` worker threads, and reduces each block in eta chunks as they are
+built. Every slice is reduced on its own, so a path depends on neither the
+thread count nor the chunk length.
 """
 
 from __future__ import annotations

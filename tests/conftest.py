@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import specnorm as sn
+from specnorm import estimator
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -50,3 +51,9 @@ def make_path(values, f_exp=3, g_exp=2, valid=None, kind="tvdfpca", d=1):
         kind=kind, d=d, eta=eta, values=values, valid=np.asarray(valid, dtype=bool),
         f_exponent=f_exp, g_exponent=g_exp,
     )
+
+
+def chunk_rows(monkeypatch, rows):
+    """Build every estimate made after this call in eta chunks of ``rows`` rows."""
+    monkeypatch.setattr(estimator, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(estimator, "_CHUNK_BYTES", 0)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import specnorm as sn
+from conftest import chunk_rows
 from specnorm import cli, estimator
 from specnorm.cli import (
     RunConfig,
@@ -609,7 +610,7 @@ def test_main_error_stage_table(tmp_path, capsys, monkeypatch, command, keys, st
 @pytest.mark.parametrize(
     "command, owner, name, stage",
     [("simulate", sn.IidSpec, "_draw", "data"),
-     ("estimate", estimator._BlockKernel, "__call__", "estimate")],
+     ("estimate", estimator._BlockKernel, "_partial_sums", "estimate")],
     ids=["draw", "block"],
 )
 def test_main_memory_error_exits_2(tmp_path, capsys, monkeypatch, command, owner, name, stage):
@@ -884,17 +885,20 @@ def test_psd_clip_max_is_the_estimators_in_every_report(tmp_path, capsys, keys):
 
 
 def test_lapack_failure_reports_the_first_failing_block(tmp_path, capsys, monkeypatch):
-    # The CLI streams its blocks, so a block is told apart by its content:
-    # it equals one frequency block of the collected tensor, bit for bit.
+    # The CLI streams its blocks in chunks of 7 rows, so a chunk is told apart by its
+    # content: it equals rows k0.. of one frequency block of the tensor, bit for bit.
+    chunk_rows(monkeypatch, 7)
     cfg = write_cfg(tmp_path, **{**INFER_KEYS, "p": 4, "measure": "stationarity"})
     with open(cfg) as fh:
         sample = sn.simulate(build_process_spec(parse_config(fh.read())))
     tensor = sn.estimate_sequential_sdo(sample, sn.default_bandwidth_plan(sample.T)).tensor
+    assert tensor.shape[2] > 7
     eigh = np.linalg.eigh
 
     def failing_eigh(a, *args, **kwargs):
-        if np.ndim(a) == 4:  # a frequency block
-            (j,) = [j for j in range(tensor.shape[1]) if np.array_equal(a, tensor[:, j])]
+        if np.ndim(a) == 4:  # a chunk of a frequency block
+            (j,) = [j for j in range(tensor.shape[1]) for k0 in range(0, tensor.shape[2], 7)
+                    if np.array_equal(a, tensor[:, j, k0 : k0 + 7])]
             if j >= 2:
                 raise np.linalg.LinAlgError(f"eigh did not converge in block {j}")
         return eigh(a, *args, **kwargs)
@@ -913,13 +917,13 @@ def test_lapack_failure_reports_the_first_failing_block(tmp_path, capsys, monkey
 
 
 def test_infer_never_holds_the_whole_tensor(tmp_path, capsys, small_law):
-    # the estimate is streamed block by block into the measure, never stacked
-    keys = dict(process="iid", T=8192, p=16, alpha=0.6, measure="tvdfpca", threads=2,
+    # the estimate is streamed in eta chunks into the measure, never a whole block on
+    # any of its threads, let alone the stacked tensor
+    keys = dict(process="iid", T=16384, p=32, alpha=0.6, measure="tvdfpca", threads=2,
                 quantile_r=small_law.replications, quantile_n=small_law.bm_steps)
-    plan = sn.default_bandwidth_plan(8192, alpha=0.6)
-    k_omega = math.ceil(plan.N**plan.kappa)
-    tensor_bytes = plan.M * k_omega * plan.N * 16 * 16 * 16
-    assert tensor_bytes >= 20e6
+    plan = sn.default_bandwidth_plan(16384, alpha=0.6)
+    block_bytes = plan.M * plan.N * 32 * 32 * 16
+    assert block_bytes >= 30e6
     cfg = write_cfg(tmp_path, **keys)
     tracemalloc.start()
     try:
@@ -928,7 +932,7 @@ def test_infer_never_holds_the_whole_tensor(tmp_path, capsys, small_law):
     finally:
         tracemalloc.stop()
     assert code == 0, out
-    assert peak < tensor_bytes
+    assert peak < block_bytes
 
 
 @pytest.mark.parametrize(
@@ -943,17 +947,22 @@ def test_infer_never_holds_the_whole_tensor(tmp_path, capsys, small_law):
 )
 def test_every_block_is_built_once_per_report(tmp_path, capsys, monkeypatch, command, keys):
     built = []
-    build = estimator._BlockKernel.__call__
+    build = estimator._BlockKernel._partial_sums
 
-    def counted(self, j):
-        built.append(j)
-        return build(self, j)
+    def counted(self, j, k0, k1, carry):
+        built.append((j, k0))
+        return build(self, j, k0, k1, carry)
 
-    monkeypatch.setattr(estimator._BlockKernel, "__call__", counted)
+    monkeypatch.setattr(estimator._BlockKernel, "_partial_sums", counted)
+    chunk_rows(monkeypatch, 7)
     cfg = write_cfg(tmp_path, **{**INFER_KEYS, "p": 4, "threads": 2, **keys})
     code, out = run_main(capsys, command, "--config", cfg)
     assert code == 0, out
-    assert sorted(built) == list(range(json.loads(out)["diagnostics"]["k_omega"]))
+    diagnostics = json.loads(out)["diagnostics"]
+    chunks = [(j, k0) for j in range(diagnostics["k_omega"])
+              for k0 in range(0, diagnostics["N"], 7)]
+    assert len(chunks) > 2 * diagnostics["k_omega"]
+    assert sorted(built) == chunks
 
 
 def test_cli_namespace_holds_the_library_functions_the_bench_harness_calls():

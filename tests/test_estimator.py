@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
+from conftest import chunk_rows
 from specnorm.estimator import _default_k_omega, _window_starts
 
 
@@ -202,6 +203,36 @@ def test_recursion_matches_the_lag_cumsum_formula(kernel):
     oracle = lag_cumsum_estimate(sample, plan, kernel)
     assert np.max(np.abs(tensor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert np.array_equal(tensor, np.conj(np.swapaxes(tensor, -1, -2)))
+
+
+@pytest.mark.parametrize(
+    "T, p, alpha, rows", [(16384, 16, 0.6, 64), (1024, 64, 0.5, 32), (1024, 4, 0.5, 1536)]
+)
+def test_chunks_hold_about_one_and_a_half_mebibytes_and_at_least_32_rows(T, p, alpha, rows):
+    plan = sn.default_bandwidth_plan(T, alpha=alpha)
+    sdo = sn.estimate_sequential_sdo(white_noise(T, p), plan)
+    assert sdo.blocks.rows == rows
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_an_overflowing_chunk_is_refused_before_a_block_pass_reads_it(monkeypatch):
+    chunk_rows(monkeypatch, 7)
+    plan = sn.default_bandwidth_plan(1024)
+    data = np.random.default_rng(5).standard_normal((1024, 2))
+    # row 10 of the last window, in the second chunk of every block: its square overflows
+    data[-plan.N + 9, 0] = 1e155
+    sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
+    finite = []
+
+    def work(f):
+        finite.append(bool(np.isfinite(f).all()))
+        return (f.real,)
+
+    message = f"non-finite spectral estimate in window {plan.M}, frequency cell 1: "
+    with pytest.raises(sn.NumericalError, match=message):
+        sdo.map_blocks(work)
+    assert finite == [True]  # the first chunk of block 1, and no later one
 
 
 def test_white_noise_recovers_flat_spectrum():

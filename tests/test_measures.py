@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specnorm as sn
-from conftest import make_path
+from conftest import chunk_rows, make_path
 from specnorm.hermitian import eig_reconstruct, kron_rearrange, psd_project_batch
 
 
@@ -352,6 +353,19 @@ def test_cached_spectra_and_tensor_are_read_only():
     assert sdo.diagnostics == {"psd_clip_max": 0.0}
 
 
+def test_a_pass_kept_as_tensor_and_the_tensor_are_kept_apart(iid_sdo):
+    # the collected tensor is no block pass: no key a caller passes reaches it
+    sdo = fresh_copy(iid_sdo)
+    kept = sdo.map_blocks(lambda f: (f.real,), key="tensor")
+    assert isinstance(kept, tuple) and isinstance(sdo.tensor, np.ndarray)
+    assert sdo.map_blocks(lambda f: (f,), key="tensor") is kept
+    read_first = fresh_copy(iid_sdo)
+    tensor = read_first.tensor
+    again = read_first.map_blocks(lambda f: (f.real,), key="tensor")
+    assert isinstance(again, tuple) and np.array_equal(again[0], tensor.real)
+    assert read_first.tensor is tensor
+
+
 PS = sn.ProductStructure(2, 2)
 MEASURES = {
     "tvdfpca": sn.tvdfpca_sequential,
@@ -463,6 +477,64 @@ def test_coherence_projects_only_where_the_kernel_is_not_psd(kernel_sdo, monkeyp
     calls.clear()
     sn.coherence_sequential(sn.SequentialSDO.from_tensor(kernel_sdo.tensor), 1, PS)
     assert len(calls) == kernel_sdo.k_omega  # no plan, so no kernel to vouch for the slices
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel", ["parzen", "flat_top"])
+def test_chunk_length_changes_no_bit(monkeypatch, kernel, threads):
+    # each chunk carries the undivided partial sum of the chunk before it into
+    # its cumulative sum, so any chunk length gives the one-chunk estimate's bits
+    rng = np.random.default_rng(18)
+    sample = sn.TimeSeriesSample(data=rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4)))
+    plan = sn.default_bandwidth_plan(1024, kernel=sn.kernel_by_name(kernel))
+    orders = {"tvdfpca": (1, 2, 4), "tvdpsca": (1, 2), "coherence": (1, 2), "stationarity": (1, 2)}
+
+    def run(rows):
+        """The tensor, every path, both diagnostics and the chunk lengths at ``rows``."""
+        chunk_rows(monkeypatch, rows)
+        lengths = []
+        sdo = sn.estimate_sequential_sdo(sample, plan, threads=threads)
+        build = sdo.blocks
+
+        def blocks(j):
+            for chunk in build(j):
+                lengths.append(chunk[1].shape[1])
+                yield chunk
+
+        sdo = dataclasses.replace(sdo, blocks=blocks)
+        paths = {(kind, d): MEASURES[kind](sdo, d) for kind, ds in orders.items() for d in ds}
+        collected = fresh_copy(sdo, threads)
+        return collected.tensor, paths, collected.diagnostics, sdo.diagnostics, set(lengths)
+
+    tensor, paths, diagnostics, pass_diagnostics, lengths = run(plan.N)
+    assert lengths == {plan.N} and pass_diagnostics == diagnostics
+    assert (diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
+    for rows, expected in ((1, {1}), (7, {7, plan.N % 7}), (plan.N + 5, {plan.N})):
+        got = run(rows)
+        assert got[4] == expected
+        assert got[0].tobytes() == tensor.tobytes()
+        assert got[2] == got[3] == diagnostics
+        for key, path in paths.items():
+            assert_same_path(got[1][key], path)
+
+
+def test_threads_sharing_a_pass_lose_no_chunk(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows: the
+    # outputs are allocated once and every one-row chunk lands in its place
+    chunk_rows(monkeypatch, 1)
+    rng = np.random.default_rng(19)
+    sample = sn.TimeSeriesSample(data=rng.standard_normal((1024, 3)))
+    plan = sn.default_bandwidth_plan(1024)
+    one = sn.estimate_sequential_sdo(sample, plan, k_omega=16).tensor
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            many = sn.estimate_sequential_sdo(sample, plan, k_omega=16, threads=8)
+            real, imag = many.map_blocks(lambda f: (f.real, f.imag))
+            assert real.tobytes() == one.real.tobytes() and imag.tobytes() == one.imag.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def counted_stream(sample, plan, threads):
