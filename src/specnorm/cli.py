@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -646,6 +647,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="specnorm",

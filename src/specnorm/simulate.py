@@ -24,7 +24,7 @@ a pair's coupling are held at their u = 0 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Union
 
 import numpy as np
@@ -153,10 +153,17 @@ class TvFar1Spec:
 
     def _draw(self, rng: np.random.Generator, total: int) -> np.ndarray:
         eps = rng.standard_normal((total, self.p)) @ _as_psd_factor(self.sigma_eps, "sigma_eps").T
+        x = np.empty((total, self.p))
+        if not callable(self.a) and np.array_equal(self.a, np.diag(np.diagonal(self.a))):
+            # every off-diagonal product of a @ prev is an exact zero, so each coordinate's
+            # scalar recursion s = c s + e in Python floats has the matrix loop's bits
+            for i, c in enumerate(np.diagonal(self.a).tolist()):
+                x[:, i] = np.fromiter(accumulate(eps[:, i].tolist(), lambda s, e, c=c: c * s + e),
+                                      float, count=total)
+            return x
         # a constant A costs no per-row time or call
         coeffs = (map(self.a_at, _row_times(self.T, self.burn_in)) if callable(self.a)
                   else repeat(self.a, total))
-        x = np.empty((total, self.p))
         prev = np.zeros(self.p)
         for j, a in enumerate(coeffs):
             prev = a @ prev + eps[j]

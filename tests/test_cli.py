@@ -12,6 +12,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specnorm as sn
 from conftest import chunk_rows
@@ -766,6 +768,30 @@ def test_main_help_exits_0(capsys):
     assert "--config" in capsys.readouterr().out
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    quantiles = write_cfg(tmp_path, "q.cfg", measure="tvdfpca", quantile_n=500)
+    infer = write_cfg(tmp_path, "i.cfg", **INFER_KEYS)
+    bad_flag = ["infer", "--config", infer, "--seed", "abc"]
+    calls = [bad_flag, ["transmogrify", "--config", infer], ["infer", "--help"],
+             ["quantiles", "--config", quantiles], ["infer", "--config", infer], bad_flag]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    parser = cli._build_parser()
+    shared = [call(argv) for argv in calls]
+    assert cli._build_parser() is parser
+    for argv, got in zip(calls, shared):
+        cli._build_parser.cache_clear()
+        assert got == call(argv), argv
+    assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 2]
+
+
 def test_main_internal_error_exits_1_with_error_json(tmp_path, capsys, monkeypatch):
     # an exception outside the error taxonomy is a bug: still an error JSON, at exit 1
     def broken(*args, **kwargs):
@@ -1075,3 +1101,67 @@ def test_main_select_d_separates_strong_directions(tmp_path, capsys):
     stats = report["stats"]
     assert [st["d"] for st in stats] == list(range(1, len(stats) + 1))
     assert all(st["v"] >= 0 for st in stats)
+
+
+# ---------------------------------------------------------------- config fuzzer
+
+
+@st.composite
+def simulated_infer_configs(draw):
+    """A valid simulated ``infer`` config: each process, a measure whose p1/p2 fit its p."""
+    measure = draw(st.sampled_from(cli._MEASURES))
+    process = draw(st.sampled_from(cli._PROCESSES))
+    kernel = draw(st.sampled_from(["parzen", "flat_top"]))
+    lo = 1.0 / (2 * estimator.kernel_by_name(kernel).iota + 1)
+    keys = dict(
+        process=process, T=draw(st.integers(64, 1024)), measure=measure, kernel=kernel,
+        alpha=draw(st.floats(0.4, 0.6)),
+        kappa=draw(st.floats(lo, 1.0, exclude_min=True, exclude_max=True)),
+        quantile_n=500, seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    dims = st.integers(1, 3)
+    scales = lambda n: ", ".join(map(repr, draw(st.lists(st.floats(0.25, 4.0), min_size=n,
+                                                         max_size=n))))
+    if process in ("iid", "tvfar1"):
+        p = keys["p"] = draw(st.integers(2 if measure == "coherence" else 1, 4))
+        if process == "tvfar1":
+            keys.update(ar_coeff=draw(st.floats(-0.95, 0.95)), sigma_eps_diag=scales(p))
+        else:
+            keys.update(sigma_diag=scales(p))
+    elif process == "separable":
+        a, b = draw(st.integers(2 if measure == "coherence" else 1, 3)), draw(dims)
+        keys.update(sigma_x_diag=scales(a), sigma_y_diag=scales(b))
+        p = a * b
+    else:  # coherent_pair: its block sizes are the measure's p1/p2
+        a, b = (2, 2) if measure == "tvdpsca" else (draw(dims), draw(dims))
+        keys.update(p1=a, p2=b)
+        if a == b:
+            keys["coupling"] = draw(st.sampled_from([0.0, 1.0, -1.0]))
+        p = a + b
+    if measure == "tvdpsca" and process != "coherent_pair":
+        p1 = draw(st.sampled_from([k for k in range(1, p + 1) if p % k == 0]))
+        keys.update(p1=p1, p2=p // p1)
+    elif measure == "coherence" and process != "coherent_pair":
+        p1 = draw(st.integers(1, p - 1))
+        keys.update(p1=p1, p2=p - p1)
+    return keys
+
+
+def test_config_fuzzer_exits_are_classified_and_reports_finite(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(tmp_path))
+    codes = []
+
+    @settings(max_examples=250, deadline=None)
+    @given(keys=simulated_infer_configs())
+    def run(keys):
+        code = main(["infer", "--config", write_cfg(tmp_path, **keys)])
+        report = json.loads(capsys.readouterr().out)
+        codes.append(code)
+        assert code in (0, 2, 3, 4), report
+        if code == 0:
+            values = (report["estimate"], report["V"], report["ci"]["lo"], report["ci"]["hi"])
+            assert all(isinstance(x, float) and math.isfinite(x) for x in values), report
+
+    run()
+    # aimed at valid configs, so most runs must reach a report (an exit 2 is a p > N or M N > T)
+    assert codes.count(0) >= 0.8 * len(codes), f"exit 0 in {codes.count(0)} of {len(codes)}"

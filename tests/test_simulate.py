@@ -5,6 +5,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specnorm as sn
 
@@ -34,6 +36,40 @@ def test_ar_burn_in_reaches_stationarity_from_the_first_row():
     assert lag1 == pytest.approx(0.9, abs=0.03)
     head_var = np.var(x[:512])
     assert head_var == pytest.approx(1.0 / (1.0 - 0.81), rel=0.35)
+
+
+def reference_ar_draw(spec):
+    """The matrix recursion prev = A(u_j) prev + eps_j, one row at a time."""
+    total = spec.burn_in + spec.T
+    eps = np.random.default_rng(spec.seed).standard_normal((total, spec.p))
+    eps = eps @ np.linalg.cholesky(spec.sigma_eps).T
+    x = np.empty((total, spec.p))
+    prev = np.zeros(spec.p)
+    for j in range(total):
+        u = min(max((j - spec.burn_in + 1) / spec.T, 0.0), 1.0)
+        prev = spec.a_at(u) @ prev + eps[j]
+        x[j] = prev
+    return x[spec.burn_in:]
+
+
+# entries of a diagonal A inside the stability bound, signed zeros and repeats included
+AR_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.95, -0.95]),
+                       st.floats(-0.95, 0.95))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(2, 600), data=st.data())
+def test_ar_sampler_matches_the_matrix_recursion_bitwise(seed, T, data):
+    p = data.draw(st.integers(1, 6), label="p")
+    diag = np.array(data.draw(st.lists(AR_ENTRIES, min_size=p, max_size=p), label="diag"))
+    rng = np.random.default_rng(seed)
+    sigma = np.diag(rng.uniform(0.5, 2.0, p))
+    dense = rng.standard_normal((p, p))
+    dense *= 0.9 / np.linalg.norm(dense, 2)
+    for a in (np.diag(diag), dense, lambda u: (0.5 + 0.5 * u) * np.diag(diag)):
+        spec = sn.TvFar1Spec(T=T, a=a, sigma_eps=sigma, seed=seed)
+        got = sn.simulate(spec).data
+        assert np.array_equal(got.view(np.int64), reference_ar_draw(spec).view(np.int64))
 
 
 def test_common_validation_errors():
