@@ -24,9 +24,12 @@ quadratic form, which :func:`exact_quantiles` inverts without simulation.
 The Monte Carlo engine draws the paths for both pivots with one chunk kernel,
 so a one-pair joint law is the square of the scalar sample; it is chunked with
 a fixed chunk size and per-chunk generators, making results independent of
-the thread count. Scalar tables of either engine are cached on disk in a
-plain text format under a key that names the engine; lookups interpolate the
-table, so runs with a warm or cold cache produce identical bytes.
+the thread count. Each chunk is drawn and reduced in row blocks of about
+4 MiB of paths; a row's noise and arithmetic do not depend on the block, so
+the bits do not depend on the block size either. Scalar tables of either
+engine are cached on disk in a plain text format under a key that names the
+engine; lookups interpolate the table, so runs with a warm or cold cache
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ ALPHA_GRID = np.arange(1, 1000) / 1000.0
 DEFAULT_QUANTILE_SEED = 1_000_003
 
 _CHUNK = 2048  # replications per Monte Carlo chunk, fixed for determinism
+_BLOCK_BYTES = 1 << 22  # Brownian paths a chunk draws and reduces at a time
 
 _Pairs = tuple[tuple[int, int], ...]
 
@@ -152,24 +156,28 @@ def _chunk(
 
     Each replication drives one Brownian motion per pair. A joint draw is the
     quadratic form B(1)' U^{-1} B(1); a scalar draw is B(1) / sqrt(U) and also
-    enters with its sign flipped.
+    enters with its sign flipped. The paths are drawn and reduced in row
+    blocks of about ``_BLOCK_BYTES``; a row's noise and arithmetic do not
+    depend on the block it falls in, so neither do the draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, index]))
     eta = np.arange(1, bm_steps + 1) / bm_steps
     fmat = np.stack([eta**f for f, _ in pairs])
     gmat = np.stack([eta**g for _, g in pairs])
     scale = 1.0 / math.sqrt(bm_steps)
+    rows = max(1, _BLOCK_BYTES // (8 * len(pairs) * bm_steps))
+    paths = np.empty((min(rows, size), len(pairs), bm_steps))
+    term = np.empty_like(paths)  # f B(1)
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
-        # paths and g B - f B(1) are formed in place, the f B(1) term in row
-        # blocks: a chunk holds one path array
-        dev = rng.standard_normal((m, len(pairs), bm_steps))
+        # the next m paths and g B - f B(1), formed in place in the buffers
+        dev = paths[:m]
+        rng.standard_normal(out=dev)
         np.cumsum(dev, axis=2, out=dev)
         dev *= scale
         b1 = dev[:, :, -1].copy()
         dev *= gmat
-        for rows in range(0, m, 256):
-            dev[rows : rows + 256] -= b1[rows : rows + 256, :, None] * fmat
+        dev -= np.multiply(b1[:, :, None], fmat, out=term[:m])
         if not joint:
             den = np.square(dev, out=dev)[:, 0].mean(axis=1)
             ok = (den > 0) & np.isfinite(den)
@@ -181,7 +189,10 @@ def _chunk(
         val = (b1[:, None, :] @ x)[:, 0, 0]
         return val, ok & np.isfinite(val) & (val >= 0)
 
-    out, ok = draw(size)
+    out, ok = np.empty(size), np.empty(size, dtype=bool)
+    for start in range(0, size, len(paths)):
+        stop = min(start + len(paths), size)
+        out[start:stop], ok[start:stop] = draw(stop - start)
     for i in np.flatnonzero(~ok):  # probability-zero degenerate draws, replaced in index order
         while not ok[i]:
             (out[i],), (ok[i],) = draw(1)
@@ -445,16 +456,23 @@ def _exact_table(
     corner = 1.0 + eps * np.sum(eta[:-1] ** (2 * f)) - (column * column / pivots).sum(axis=0)
     phi_c = np.exp(-0.5 * (np.log(pivots).sum(axis=0) + np.log(corner)))
     c = 2j * np.exp(s) / (n * corner)
+    p = 2.0 * ALPHA_GRID[ALPHA_GRID > 0.5] - 1.0  # P(|T| <= q(alpha)) for alpha above 1/2
+    grid = _X_MAX * (np.arange(points + 1) / points) ** 2
+    # three arrays, not one stacked one: glibc raises its mmap threshold to
+    # the largest block freed, and one 3.3 MB block lifted the peak RSS of a
+    # later run of warm reports by 3.4 MB
+    buffers = [np.empty((max(points, len(p)), len(s)), dtype=complex) for _ in range(3)]
 
     def cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """P(|T| sqrt(tau) <= x) and its derivative, by the trapezoid rule in s."""
-        w = 1.0 - c / (x * x)[:, None]  # Im w < 0: the principal root is the continuous one
-        phi = phi_c / np.sqrt(w)
-        dphi = phi * c / (w * (x**3)[:, None])  # -d phi / dx
+        w, phi, dphi = (b[: len(x)] for b in buffers)
+        # Im w < 0: the principal root is the continuous one
+        np.subtract(1.0, np.divide(c, (x * x)[:, None], out=w), out=w)
+        np.divide(phi_c, np.sqrt(w, out=phi), out=phi)
+        np.multiply(phi, c, out=dphi)
+        dphi /= np.multiply(w, (x**3)[:, None], out=w)  # -d phi / dx
         return 0.5 - step / math.pi * phi.imag.sum(axis=1), step / math.pi * dphi.imag.sum(axis=1)
 
-    p = 2.0 * ALPHA_GRID[ALPHA_GRID > 0.5] - 1.0  # P(|T| <= q(alpha)) for alpha above 1/2
-    grid = _X_MAX * (np.arange(points + 1) / points) ** 2
     # the quadrature's rounding near 1 is clipped so that the grid CDF is monotone
     cum = np.maximum.accumulate(np.concatenate([[0.0], cdf(grid[1:])[0]]))
     if not cum[-1] > p[-1]:

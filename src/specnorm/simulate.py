@@ -137,6 +137,10 @@ class TvFar1Spec:
             a = self.a_at(float(u))
             if a.shape != (self.p, self.p):
                 raise ConfigError(f"a at u = {u:g} has shape {a.shape}, expected {(self.p,) * 2}")
+            # before the norm, whose SVD fails on a NaN and reads an infinity
+            # as a NaN norm that passes the stability bound
+            if not np.isfinite(a).all():
+                raise ConfigError(f"a at u = {u:g} must be finite")
             worst = max(worst, float(np.linalg.norm(a, 2)))
         if worst > _MAX_AR_NORM:
             raise ConfigError("autoregressive family is too close to instability: "

@@ -194,6 +194,44 @@ def test_degenerate_joint_draws_are_redrawn_in_index_order(monkeypatch):
     assert np.array_equal(redrawn, expected)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_row_block_size_changes_no_bit(monkeypatch, threads):
+    # each row's noise comes from the chunk's one stream in row order and its
+    # arithmetic is row by row, so blocks of a few rows (2048 and the last
+    # chunk's 1808 rows leave a remainder) or of a whole chunk give the
+    # default block's tables
+    from specnorm import inference
+
+    def tables():
+        scalar = sn.mc_quantiles(2, 1, replications=10_000, bm_steps=500, threads=threads,
+                                 use_cache=False)
+        joint = sn.mc_quantiles_joint([(3, 2), (2, 1)], replications=10_000, bm_steps=500,
+                                      threads=threads)
+        return scalar.quantiles, joint.quantiles
+
+    expected = tables()
+    for block_bytes in (3 * 2 * 8 * 500, 2 * 8 * 500 * inference._CHUNK):
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", block_bytes)
+        for got, want in zip(tables(), expected):
+            assert np.array_equal(got, want), block_bytes
+
+
+def test_monte_carlo_memory_is_bounded_by_the_row_block():
+    # a 2048-path chunk at 4000 steps is 65.5 MB drawn whole; drawn in row
+    # blocks, the engine holds its two block buffers and little else
+    import tracemalloc
+
+    from specnorm import inference
+
+    tracemalloc.start()
+    try:
+        sn.mc_quantiles(2, 1, replications=10_000, bm_steps=4000, threads=1, use_cache=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * inference._BLOCK_BYTES
+
+
 def test_exact_table_has_no_monte_carlo_error():
     law = sn.exact_quantiles(3, 2, bm_steps=500, use_cache=False)
     assert (law.pairs, law.joint, law.replications, law.bm_steps, law.seed) == (
@@ -209,6 +247,20 @@ def test_exact_table_has_no_monte_carlo_error():
     # no seed and no thread count enter the exact engine
     assert not {"replications", "seed", "threads"} & set(
         inspect.signature(sn.exact_quantiles).parameters)
+
+
+@pytest.mark.parametrize("pair, n, pinned", [
+    ((3, 2), 500, {600: "0x1.ce2040eba4ccep+0", 950: "0x1.d60590448804ap+3",
+                   975: "0x1.2c3e92ea082fdp+4", 999: "0x1.2dbd0801bc937p+5"}),
+    ((2, 1), 1000, {600: "0x1.3dd20f4e566b7p+0", 950: "0x1.408143898888dp+3",
+                    975: "0x1.989208cb2ecacp+3", 999: "0x1.980fa50f2e614p+4"}),
+])
+def test_exact_table_keeps_its_bits(pair, n, pinned):
+    # a cached exact table is served as long as its key matches, so a change
+    # in the engine's numerics must show here rather than as a disagreement
+    # between a warm cache and a fresh build; keys are alpha in thousandths
+    q = sn.exact_quantiles(*pair, bm_steps=n, use_cache=False).quantiles
+    assert {k: q[k - 1].hex() for k in pinned} == pinned
 
 
 @pytest.mark.parametrize("pair", [(3, 2), (4, 3), (2, 1), (2, 2)])

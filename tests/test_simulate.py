@@ -110,6 +110,17 @@ def test_ar_stability_guard_runs_before_sampling():
         sn.TvFar1Spec(T=128, a=lambda u: 0.5 * np.eye(3), sigma_eps=np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_ar_coefficient_is_a_config_error(bad):
+    # checked before the norm: a NaN fails its SVD, an infinity gives a NaN norm
+    # that passes the stability bound
+    with pytest.raises(sn.ConfigError, match=r"a at u = 0 must be finite"):
+        sn.TvFar1Spec(T=128, a=np.array([[bad]]), sigma_eps=np.eye(1))
+    with pytest.raises(sn.ConfigError, match=r"a at u = 0\.5 must be finite"):
+        sn.TvFar1Spec(T=128, a=lambda u: np.array([[bad if u == 0.5 else 0.5]]),
+                      sigma_eps=np.eye(1))
+
+
 def test_coherent_pair_coupling_validation():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     spec = sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=rot, seed=3)
