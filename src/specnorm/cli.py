@@ -6,7 +6,8 @@ writes machine-readable JSON reports. Configuration is a line-oriented
 rejected. Each float in a report is written as the shortest text that reads
 back as the same double, and each number in ``simulate`` CSV with 17
 significant digits, so a fixed config and seed produce byte-identical output
-and both round trip exactly.
+and both round trip exactly. A CSV is parsed once per content: its sample is
+cached beside the pivot tables under the SHA-256 of the file's bytes.
 
 Subcommands: ``simulate`` (emit CSV), ``estimate`` (spectral tensor summary),
 ``measure`` (one deviation-measure path), ``infer`` (full inference report),
@@ -27,10 +28,13 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import traceback
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -52,10 +56,12 @@ from .inference import (
     DEFAULT_QUANTILE_SEED,
     OrderSelection,
     PivotLaw,
+    _cache_root,
     _check_delta,
     _check_mc,
     _check_nu,
     _checked_pairs,
+    _replaced_atomically,
     confidence_interval,
     estimate_dstar,
     exact_cache_path,
@@ -252,13 +258,97 @@ def _require_ps(cfg: RunConfig) -> ProductStructure:
     return ProductStructure(p1=p1, p2=p2)
 
 
+# Names what a CSV parses to: a change to the parser's semantics must bump it.
+_SAMPLE_TAG = "sample_v1"
+
+
 def ingest_csv(path: str) -> TimeSeriesSample:
     """Read a T x p numeric CSV, auto-detecting an optional header row.
 
     numpy's C reader parses the rows. A file it refuses or that holds a
     non-finite value is read again with the ``csv`` module and ``float``,
     which accept the same files and name the first bad cell.
+
+    The parsed sample is kept beside the pivot tables as
+    ``sample_v1_<sha256 of the file's bytes>.npy`` and served whenever a file
+    with the same bytes is read again; the file is hashed on every call. An
+    entry is written only for a sample that passed every check, from a file
+    whose size and modification time did not change while it was hashed and
+    parsed. An unusable entry gives a warning and the file is parsed again;
+    a failed write gives a warning and changes nothing else.
     """
+    key = _content_key(path)
+    if key is None:  # not a readable regular file: the parser says why
+        return TimeSeriesSample(data=_parse_csv(path))
+    digest, seen = key
+    entry = _cache_root(None) / f"{_SAMPLE_TAG}_{digest}.npy"
+    if (values := _cached_sample(entry, path)) is not None:
+        return TimeSeriesSample(data=values)
+    sample = TimeSeriesSample(data=_parse_csv(path))
+    if _size_and_mtime(path) == seen:
+        try:
+            with _replaced_atomically(entry, "wb") as fh:
+                np.save(fh, sample.data, allow_pickle=False)
+        except OSError as exc:
+            warnings.warn(f"could not write sample cache {entry}: {exc}", stacklevel=2)
+    return sample
+
+
+def _size_and_mtime(path: str) -> tuple[int, int] | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_size, st.st_mtime_ns
+
+
+def _content_key(path: str) -> tuple[str, tuple[int, int]] | None:
+    """The SHA-256 of a regular file's bytes and its (size, mtime) before they
+    were read, or None if it cannot be read, which the parser then reports.
+
+    The bytes go through one 1 MiB buffer, never the whole file at once.
+    """
+    import hashlib  # here, not at the top: it loads OpenSSL, 3.4 MB of RSS no other command needs
+
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 20)
+    try:
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                return None
+            while n := fh.readinto(buffer):
+                digest.update(memoryview(buffer)[:n])
+    except OSError:
+        return None
+    return digest.hexdigest(), (st.st_size, st.st_mtime_ns)
+
+
+def _cached_sample(entry: Path, path: str) -> np.ndarray | None:
+    """The array kept at ``entry``, if it is a finite T x p float64 sample of at
+    least 64 rows; anything else is reported as a warning and not served."""
+    if not entry.is_file():
+        return None
+    try:
+        with open(entry, "rb") as fh:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        values = None
+    if (
+        values is not None
+        and values.dtype == np.float64
+        and values.ndim == 2
+        and values.shape[0] >= 64
+        and values.shape[1] >= 1
+        and np.isfinite(values).all()
+    ):
+        return values
+    warnings.warn(f"unreadable sample cache at {entry}; parsing {path} again", stacklevel=3)
+    return None
+
+
+def _parse_csv(path: str) -> np.ndarray:
+    """The checked T x p values of a CSV file, by the C reader or cell by cell."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             values = _loadtxt(fh)
@@ -269,7 +359,7 @@ def ingest_csv(path: str) -> TimeSeriesSample:
         raise DataError(f"cannot read {path}: {exc}") from None
     if len(values) < 64:
         raise DataError(f"{path}: need at least 64 rows, got {len(values)}")
-    return TimeSeriesSample(data=values)
+    return values
 
 
 # float() strips only ASCII whitespace; numpy's reader also strips these four

@@ -38,9 +38,10 @@ import math
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,24 +248,31 @@ def _cache_root(cache_dir: str | os.PathLike | None) -> Path:
     return Path(cache_dir)
 
 
-def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
-    """Write a scalar quantile table as plain text (header line, then alpha/quantile pairs)."""
-    if law.joint:
-        raise ValueError("only scalar pivot laws have a file format")
-    path = Path(path)
+@contextmanager
+def _replaced_atomically(path: Path, mode: str) -> Iterator[IO]:
+    """A temporary file beside ``path``, opened in ``mode``, that replaces
+    ``path`` only if the block completes; a reader never sees half a file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    ((f_exp, g_exp),) = law.pairs
-    header = f"{f_exp} {g_exp} {law.replications} {law.bm_steps} {law.seed}"
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            table = np.column_stack([law.alphas, law.quantiles])
-            np.savetxt(fh, table, fmt="%.17g", header=header, comments="")
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
+    """Write a scalar quantile table as plain text (header line, then alpha/quantile pairs)."""
+    if law.joint:
+        raise ValueError("only scalar pivot laws have a file format")
+    ((f_exp, g_exp),) = law.pairs
+    header = f"{f_exp} {g_exp} {law.replications} {law.bm_steps} {law.seed}"
+    with _replaced_atomically(Path(path), "w") as fh:
+        table = np.column_stack([law.alphas, law.quantiles])
+        np.savetxt(fh, table, fmt="%.17g", header=header, comments="")
 
 
 def load_pivot_law(path: str | os.PathLike) -> PivotLaw:

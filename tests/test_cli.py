@@ -1,6 +1,7 @@
 """Command line front end: config parsing, CSV ingestion, reports, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import types
 import typing
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,14 +39,14 @@ def write_cfg(tmp_path, name="run.cfg", **keys):
     return str(path)
 
 
-def write_csv(tmp_path, data, name="data.csv", header=None):
+def write_csv(tmp_path, data, name="data.csv", header=None, newline="\n", cell="{}"):
     lines = []
     if header is not None:
         lines.append(",".join(header))
     for row in np.atleast_2d(data):
-        lines.append(",".join(format(float(x), ".17g") for x in row))
+        lines.append(",".join(cell.format(format(float(x), ".17g")) for x in row))
     path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((newline.join(lines) + newline).encode())
     return str(path)
 
 
@@ -314,6 +316,210 @@ def test_ingest_csv_length_and_existence_checks(tmp_path):
             warnings.simplefilter("error")  # numpy's "input contained no data" stays silent
             with pytest.raises(DataError, match="no data rows"):
                 ingest_csv(str(header_only))
+
+
+# ------------------------------------------------------------ the sample cache
+
+
+def sample_entries(cache):
+    return sorted(cache.glob("sample_v1_*.npy"))
+
+
+def counted_parses(monkeypatch):
+    """Count the calls of the C reader and of the cell-by-cell fallback."""
+    calls = {"_loadtxt": 0, "_parse_rows": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "variant", ["header", "no-header", "bom", "crlf", "quoted", "fallback"],
+)
+def test_ingest_csv_gives_the_same_bits_cold_and_warm(tmp_path, monkeypatch, variant):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    data = np.random.default_rng(1).normal(size=(80, 3))
+    path = Path(write_csv(tmp_path, data, header=None if variant == "no-header" else ("a", "b", "c"),
+                          newline="\r\n" if variant == "crlf" else "\n",
+                          cell='"{}"' if variant == "quoted" else "{}"))
+    if variant == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    if variant == "fallback":  # numpy's reader refuses '1_000'; float() reads it
+        path.write_text(path.read_text().replace(format(float(data[5, 1]), ".17g"), "1_000"))
+        data[5, 1] = 1000.0
+    calls = counted_parses(monkeypatch)
+    cold = ingest_csv(str(path)).data
+    assert calls["_loadtxt"] == 1 and calls["_parse_rows"] == (variant == "fallback")
+    (entry,) = sample_entries(cache)
+    assert entry.name == f"sample_v1_{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+    warm = ingest_csv(str(path)).data
+    assert calls == {"_loadtxt": 1, "_parse_rows": variant == "fallback"}  # the warm read parsed nothing
+    assert cold.tobytes() == warm.tobytes() == data.tobytes()
+    assert warm.dtype == np.float64 and warm.shape == data.shape and warm.flags.c_contiguous
+
+
+CSV_REPORTS = {
+    "infer": dict(measure="tvdfpca", nu=0.6, d_max=2),
+    "select-d": dict(measure="tvdpsca", p1=2, p2=2, nu=0.6, d_max=2),
+    "measure": dict(measure="coherence", p1=2, p2=2),
+    "estimate": dict(),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_REPORTS))
+def test_csv_reports_are_the_same_cold_or_warm_at_any_thread_count(
+    tmp_path, capsys, monkeypatch, command
+):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    data = sn.simulate(sn.IidSpec(T=512, sigma=np.diag([4.0, 2.0, 1.0, 0.5]), seed=2)).data
+    cfg = write_cfg(tmp_path, input=write_csv(tmp_path, data, header=("a", "b", "c", "d")),
+                    **QUICK, **CSV_REPORTS[command])
+    outs = []
+    for threads in ("1", "2"):
+        for entry in sample_entries(cache):
+            entry.unlink()
+        for _ in ("cold", "warm"):
+            code, out = run_main(capsys, command, "--config", cfg, "--threads", threads)
+            assert code == 0, out
+            assert len(sample_entries(cache)) == 1
+            outs.append(out.replace(f'"threads": {threads}', '"threads": 1'))
+    assert outs[1:] == outs[:1] * 3
+
+
+def test_a_same_size_rewrite_with_its_mtime_restored_is_parsed_again(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    old = np.full((64, 2), 1.5)
+    new = old.copy()
+    new[40, 1] = 2.5  # the same number of bytes
+    path = write_csv(tmp_path, old)
+    st = os.stat(path)
+    assert ingest_csv(path).data.tobytes() == old.tobytes()
+    write_csv(tmp_path, new)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    assert ingest_csv(path).data.tobytes() == new.tobytes()
+    assert len(sample_entries(cache)) == 2  # one entry per content, the old one never served
+
+
+def test_main_missing_csv_is_the_same_data_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(tmp_path / "cache"))
+    missing = tmp_path / "missing.csv"
+    cfg = write_cfg(tmp_path, input=str(missing), measure="tvdfpca", **QUICK)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "stage": "data", "type": "DataError",
+        "message": f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'",
+    }
+
+
+@pytest.mark.parametrize(
+    "row, rows, message",
+    [("1,2,3", 70, "ragged row 10"), ("1,nan", 70, "non-finite value at row 10, column 2"),
+     ("1,2", 63, "at least 64 rows")],
+    ids=["ragged", "nan", "63-rows"],
+)
+def test_a_file_that_fails_to_parse_leaves_no_entry(tmp_path, monkeypatch, row, rows, message):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    lines = ["1,2"] * rows
+    lines[9] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DataError, match=message) as err:
+            ingest_csv(str(path))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert sample_entries(cache) == []
+
+
+BAD_ENTRIES = {
+    "truncated": lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
+    "float32": lambda entry: np.save(entry, np.ones((64, 2), dtype=np.float32)),
+    "non-finite": lambda entry: np.save(entry, np.where(np.eye(64, 2), np.inf, 1.0)),
+}
+
+
+@pytest.mark.parametrize("damage", list(BAD_ENTRIES))
+def test_a_bad_entry_warns_and_is_parsed_again(tmp_path, monkeypatch, damage):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    data = np.random.default_rng(3).normal(size=(64, 2))
+    path = write_csv(tmp_path, data)
+    ingest_csv(path)
+    (entry,) = sample_entries(cache)
+    BAD_ENTRIES[damage](entry)
+    calls = counted_parses(monkeypatch)
+    with pytest.warns(UserWarning, match="unreadable sample cache .*; parsing .* again"):
+        again = ingest_csv(path).data
+    assert again.tobytes() == data.tobytes() and calls["_loadtxt"] == 1
+    assert ingest_csv(path).data.tobytes() == data.tobytes()  # the entry was written afresh
+    assert calls["_loadtxt"] == 1
+
+
+def test_infer_with_an_unusable_cache_dir_warns_and_reports_the_same(tmp_path, capsys, monkeypatch):
+    data = sn.simulate(sn.IidSpec(T=256, sigma=np.eye(2), seed=4)).data
+    cfg = write_cfg(tmp_path, input=write_csv(tmp_path, data), measure="tvdfpca", **QUICK)
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(tmp_path / "cache"))
+    code, expected = run_main(capsys, "infer", "--config", cfg)
+    assert code == 0, expected
+    not_a_dir = tmp_path / "not-a-dir"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(not_a_dir))
+    with pytest.warns(UserWarning) as record:
+        code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 0 and out == expected
+    messages = [str(w.message) for w in record]
+    assert any(m.startswith(f"could not write sample cache {not_a_dir}") for m in messages)
+    assert not_a_dir.read_text() == ""
+
+
+def test_a_write_that_fails_midway_leaves_no_entry(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    data = np.random.default_rng(6).normal(size=(64, 2))
+    path = write_csv(tmp_path, data)
+
+    def write_part_then_fail(fh, values, allow_pickle):
+        fh.write(b"\x93NUMPY")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "save", write_part_then_fail)
+    with pytest.warns(UserWarning, match="could not write sample cache .*No space left"):
+        assert ingest_csv(path).data.tobytes() == data.tobytes()
+    assert list(cache.iterdir()) == []  # neither an entry nor its temporary file
+
+
+def test_a_file_changed_while_it_is_parsed_is_not_stored(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    old, new = np.zeros((64, 2)), np.ones((65, 2))
+    path = write_csv(tmp_path, old)
+    loadtxt = cli._loadtxt
+
+    def rewrite_then_parse(fh):
+        write_csv(tmp_path, new)  # after the file was hashed, before it is read
+        return loadtxt(fh)
+
+    monkeypatch.setattr(cli, "_loadtxt", rewrite_then_parse)
+    assert ingest_csv(path).data.tobytes() == new.tobytes()
+    assert sample_entries(cache) == []  # the parsed bytes are not the hashed ones
+    monkeypatch.setattr(cli, "_loadtxt", loadtxt)
+    assert ingest_csv(path).data.tobytes() == new.tobytes()
+    (entry,) = sample_entries(cache)
+    assert entry.name == f"sample_v1_{hashlib.sha256(open(path, 'rb').read()).hexdigest()}.npy"
 
 
 # ----------------------------------------------------------- build_process_spec
