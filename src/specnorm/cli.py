@@ -259,18 +259,17 @@ def _require_ps(cfg: RunConfig) -> ProductStructure:
 
 
 # Names what a CSV parses to: a change to the parser's semantics must bump it.
-_SAMPLE_TAG = "sample_v1"
+_SAMPLE_TAG = "sample_v2"
 
 
 def ingest_csv(path: str) -> TimeSeriesSample:
     """Read a T x p numeric CSV, auto-detecting an optional header row.
 
-    numpy's C reader parses the rows. A file it refuses or that holds a
-    non-finite value is read again with the ``csv`` module and ``float``,
-    which accept the same files and name the first bad cell.
+    The ``csv`` module splits the rows, into cells of at most 131,072
+    characters, and ``float`` reads each cell; a DataError names a bad one.
 
     The parsed sample is kept beside the pivot tables as
-    ``sample_v1_<sha256 of the file's bytes>.npy`` and served whenever a file
+    ``sample_v2_<sha256 of the file's bytes>.npy`` and served whenever a file
     with the same bytes is read again; the file is hashed on every call. An
     entry is written only for a sample that passed every check, from a file
     whose size and modification time did not change while it was hashed and
@@ -348,70 +347,28 @@ def _cached_sample(entry: Path, path: str) -> np.ndarray | None:
 
 
 def _parse_csv(path: str) -> np.ndarray:
-    """The checked T x p values of a CSV file, by the C reader or cell by cell."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
-            values = _loadtxt(fh)
-            if values is None:
-                fh.seek(0)
-                values = _parse_rows(path, [row for row in csv.reader(fh) if row])
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over its size limit
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if len(values) < 64:
-        raise DataError(f"{path}: need at least 64 rows, got {len(values)}")
-    return values
+    """The checked T x p values of a CSV file, each cell read by ``float``.
 
-
-# float() strips only ASCII whitespace; numpy's reader also strips these four
-# separators, which str.isspace() counts as whitespace.
-_FLOAT_REJECTS = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _loadtxt(fh) -> np.ndarray | None:
-    """The finite rows after the header by ``np.loadtxt``, or None if it cannot
-    parse them to the values ``float`` gives, or finds no rows.
-
-    The file is streamed line by line, never held whole: one large buffer
-    would raise glibc's mmap threshold and with it the peak memory of the
-    estimate that follows.
+    Rows stream from the ``csv`` module into one array: neither the file nor
+    its rows are held whole. On a failure :func:`_check_cells` names the fault.
     """
     try:
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
-            if any(c in chunk for c in _FLOAT_REJECTS):
-                return None
-        fh.seek(0)
-        first = next((row for row in csv.reader(fh) if row), None)
-        if first is not None and all(_is_number(c) for c in first):
-            fh.seek(0)
-        line = next((line for line in fh if line.strip("\r\n")), None)
-        if line is None:
-            return None  # no rows, on which loadtxt would warn
-        lines = itertools.chain([line], fh)
-        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except ValueError:  # a cell or row it cannot parse, or a UnicodeDecodeError
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _parse_rows(path: str, rows: list[list[str]]) -> np.ndarray:
-    """The rows after the header, each cell by ``float``; DataError names the first bad one."""
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    start = 0 if all(_is_number(c) for c in rows[0]) else 1
-    data_rows = rows[start:]
-    if not data_rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        values = np.array(data_rows, dtype=float)
-    except ValueError:
-        _check_cells(path, data_rows, start)
-        raise
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise DataError(
-            f"{path}: non-finite value at row {start + i + 1}, column {j + 1}: {data_rows[i][j]!r}"
-        )
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
+            rows = filter(None, csv.reader(fh))  # a blank line is an empty row
+            first = next(rows)
+            if not all(map(_is_number, first)):
+                first = next(rows)  # that was the header
+            p = len(first)
+            # a ragged row stands in as a cell that float refuses
+            rows = (row if len(row) == p else [""] for row in itertools.chain([first], rows))
+            values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
+    except (OSError, StopIteration, ValueError, csv.Error):  # ValueError: a bad cell or byte
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _check_cells(path)
+    values = values.reshape(-1, p)
+    if len(values) < 64:
+        raise DataError(f"{path}: need at least 64 rows, got {len(values)}")
     return values
 
 
@@ -423,10 +380,21 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _check_cells(path: str, rows: list[list[str]], start: int) -> None:
-    """Raise DataError at the first ragged row, non-numeric or non-finite cell."""
-    p = len(rows[0])
-    for i, row in enumerate(rows, start=start + 1):
+def _check_cells(path: str) -> NoReturn:
+    """Raise DataError at the first fault of a CSV file: unreadable, empty,
+    header only, a ragged row, a non-numeric or a non-finite cell."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over its size limit
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    start = 0 if all(map(_is_number, rows[0])) else 1
+    if start == len(rows):
+        raise DataError(f"{path}: no data rows")
+    p = len(rows[start])
+    for i, row in enumerate(rows[start:], start=start + 1):
         if len(row) != p:
             raise DataError(f"{path}: ragged row {i} has {len(row)} cells, expected {p}")
         for j, cell in enumerate(row, start=1):
@@ -434,6 +402,7 @@ def _check_cells(path: str, rows: list[list[str]], start: int) -> None:
                 raise DataError(f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}")
             if not math.isfinite(float(cell)):
                 raise DataError(f"{path}: non-finite value at row {i}, column {j}: {cell!r}")
+    raise DataError(f"cannot read {path}: it changed while it was read")
 
 
 def _diag_or_eye(diag: tuple[float, ...] | None, p: int | None, what: str) -> np.ndarray:

@@ -241,10 +241,8 @@ def exact_cache_path(
 
 
 def _cache_root(cache_dir: str | os.PathLike | None) -> Path:
-    if cache_dir is None:
-        cache_dir = os.environ.get("SPECNORM_CACHE_DIR")
-    if cache_dir is None:
-        cache_dir = Path.home() / ".cache" / "specnorm"
+    if cache_dir is None:  # an empty variable means the default, not the working directory
+        cache_dir = os.environ.get("SPECNORM_CACHE_DIR") or Path.home() / ".cache" / "specnorm"
     return Path(cache_dir)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 import types
 import typing
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import specnorm as sn
 from conftest import chunk_rows
-from specnorm import cli, estimator
+from specnorm import cli, estimator, inference
 from specnorm.cli import (
     RunConfig,
     build_process_spec,
@@ -29,7 +30,7 @@ from specnorm.cli import (
     parse_config,
     run_pipeline,
 )
-from specnorm.errors import ConfigError, DataError
+from specnorm.errors import ConfigError, DataError, NumericalError
 
 
 def write_cfg(tmp_path, name="run.cfg", **keys):
@@ -240,6 +241,10 @@ def test_ingest_csv_ragged_row_reports_coordinates(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DataError, match="ragged row 10"):
         ingest_csv(str(path))
+    rows[9:11] = ["1", "1,2,3"]  # as many cells as two rows of 2
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match="ragged row 10 has 1 cells, expected 2"):
+        ingest_csv(str(path))
 
 
 def test_ingest_csv_bad_cells_report_coordinates(tmp_path):
@@ -293,10 +298,10 @@ def test_ingest_csv_accepts_and_refuses_cells_as_float_does(tmp_path):
         with pytest.raises(DataError) as err:
             ingest(row10)
         assert message in str(err.value), (row10, str(err.value))
-    # float() reads a 200,000-digit cell; the csv module refuses it, as a DataError
-    assert np.array_equal(ingest("1," + "0" * 200_000 + "1")[9], [1.0, 1.0])
-    with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
-        ingest("1," + "0" * 200_000 + "1,3")
+    # float() would read a 200,000-digit cell; the csv module refuses it, as a DataError
+    for row10 in ("1," + "0" * 200_000 + "1", "1," + "0" * 200_000 + "1,3"):
+        with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
+            ingest(row10)
 
 
 def test_ingest_csv_length_and_existence_checks(tmp_path):
@@ -313,7 +318,7 @@ def test_ingest_csv_length_and_existence_checks(tmp_path):
     for text in ("x1,x2\n", "\nx1,x2\n\n\r\n"):
         header_only.write_text(text)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's "input contained no data" stays silent
+            warnings.simplefilter("error")  # no warning, only the DataError
             with pytest.raises(DataError, match="no data rows"):
                 ingest_csv(str(header_only))
 
@@ -322,25 +327,24 @@ def test_ingest_csv_length_and_existence_checks(tmp_path):
 
 
 def sample_entries(cache):
-    return sorted(cache.glob("sample_v1_*.npy"))
+    return sorted(cache.glob("sample_v2_*.npy"))
 
 
 def counted_parses(monkeypatch):
-    """Count the calls of the C reader and of the cell-by-cell fallback."""
-    calls = {"_loadtxt": 0, "_parse_rows": 0}
-    for name in calls:
-        original = getattr(cli, name)
+    """Count the calls of the CSV parser."""
+    calls = {"_parse_csv": 0}
+    original = cli._parse_csv
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(path):
+        calls["_parse_csv"] += 1
+        return original(path)
 
-        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(cli, "_parse_csv", counted)
     return calls
 
 
 @pytest.mark.parametrize(
-    "variant", ["header", "no-header", "bom", "crlf", "quoted", "fallback"],
+    "variant", ["header", "no-header", "bom", "crlf", "quoted", "underscore"],
 )
 def test_ingest_csv_gives_the_same_bits_cold_and_warm(tmp_path, monkeypatch, variant):
     cache = tmp_path / "cache"
@@ -351,16 +355,16 @@ def test_ingest_csv_gives_the_same_bits_cold_and_warm(tmp_path, monkeypatch, var
                           cell='"{}"' if variant == "quoted" else "{}"))
     if variant == "bom":
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    if variant == "fallback":  # numpy's reader refuses '1_000'; float() reads it
+    if variant == "underscore":  # float() reads '1_000'
         path.write_text(path.read_text().replace(format(float(data[5, 1]), ".17g"), "1_000"))
         data[5, 1] = 1000.0
     calls = counted_parses(monkeypatch)
     cold = ingest_csv(str(path)).data
-    assert calls["_loadtxt"] == 1 and calls["_parse_rows"] == (variant == "fallback")
+    assert calls["_parse_csv"] == 1
     (entry,) = sample_entries(cache)
-    assert entry.name == f"sample_v1_{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+    assert entry.name == f"sample_v2_{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
     warm = ingest_csv(str(path)).data
-    assert calls == {"_loadtxt": 1, "_parse_rows": variant == "fallback"}  # the warm read parsed nothing
+    assert calls["_parse_csv"] == 1  # the warm read parsed nothing
     assert cold.tobytes() == warm.tobytes() == data.tobytes()
     assert warm.dtype == np.float64 and warm.shape == data.shape and warm.flags.c_contiguous
 
@@ -409,6 +413,51 @@ def test_a_same_size_rewrite_with_its_mtime_restored_is_parsed_again(tmp_path, m
     assert (after.st_size, after.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
     assert ingest_csv(path).data.tobytes() == new.tobytes()
     assert len(sample_entries(cache)) == 2  # one entry per content, the old one never served
+
+
+def test_an_entry_of_the_first_parser_is_never_served(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    data = np.random.default_rng(7).normal(size=(64, 2))
+    path = write_csv(tmp_path, data)
+    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    cache.mkdir()
+    planted = cache / f"sample_v1_{digest}.npy"
+    np.save(planted, np.zeros((64, 2)))  # a valid entry, with the wrong values
+    assert ingest_csv(path).data.tobytes() == data.tobytes()
+    assert [e.name for e in sample_entries(cache)] == [f"sample_v2_{digest}.npy"]
+    assert np.load(planted).tobytes() == np.zeros((64, 2)).tobytes()  # left on disk unused
+
+
+def test_an_empty_cache_dir_variable_means_the_default(tmp_path, capsys, monkeypatch):
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", "")
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(work)
+    data = sn.simulate(sn.IidSpec(T=256, sigma=np.eye(2), seed=8)).data
+    quantiles = write_cfg(tmp_path, name="q.cfg", f_exp=3, g_exp=2, **QUICK)
+    infer = write_cfg(tmp_path, input=write_csv(tmp_path, data), measure="tvdfpca", **QUICK)
+    for argv in (["quantiles", "--config", quantiles], ["infer", "--config", infer]):
+        code, out = run_main(capsys, *argv)
+        assert code == 0, out
+    default = home / ".cache" / "specnorm"
+    assert (default / "pivot_exact_f3_g2_n500.txt").is_file()
+    assert len(sample_entries(default)) == 1
+    assert list(work.iterdir()) == []
+
+
+def test_infer_on_a_device_is_an_empty_file_and_stores_nothing(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    assert not Path(os.devnull).is_file()  # a character device: it is never hashed
+    cfg = write_cfg(tmp_path, input=os.devnull, measure="tvdfpca", **QUICK)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "stage": "data", "type": "DataError", "message": f"{os.devnull}: empty file",
+    }
+    assert list(cache.glob("sample_v*")) == []
 
 
 def test_main_missing_csv_is_the_same_data_error(tmp_path, capsys, monkeypatch):
@@ -464,9 +513,9 @@ def test_a_bad_entry_warns_and_is_parsed_again(tmp_path, monkeypatch, damage):
     calls = counted_parses(monkeypatch)
     with pytest.warns(UserWarning, match="unreadable sample cache .*; parsing .* again"):
         again = ingest_csv(path).data
-    assert again.tobytes() == data.tobytes() and calls["_loadtxt"] == 1
+    assert again.tobytes() == data.tobytes() and calls["_parse_csv"] == 1
     assert ingest_csv(path).data.tobytes() == data.tobytes()  # the entry was written afresh
-    assert calls["_loadtxt"] == 1
+    assert calls["_parse_csv"] == 1
 
 
 def test_infer_with_an_unusable_cache_dir_warns_and_reports_the_same(tmp_path, capsys, monkeypatch):
@@ -507,19 +556,19 @@ def test_a_file_changed_while_it_is_parsed_is_not_stored(tmp_path, monkeypatch):
     monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
     old, new = np.zeros((64, 2)), np.ones((65, 2))
     path = write_csv(tmp_path, old)
-    loadtxt = cli._loadtxt
+    parse_csv = cli._parse_csv
 
-    def rewrite_then_parse(fh):
+    def rewrite_then_parse(path):
         write_csv(tmp_path, new)  # after the file was hashed, before it is read
-        return loadtxt(fh)
+        return parse_csv(path)
 
-    monkeypatch.setattr(cli, "_loadtxt", rewrite_then_parse)
+    monkeypatch.setattr(cli, "_parse_csv", rewrite_then_parse)
     assert ingest_csv(path).data.tobytes() == new.tobytes()
     assert sample_entries(cache) == []  # the parsed bytes are not the hashed ones
-    monkeypatch.setattr(cli, "_loadtxt", loadtxt)
+    monkeypatch.setattr(cli, "_parse_csv", parse_csv)
     assert ingest_csv(path).data.tobytes() == new.tobytes()
     (entry,) = sample_entries(cache)
-    assert entry.name == f"sample_v1_{hashlib.sha256(open(path, 'rb').read()).hexdigest()}.npy"
+    assert entry.name == f"sample_v2_{hashlib.sha256(open(path, 'rb').read()).hexdigest()}.npy"
 
 
 # ----------------------------------------------------------- build_process_spec
@@ -1260,6 +1309,22 @@ def test_main_quantiles_report_and_cache_file(tmp_path, capsys):
     bare = write_cfg(tmp_path, name="bare.cfg", T=256)
     code, out = run_main(capsys, "quantiles", "--config", bare)
     assert code == 2 and "f_exp" in json.loads(out)["error"]["message"]
+
+
+def test_an_exact_law_beyond_its_grid_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(cache))
+    monkeypatch.setattr(inference, "_X_MAX", 1.0)
+    message = "exact pivot law (3, 2) reaches beyond its x grid"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        sn.exact_quantiles(3, 2, bm_steps=500, use_cache=False)
+    cfg = write_cfg(tmp_path, f_exp=3, g_exp=2, **QUICK)
+    code, out = run_main(capsys, "quantiles", "--config", cfg)
+    assert code == 4
+    assert json.loads(out)["error"] == {
+        "stage": "inference", "type": "NumericalError", "message": message,
+    }
+    assert not cache.exists() or list(cache.iterdir()) == []
 
 
 def test_main_simulate_round_trips_through_csv(tmp_path, capsys):
