@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -384,9 +385,16 @@ def _check_cells(path: str) -> NoReturn:
     """Raise DataError at the first fault of a CSV file: unreadable, empty,
     header only, a ragged row, a non-numeric or a non-finite cell."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over its size limit
+        # decoded whole, so a bad byte's position counts from the start of the file
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"cannot read {path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} "
+            f"(line {line}) is not UTF-8: {exc.reason}"
+        ) from None
+    except (OSError, csv.Error) as exc:  # csv.Error: a cell over its size limit
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")

@@ -24,7 +24,10 @@ reported per unit band.
 Each measure works one frequency block at a time, on the estimate's
 ``threads`` worker threads, and reduces each block in eta chunks as they are
 built. Every slice is reduced on its own, so a path depends on neither the
-thread count nor the chunk length.
+thread count nor the chunk length. ``measure_population`` runs each measure's
+own argument check and per-slice reducer on the true operator, so it refuses
+what the sequential function refuses and tvdpsca at full order reads exactly
+1; only the time average differs (Gauss-Legendre weights, not equal ones).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import SequentialSDO, cell_midpoints
+from .estimator import SequentialSDO, _check_count, _validate_band, cell_midpoints
 from .hermitian import (
     TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch,
 )
@@ -133,6 +136,82 @@ def _share(sdo: SequentialSDO, num: np.ndarray, den: np.ndarray) -> tuple[np.nda
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0), valid
 
 
+def _checked(kind: str, p: int, d: int, ps: ProductStructure | None) -> int:
+    """The largest order of a ``kind`` measure on p x p operators split by ``ps``;
+    raises ValueError unless ``kind`` is known, ``ps`` fits p and d lies in [1, cap]."""
+    if kind in ("tvdfpca", "stationarity"):
+        cap, name = p, ""
+    elif kind == "tvdpsca":
+        if ps is None:
+            raise ValueError("tvdpsca requires a product structure")
+        if ps.p1 * ps.p2 != p:
+            raise ValueError(f"product structure ({ps.p1}, {ps.p2}) does not factor p = {p}")
+        cap, name = min(ps.p1**2, ps.p2**2), "min(p1^2, p2^2) = "
+    elif kind == "coherence":
+        if ps is None:
+            raise ValueError("coherence requires a direct-sum structure")
+        if ps.p1 + ps.p2 != p:
+            raise ValueError(f"direct-sum structure ({ps.p1}, {ps.p2}) does not add up to p = {p}")
+        cap, name = min(ps.p1, ps.p2), "min(p1, p2) = "
+    else:
+        raise ValueError(f"unknown measure kind {kind!r}")
+    if not 1 <= d <= cap:
+        raise ValueError(f"d = {d} must lie in [1, {name}{cap}]")
+    return cap
+
+
+def _warn_off_full_band(a: float, b: float) -> None:
+    if abs(a) > 1e-12 or abs(b - math.pi) > 1e-9:
+        msg = f"stationarity measure expects the full band [0, pi], got ({a:.6g}, {b:.6g})"
+        warnings.warn(msg, stacklevel=3)
+
+
+def _eigenvalues(f: np.ndarray) -> tuple[np.ndarray]:
+    """Per slice: the eigenvalues in descending order, clamped at 0."""
+    return (np.maximum(np.linalg.eigvalsh(f)[..., ::-1], 0.0),)
+
+
+def _separable_scores(f: np.ndarray, ps: ProductStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice: the separable component scores and the squared Frobenius norm."""
+    return np.linalg.svd(kron_rearrange(f, ps), compute_uv=False), (np.abs(f) ** 2).sum(axis=(-2, -1))
+
+
+def _coherences(f: np.ndarray, d: int, p1: int, project: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice: the d-th canonical coherence between the two blocks (0 where
+    undefined) and whether it is defined, on the PSD projection if ``project``."""
+    if project:
+        f, _ = psd_project_batch(f)
+    p2 = f.shape[-1] - p1
+    lam1 = np.maximum(np.linalg.eigvalsh(f[..., :p1, :p1])[..., p1 - d], 0.0)
+    lam2 = np.maximum(np.linalg.eigvalsh(f[..., p1:, p1:])[..., p2 - d], 0.0)
+    sig = np.linalg.svd(f[..., :p1, p1:], compute_uv=False)[..., d - 1]
+    tr1 = np.einsum("...ii->...", f[..., :p1, :p1]).real
+    tr2 = np.einsum("...ii->...", f[..., p1:, p1:]).real
+    defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
+    return np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0), defined
+
+
+def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
+    """Square roots of the PSD-clamped slices restricted to their d leading
+    components, from eigenpairs in ascending order."""
+    p = vals.shape[-1]
+    # eigenvalues within roundoff of zero (rank-deficient slices) get a zero root, not sqrt(noise)
+    floor = p * np.finfo(float).eps * np.maximum(vals[..., -1:], 0.0)
+    roots = np.sqrt(np.where(vals > floor, vals, 0.0))
+    if d < p:
+        roots[..., : p - d] = 0.0  # ascending order: drop the p - d smallest
+    return eig_reconstruct(vecs, roots)
+
+
+def _dispersions(f: np.ndarray, d: int, w_u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice: ||S - S_bar||_F^2 for the d-restricted square root S and its mean S_bar
+    over time (axis 0), weighted by ``w_u`` if given, and the ascending eigenvalues."""
+    vals, vecs = np.linalg.eigh(f)
+    s = _restricted_roots(vals, vecs, d)
+    s -= s.mean(axis=0, keepdims=True) if w_u is None else np.tensordot(w_u, s, axes=(0, 0))[None]
+    return (np.abs(s) ** 2).sum(axis=(-2, -1)), vals
+
+
 def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     """Fraction of spectral mass explained by the d leading eigenvalues.
 
@@ -145,12 +224,8 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     :raises NumericalError: if the full-window estimate carries no spectral
         mass at all.
     """
-    p = sdo.p
-    if not 1 <= d <= p:
-        raise ValueError(f"d = {d} must lie in [1, {p}]")
-    (vals,) = sdo.map_blocks(
-        lambda f: (np.maximum(np.linalg.eigvalsh(f)[..., ::-1], 0.0),), key="tvdfpca"
-    )
+    _checked("tvdfpca", sdo.p, d, None)
+    (vals,) = sdo.map_blocks(_eigenvalues, key="tvdfpca")
     num = vals[..., :d].sum(axis=-1).mean(axis=(0, 1))
     values, valid = _share(sdo, num, vals.sum(axis=-1).mean(axis=(0, 1)))
     return _functional("tvdfpca", sdo, d, values, valid, {"near_tie_count": _tie_count(vals, d)})
@@ -166,18 +241,8 @@ def tvdpsca_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Sequ
     isometry. Scores and masses come from one block pass per estimate and
     product structure, shared by every order d.
     """
-    p = sdo.p
-    if ps.p1 * ps.p2 != p:
-        raise ValueError(f"product structure ({ps.p1}, {ps.p2}) does not factor p = {p}")
-    d_cap = min(ps.p1**2, ps.p2**2)
-    if not 1 <= d <= d_cap:
-        raise ValueError(f"d = {d} must lie in [1, min(p1^2, p2^2) = {d_cap}]")
-
-    def work(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        svals = np.linalg.svd(kron_rearrange(f, ps), compute_uv=False)
-        return svals, (np.abs(f) ** 2).sum(axis=(-2, -1))
-
-    scores, mass = sdo.map_blocks(work, key=("tvdpsca", ps))
+    d_cap = _checked("tvdpsca", sdo.p, d, ps)
+    scores, mass = sdo.map_blocks(lambda f: _separable_scores(f, ps), key=("tvdpsca", ps))
     den = mass.mean(axis=(0, 1))
     # at d_cap the scores carry all the mass: the share is 1 exactly, not up to roundoff
     num = den if d == d_cap else (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
@@ -188,16 +253,6 @@ def tvdpsca_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Sequ
         "near_tie_count": _tie_count(scores, d),
     }
     return _functional("tvdpsca", sdo, d, values, valid, diag)
-
-
-def _canonical_parts(f: np.ndarray, d: int, p1: int) -> tuple[np.ndarray, ...]:
-    """Per slice: the d-th eigenvalues of both diagonal blocks (clamped at 0)
-    and the d-th singular value of the off-diagonal block."""
-    p2 = f.shape[-1] - p1
-    lam1 = np.maximum(np.linalg.eigvalsh(f[..., :p1, :p1])[..., p1 - d], 0.0)
-    lam2 = np.maximum(np.linalg.eigvalsh(f[..., p1:, p1:])[..., p2 - d], 0.0)
-    sig = np.linalg.svd(f[..., :p1, p1:], compute_uv=False)[..., d - 1]
-    return lam1, lam2, sig
 
 
 def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> SequentialFunctional:
@@ -214,25 +269,9 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
     eta the cell is skipped, counted in ``diagnostics["skipped_cells"]``, and
     the average runs over the remaining cells.
     """
-    p = sdo.p
-    if ps.p1 + ps.p2 != p:
-        raise ValueError(f"direct-sum structure ({ps.p1}, {ps.p2}) does not add up to p = {p}")
-    if not 1 <= d <= min(ps.p1, ps.p2):
-        raise ValueError(f"d = {d} must lie in [1, min(p1, p2) = {min(ps.p1, ps.p2)}]")
-    p1 = ps.p1
+    _checked("coherence", sdo.p, d, ps)
     project = sdo.plan is None or not sdo.plan.kernel.psd
-
-    def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
-        if project:
-            f, _ = psd_project_batch(f)
-        lam1, lam2, sig = _canonical_parts(f, d, p1)
-        tr1 = np.einsum("...ii->...", f[..., :p1, :p1]).real
-        tr2 = np.einsum("...ii->...", f[..., p1:, p1:]).real
-        defined = (lam1 > 1e-12 * tr1) & (lam2 > 1e-12 * tr2)
-        ratio = np.where(defined, sig / np.sqrt(np.where(defined, lam1 * lam2, 1.0)), 0.0)
-        return ratio, defined
-
-    ratio, defined = sdo.map_blocks(work)
+    ratio, defined = sdo.map_blocks(lambda f: _coherences(f, d, ps.p1, project))
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
     avail = _available(sdo)
@@ -242,18 +281,6 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
     valid = (count == cells) & avail
     skipped = int(cells * int(avail.sum()) - int(count[avail].sum()))
     return _functional("coherence", sdo, d, values, valid, {"skipped_cells": skipped})
-
-
-def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
-    """Square roots of the PSD-clamped slices restricted to their d leading
-    components, from eigenpairs in ascending order."""
-    p = vals.shape[-1]
-    # eigenvalues within roundoff of zero (rank-deficient slices) get a zero root, not sqrt(noise)
-    floor = p * np.finfo(float).eps * np.maximum(vals[..., -1:], 0.0)
-    roots = np.sqrt(np.where(vals > floor, vals, 0.0))
-    if d < p:
-        roots[..., : p - d] = 0.0  # ascending order: drop the p - d smallest
-    return eig_reconstruct(vecs, roots)
 
 
 def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
@@ -266,40 +293,11 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     sqrt(eta) sqrt(A)), so the stored path q_hat satisfies r_hat(eta) =
     eta * q_hat(eta); in particular the point estimate is q_hat(1) = r_hat(1).
     """
-    p = sdo.p
-    if not 1 <= d <= p:
-        raise ValueError(f"d = {d} must lie in [1, {p}]")
-    a, b = sdo.band
-    if abs(a) > 1e-12 or abs(b - math.pi) > 1e-9:
-        warnings.warn(
-            f"stationarity measure expects the full band [0, pi], got ({a:.6g}, {b:.6g})",
-            stacklevel=2,
-        )
-
-    def work(f: np.ndarray) -> tuple[np.ndarray, ...]:
-        vals, vecs = np.linalg.eigh(f)
-        s = _restricted_roots(vals, vecs, d)
-        s -= s.mean(axis=0, keepdims=True)
-        return (np.abs(s) ** 2).sum(axis=(-2, -1)), vals
-
-    dispersion, vals = sdo.map_blocks(work)
+    _checked("stationarity", sdo.p, d, None)
+    _warn_off_full_band(*sdo.band)
+    dispersion, vals = sdo.map_blocks(lambda f: _dispersions(f, d, None))
     diag = {"near_tie_count": _tie_count(np.maximum(vals[..., ::-1], 0.0), d)}
     return _functional("stationarity", sdo, d, dispersion.mean(axis=(0, 1)), _available(sdo), diag)
-
-
-def _truth_tensor(
-    truth: Callable[[float, float], np.ndarray],
-    us: np.ndarray,
-    k_omega: int,
-    band: tuple[float, float],
-) -> np.ndarray:
-    oms = cell_midpoints(band, k_omega)
-    p = np.asarray(truth(float(us[0]), float(oms[0]))).shape[0]
-    out = np.empty((us.size, k_omega, p, p), dtype=complex)
-    for i, u in enumerate(us):
-        for j, om in enumerate(oms):
-            out[i, j] = truth(float(u), float(om))
-    return hermitian_part(out)
 
 
 def measure_population(
@@ -313,38 +311,40 @@ def measure_population(
 ) -> float:
     """Population value of a deviation measure by numerical quadrature.
 
-    ``truth`` maps (u, omega) to the exact spectral density matrix; the
-    measure is evaluated with the same conventions as the sequential
-    estimators (band averages, rank restriction for stationarity). The time
-    integral uses Gauss-Legendre nodes (matrix square roots are not smooth
-    at a vanishing spectrum, where midpoint rules lose accuracy); the
-    frequency band average uses a midpoint rule. Used as the oracle in
-    simulation and coverage studies.
+    ``truth`` maps (u, omega) to the exact spectral density matrix. Its
+    Hermitian part on m_u Gauss-Legendre nodes in u (matrix square roots are
+    not smooth at a vanishing spectrum, where midpoint rules lose accuracy)
+    and k_omega band midpoints goes through the measure's own argument check
+    and per-slice reducer, and the time averages take the Gauss-Legendre
+    weights; a coherence cell left undefined (see ``coherence_sequential``)
+    raises NumericalError. Used as the oracle in simulation and coverage studies.
     """
+    band = _validate_band(band)
+    _check_count("m_u", m_u)
+    _check_count("k_omega", k_omega)
     nodes, gl_w = np.polynomial.legendre.leggauss(m_u)
-    us = (nodes + 1.0) / 2.0
-    w_u = gl_w / 2.0
-    tensor = _truth_tensor(truth, us, k_omega, band)
+    us, w_u, oms = (nodes + 1.0) / 2.0, gl_w / 2.0, cell_midpoints(band, k_omega)
+    p = np.asarray(truth(float(us[0]), float(oms[0]))).shape[0]
+    d_cap = _checked(kind, p, d, ps)
+    tensor = np.empty((m_u, k_omega, p, p), dtype=complex)
+    for i, j in np.ndindex(m_u, k_omega):
+        tensor[i, j] = truth(float(us[i]), float(oms[j]))
+    tensor = hermitian_part(tensor)
+
+    def mean(x: np.ndarray) -> float:
+        return (w_u @ x).mean()
+
     if kind == "tvdfpca":
-        vals = np.maximum(np.linalg.eigvalsh(tensor)[..., ::-1], 0.0)
-        num = (w_u @ vals[..., :d].sum(-1)).mean()
-        return float(num / (w_u @ vals.sum(-1)).mean())
+        (vals,) = _eigenvalues(tensor)
+        return float(mean(vals[..., :d].sum(axis=-1)) / mean(vals.sum(axis=-1)))
     if kind == "tvdpsca":
-        if ps is None:
-            raise ValueError("tvdpsca requires a product structure")
-        scores = np.linalg.svd(kron_rearrange(tensor, ps), compute_uv=False)
-        den = (w_u @ (np.abs(tensor) ** 2).sum(axis=(-2, -1))).mean()
-        return float((w_u @ (scores[..., :d] ** 2).sum(-1)).mean() / den)
+        scores, mass = _separable_scores(tensor, ps)
+        den = mean(mass)
+        return float((den if d == d_cap else mean((scores[..., :d] ** 2).sum(axis=-1))) / den)
     if kind == "coherence":
-        if ps is None:
-            raise ValueError("coherence requires a direct-sum structure")
-        lam1, lam2, sig = _canonical_parts(tensor, d, ps.p1)
-        if not bool(np.all(lam1 > 0) and np.all(lam2 > 0)):
+        ratio, defined = _coherences(tensor, d, ps.p1, project=False)
+        if not bool(defined.all()):
             raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
-        return float((w_u @ (sig / np.sqrt(lam1 * lam2))).mean())
-    if kind == "stationarity":
-        s = _restricted_roots(*np.linalg.eigh(tensor), d)
-        mean_s = np.tensordot(w_u, s, axes=(0, 0))[None]
-        dev_sq = (np.abs(s - mean_s) ** 2).sum(axis=(-2, -1))
-        return float((w_u @ dev_sq).mean())
-    raise ValueError(f"unknown measure kind {kind!r}")
+        return float(mean(ratio))
+    _warn_off_full_band(*band)
+    return float(mean(_dispersions(tensor, d, w_u)[0]))

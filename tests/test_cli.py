@@ -472,6 +472,23 @@ def test_main_missing_csv_is_the_same_data_error(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(tmp_path, capsys, monkeypatch):
+    # the decoder counts from the start of its 8 KiB chunk: this byte is at 3616 in the third
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(tmp_path / "cache"))
+    raw = bytearray("".join(f"{i}.5,{i}.25\n" for i in range(3000)).encode())
+    raw[20000] = 0xFF
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    cfg = write_cfg(tmp_path, input=str(path), measure="tvdfpca", **QUICK)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "stage": "data", "type": "DataError",
+        "message": f"cannot read {path}: byte 0xff at offset 20000 (line 1482) is not UTF-8: "
+                   "invalid start byte",
+    }
+
+
 @pytest.mark.parametrize(
     "row, rows, message",
     [("1,2,3", 70, "ragged row 10"), ("1,nan", 70, "non-finite value at row 10, column 2"),

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 import warnings
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import specnorm as sn
 from conftest import chunk_rows, make_path
-from specnorm.hermitian import eig_reconstruct, kron_rearrange, psd_project_batch
+from specnorm.estimator import cell_midpoints
+from specnorm.hermitian import eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +286,10 @@ def test_population_values_on_constant_truths():
         lambda u, w: sep, "tvdpsca", d=1, ps=sn.ProductStructure(2, 2), m_u=40, k_omega=8
     )
     assert val == pytest.approx(1.0, abs=1e-12)
+    val = sn.measure_population(
+        lambda u, w: sep, "tvdpsca", d=4, ps=sn.ProductStructure(2, 2), m_u=40, k_omega=8
+    )
+    assert val == 1.0  # at full order the scores carry all the mass, as on the sequential path
     blocks = np.zeros((4, 4))
     blocks[:2, :2] = np.diag([2.0, 1.0])
     blocks[2:, 2:] = np.diag([1.0, 3.0])
@@ -291,16 +297,6 @@ def test_population_values_on_constant_truths():
         lambda u, w: blocks, "coherence", d=1, ps=sn.ProductStructure(2, 2), m_u=20, k_omega=4
     )
     assert val == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="unknown measure"):
-        sn.measure_population(lambda u, w: const, "spectral", d=1)
-
-
-def test_population_requires_structure_where_needed():
-    const = np.eye(4) / (2 * math.pi)
-    with pytest.raises(ValueError, match="product structure"):
-        sn.measure_population(lambda u, w: const, "tvdpsca", d=1)
-    with pytest.raises(ValueError, match="direct-sum"):
-        sn.measure_population(lambda u, w: const, "coherence", d=1)
 
 
 def test_non_finite_point_estimate_is_rejected():
@@ -373,6 +369,99 @@ MEASURES = {
     "coherence": lambda sdo, d: sn.coherence_sequential(sdo, d, PS),
     "stationarity": sn.stationarity_sequential,
 }
+
+
+DIAG4 = np.diag([4.0, 3.0, 2.0, 1.0])
+SEQUENTIAL = {
+    "tvdfpca": lambda sdo, d, ps: sn.tvdfpca_sequential(sdo, d),
+    "tvdpsca": sn.tvdpsca_sequential,
+    "coherence": sn.coherence_sequential,
+    "stationarity": lambda sdo, d, ps: sn.stationarity_sequential(sdo, d),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def iid4_sample():
+    return sn.simulate(sn.IidSpec(T=256, sigma=DIAG4, seed=3))
+
+
+def on_band(band):
+    sample = iid4_sample()
+    return sn.estimate_sequential_sdo(sample, sn.default_bandwidth_plan(sample.T), band=band)
+
+
+@pytest.mark.parametrize(
+    "kind, d, ps, grid, error, message, sequential",
+    [
+        ("tvdfpca", 9, None, {}, ValueError, "d = 9 must lie in [1, 4]", None),
+        ("stationarity", 6, None, {}, ValueError, "d = 6 must lie in [1, 4]", None),
+        ("coherence", 1, sn.ProductStructure(1, 1), {}, ValueError,
+         "direct-sum structure (1, 1) does not add up to p = 4", None),
+        ("coherence", 3, PS, {}, ValueError, "d = 3 must lie in [1, min(p1, p2) = 2]", None),
+        ("coherence", 1, None, {}, ValueError, "coherence requires a direct-sum structure", None),
+        ("tvdpsca", 5, PS, {}, ValueError, "d = 5 must lie in [1, min(p1^2, p2^2) = 4]", None),
+        ("tvdpsca", 1, sn.ProductStructure(3, 2), {}, ValueError,
+         "product structure (3, 2) does not factor p = 4", None),
+        ("tvdpsca", 1, None, {}, ValueError, "tvdpsca requires a product structure", None),
+        ("spectral", 1, None, {}, ValueError, "unknown measure kind 'spectral'", None),
+        ("tvdfpca", 1, None, {"band": (2.0, 1.0)}, sn.ConfigError,
+         "frequency band must satisfy 0 <= a < b <= pi, got (2.0, 1.0)", lambda: on_band((2.0, 1.0))),
+        ("tvdfpca", 1, None, {"band": (0.0, 7.0)}, sn.ConfigError,
+         "frequency band must satisfy 0 <= a < b <= pi, got (0.0, 7.0)", lambda: on_band((0.0, 7.0))),
+        ("tvdfpca", 1, None, {"k_omega": 0}, sn.ConfigError, "k_omega = 0 must be at least 1",
+         lambda: sn.estimate_sequential_sdo(iid4_sample(), sn.default_bandwidth_plan(256), k_omega=0)),
+        ("tvdfpca", 1, None, {"m_u": 0}, sn.ConfigError, "m_u = 0 must be at least 1", None),
+        ("stationarity", 1, None, {"band": (0.0, 1.0)}, UserWarning,
+         "stationarity measure expects the full band [0, pi], got (0, 1)",
+         lambda: sn.stationarity_sequential(on_band((0.0, 1.0)), 1)),
+    ],
+    ids=["tvdfpca-d9", "stationarity-d6", "coherence-1-1", "coherence-d3", "coherence-no-ps",
+         "tvdpsca-d5", "tvdpsca-3-2", "tvdpsca-no-ps", "unknown-kind", "band-reversed",
+         "band-past-pi", "k_omega-0", "m_u-0", "stationarity-half-band"],
+)
+def test_population_refuses_what_the_sequential_path_refuses(
+    kind, d, ps, grid, error, message, sequential
+):
+    calls = []
+
+    def truth(u, omega):
+        calls.append((u, omega))
+        return DIAG4
+
+    expect = pytest.warns if issubclass(error, Warning) else pytest.raises
+    with expect(error, match=re.escape(message)):
+        sn.measure_population(truth, kind, d, ps, **{"m_u": 3, "k_omega": 2, **grid})
+    if expect is pytest.raises:
+        assert len(calls) <= 1  # refused before the truth is tabulated
+    if sequential is None and kind in SEQUENTIAL and not grid:
+        sequential = functools.partial(SEQUENTIAL[kind], analytic_sdo(DIAG4), d, ps)
+    if sequential is not None:  # the sequential path refuses the same input in the same words
+        with expect(error, match=re.escape(message)):
+            sequential()
+
+
+COUPLING = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [sn.true_sdo(sn.TvFar1Spec(T=128, a=0.5 * np.eye(4), sigma_eps=np.diag([4.0, 3.0, 2.0, 1.0]))),
+     sn.true_sdo(sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=COUPLING))],
+    ids=["tvfar1", "coherent-pair"],
+)
+@pytest.mark.parametrize(
+    "kind, ps, d_cap",
+    [("tvdfpca", None, 4), ("tvdpsca", PS, 4), ("tvdpsca", sn.ProductStructure(1, 4), 1),
+     ("coherence", PS, 2), ("coherence", sn.ProductStructure(1, 3), 1), ("stationarity", None, 4)],
+)
+def test_population_matches_the_sequential_path_on_a_u_constant_truth(truth, kind, ps, d_cap):
+    k_omega = 8
+    cells = hermitian_part(np.array([truth(0.5, om) for om in cell_midpoints((0.0, math.pi), k_omega)]))
+    tensor = np.broadcast_to(cells[None, :, None], (3, k_omega, 5, 4, 4))
+    for d in range(1, d_cap + 1):
+        population = sn.measure_population(truth, kind, d, ps, m_u=5, k_omega=k_omega)
+        path = SEQUENTIAL[kind](sn.SequentialSDO.from_tensor(tensor), d, ps)
+        assert abs(population - path.point_estimate) <= 1e-12, (kind, d)
 
 
 @pytest.fixture(scope="module", params=["parzen", "flat_top"])
