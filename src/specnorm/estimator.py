@@ -12,13 +12,15 @@ estimate; the self-normalization layer integrates over that grid.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, NumericalError
 from .hermitian import psd_project_batch
@@ -188,9 +190,17 @@ def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> None:
 
 
 def _check_count(name: str, value: int | None) -> None:
-    """Raise ConfigError unless the count ``value`` is unset or at least 1."""
-    if value is not None and value < 1:
+    """Raise ConfigError unless the count ``value`` is unset or an integer of at least 1."""
+    if value is not None and _integer(name, value, ConfigError) < 1:
         raise ConfigError(f"{name} = {value} must be at least 1")
+
+
+def _integer(name: str, value: object, error: type[Exception]) -> int:
+    """``value`` by ``operator.index`` (numpy integers pass, bools do not), else ``error``."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise error(f"{name} = {value!r} must be an integer")
 
 
 def midpoint_grid(plan: BandwidthPlan) -> np.ndarray:
@@ -283,12 +293,12 @@ class SequentialSDO:
     ``blocks(j)`` yields block j in eta chunks, each as (k0, the block's rows
     k0.., the largest eigenvalue the projection clipped in them), built where
     they are read: every block pass (:meth:`map_blocks`) builds the chunks it
-    reduces on the estimate's ``threads`` worker threads, so it holds about
-    one chunk per thread, never a whole block, and the read-only ``tensor``
-    (M, K, N, p, p) is collected from them on first read. Results depend on
-    neither the thread count, the chunk length, nor whether the tensor was
-    read. A block pass run under a ``key`` is kept read-only and shared by
-    later passes under the same key.
+    reduces on the estimate's ``threads`` worker threads, so besides its outputs
+    it holds one chunk and its temporaries per thread, never a whole block, and
+    the read-only ``tensor`` (M, K, N, p, p) is collected from them on first
+    read. Results depend on neither the thread count, the chunk length, nor
+    whether the tensor was read. A block pass run under a ``key`` is kept
+    read-only and shared by later passes under the same key.
     """
 
     u_points: np.ndarray
@@ -395,15 +405,10 @@ def _default_k_omega(plan: BandwidthPlan, band: tuple[float, float]) -> int:
     return max(1, math.ceil((b - a) / math.pi * plan.N**plan.kappa))
 
 
-def _embedded(sample: TimeSeriesSample) -> np.ndarray:
-    """The sample centered per grid point, the one form the estimate reads it in."""
-    return sample.data - sample.data.mean(axis=0)
-
-
 # A block is built and reduced in chunks of rows along eta: about this many bytes of
 # partial sums per chunk, and never fewer rows than this, as tiny chunks are slow.
-_CHUNK_BYTES = 3 << 19
-_CHUNK_ROWS = 32
+_CHUNK_BYTES = 1 << 19
+_CHUNK_ROWS = 8
 
 
 class _BlockKernel:
@@ -416,17 +421,16 @@ class _BlockKernel:
     Forming it as a + a^H keeps every slice Hermitian bit for bit. The chunk of
     slices k = k0+1..k1 adds the undivided F_num(k0) to its first increment
     before its cumulative sum, which adds in sequence, so every slice has the
-    bits of a whole-block sum.
+    bits of a whole-block sum. Building a chunk takes it, its increments and its
+    own lag windows; between chunks the kernel keeps the M centred windows only.
     """
 
     def __init__(self, x: np.ndarray, starts: np.ndarray, n: int, coef: np.ndarray) -> None:
-        lags = coef.shape[1] - 1
-        self.windows = np.stack([x[o : o + n] for o in starts])  # (M, N, p)
-        padded = np.concatenate([np.zeros((len(starts), lags, x.shape[1])), self.windows], axis=1)
-        # lagged[i, k-1, :, l] = x_{k-L+l} of window i, the L observations before row k
-        lagged = np.lib.stride_tricks.sliding_window_view(padded[:, :-1], lags, axis=1)
-        self.lagged = np.ascontiguousarray(lagged)
-        # c_L, ..., c_1 per frequency as (real, imag) columns, matching the lag order above
+        self.lags = coef.shape[1] - 1
+        # the M windows centred per grid point, after L zero rows: (M, L + N, p)
+        windows = np.stack([x[o : o + n] for o in starts]) - x.mean(axis=0)
+        self.padded = np.concatenate([np.zeros((len(starts), self.lags, x.shape[1])), windows], 1)
+        # c_L, ..., c_1 per frequency as (real, imag) columns, matching the lag order of a chunk
         self.coef = np.stack([coef[:, :0:-1].real, coef[:, :0:-1].imag], axis=-1)  # (K, L, 2)
         self.half_c0 = coef[0, 0].real / 2.0
         self.ks = np.arange(1, n + 1, dtype=float)[:, None, None]
@@ -434,8 +438,10 @@ class _BlockKernel:
 
     def _partial_sums(self, j: int, k0: int, k1: int, carry: np.ndarray | None) -> np.ndarray:
         """F_num(k) of block j for k = k0+1..k1, from ``carry`` = F_num(k0) (None at k0 = 0)."""
-        z = self.lagged[:, k0:k1] @ self.coef[j]  # (M, rows, p, 2): y_k as (real, imag)
-        windows = self.windows[:, k0:k1]
+        # lagged[i, k-k0-1, :, l] = x_{k-L+l} of window i, the L observations before row k
+        lagged = sliding_window_view(self.padded[:, k0 : k1 + self.lags - 1], self.lags, axis=1)
+        z = np.ascontiguousarray(lagged) @ self.coef[j]  # (M, rows, p, 2): y_k as (real, imag)
+        windows = self.padded[:, self.lags + k0 : self.lags + k1]
         z[..., 0] += self.half_c0 * windows
         a = (windows[..., :, None, None] * z[..., None, :, :]).view(complex)[..., 0]
         f = np.empty_like(a)  # the increments F_num(k) - F_num(k-1)
@@ -488,8 +494,9 @@ def estimate_sequential_sdo(
     offset o = floor(u T) - N/2. Every stored slice is exactly Hermitian; the
     eta = 1 slices are additionally PSD-projected.
     No block is built here: each block pass builds the blocks it reduces, in eta
-    chunks of about 1.5 MiB and at least 32 rows, and ``.tensor`` collects them
-    on first read; the first of these sets ``psd_clip_max``.
+    chunks of about 512 KiB and at least 8 rows, so it holds its outputs and,
+    per thread, one chunk and its temporaries; ``.tensor`` collects the chunks
+    on first read. The first of these sets ``psd_clip_max``.
 
     :param band: frequency band [a, b] inside [0, pi].
     :param k_omega: number of midpoint frequency cells; default
@@ -513,5 +520,5 @@ def estimate_sequential_sdo(
         u_points=midpoint_grid(plan), omega_points=omegas,
         eta_points=plan.eta_points, band=(a, b), plan=plan,
         p=sample.p, threads=threads,
-        blocks=_BlockKernel(_embedded(sample), _window_starts(plan), plan.N, coef),
+        blocks=_BlockKernel(sample.data, _window_starts(plan), plan.N, coef),
     )

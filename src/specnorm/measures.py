@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import SequentialSDO, _check_count, _validate_band, cell_midpoints
+from .estimator import SequentialSDO, _check_count, _integer, _validate_band, cell_midpoints
 from .hermitian import (
     TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch,
 )
@@ -119,13 +119,15 @@ def _functional(
     )
 
 
+def _near_ties(desc_vals: np.ndarray, d: int) -> np.ndarray:
+    """Per slice: whether its eigenvalue pair at the d boundary is numerically tied."""
+    gap = desc_vals[..., d - 1] - desc_vals[..., d] if d < desc_vals.shape[-1] else np.inf
+    return gap < TIE_TOL * np.maximum(1.0, desc_vals[..., 0])
+
+
 def _tie_count(desc_vals: np.ndarray, d: int) -> int:
     """Number of slices with a numerically tied eigenvalue pair at the d boundary."""
-    if d >= desc_vals.shape[-1]:
-        return 0
-    gap = desc_vals[..., d - 1] - desc_vals[..., d]
-    scale = np.maximum(1.0, desc_vals[..., 0])
-    return int(np.count_nonzero(gap < TIE_TOL * scale))
+    return int(np.count_nonzero(_near_ties(desc_vals, d)))
 
 
 def _share(sdo: SequentialSDO, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +157,7 @@ def _checked(kind: str, p: int, d: int, ps: ProductStructure | None) -> int:
         cap, name = min(ps.p1, ps.p2), "min(p1, p2) = "
     else:
         raise ValueError(f"unknown measure kind {kind!r}")
-    if not 1 <= d <= cap:
+    if not 1 <= _integer("d", d, ValueError) <= cap:
         raise ValueError(f"d = {d} must lie in [1, {name}{cap}]")
     return cap
 
@@ -205,11 +207,12 @@ def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
 
 def _dispersions(f: np.ndarray, d: int, w_u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Per slice: ||S - S_bar||_F^2 for the d-restricted square root S and its mean S_bar
-    over time (axis 0), weighted by ``w_u`` if given, and the ascending eigenvalues."""
+    over time (axis 0), weighted by ``w_u`` if given, and whether the PSD-clamped
+    eigenvalues are near-tied at the d boundary."""
     vals, vecs = np.linalg.eigh(f)
     s = _restricted_roots(vals, vecs, d)
     s -= s.mean(axis=0, keepdims=True) if w_u is None else np.tensordot(w_u, s, axes=(0, 0))[None]
-    return (np.abs(s) ** 2).sum(axis=(-2, -1)), vals
+    return (np.abs(s) ** 2).sum(axis=(-2, -1)), _near_ties(np.maximum(vals[..., ::-1], 0.0), d)
 
 
 def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
@@ -295,8 +298,8 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     """
     _checked("stationarity", sdo.p, d, None)
     _warn_off_full_band(*sdo.band)
-    dispersion, vals = sdo.map_blocks(lambda f: _dispersions(f, d, None))
-    diag = {"near_tie_count": _tie_count(np.maximum(vals[..., ::-1], 0.0), d)}
+    dispersion, ties = sdo.map_blocks(lambda f: _dispersions(f, d, None))
+    diag = {"near_tie_count": int(np.count_nonzero(ties))}
     return _functional("stationarity", sdo, d, dispersion.mean(axis=(0, 1)), _available(sdo), diag)
 
 

@@ -206,9 +206,9 @@ def test_recursion_matches_the_lag_cumsum_formula(kernel):
 
 
 @pytest.mark.parametrize(
-    "T, p, alpha, rows", [(16384, 16, 0.6, 64), (1024, 64, 0.5, 32), (1024, 4, 0.5, 1536)]
+    "T, p, alpha, rows", [(16384, 16, 0.6, 21), (1024, 64, 0.5, 8), (1024, 4, 0.5, 512)]
 )
-def test_chunks_hold_about_one_and_a_half_mebibytes_and_at_least_32_rows(T, p, alpha, rows):
+def test_chunks_hold_about_half_a_mebibyte_and_at_least_8_rows(T, p, alpha, rows):
     plan = sn.default_bandwidth_plan(T, alpha=alpha)
     sdo = sn.estimate_sequential_sdo(white_noise(T, p), plan)
     assert sdo.blocks.rows == rows

@@ -5,6 +5,7 @@ import functools
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ import specnorm as sn
 from conftest import chunk_rows, make_path
 from specnorm.estimator import cell_midpoints
 from specnorm.hermitian import eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch
+from specnorm.measures import _tie_count
 
 
 @pytest.fixture(scope="module")
@@ -411,13 +413,19 @@ def on_band(band):
         ("tvdfpca", 1, None, {"k_omega": 0}, sn.ConfigError, "k_omega = 0 must be at least 1",
          lambda: sn.estimate_sequential_sdo(iid4_sample(), sn.default_bandwidth_plan(256), k_omega=0)),
         ("tvdfpca", 1, None, {"m_u": 0}, sn.ConfigError, "m_u = 0 must be at least 1", None),
+        ("tvdfpca", 1.5, None, {}, ValueError, "d = 1.5 must be an integer", None),
+        ("stationarity", 1.5, None, {}, ValueError, "d = 1.5 must be an integer", None),
+        ("tvdfpca", 1, None, {"m_u": 2.5}, sn.ConfigError, "m_u = 2.5 must be an integer", None),
+        ("tvdfpca", 1, None, {"k_omega": 2.5}, sn.ConfigError, "k_omega = 2.5 must be an integer",
+         lambda: sn.estimate_sequential_sdo(iid4_sample(), sn.default_bandwidth_plan(256), k_omega=2.5)),
         ("stationarity", 1, None, {"band": (0.0, 1.0)}, UserWarning,
          "stationarity measure expects the full band [0, pi], got (0, 1)",
          lambda: sn.stationarity_sequential(on_band((0.0, 1.0)), 1)),
     ],
     ids=["tvdfpca-d9", "stationarity-d6", "coherence-1-1", "coherence-d3", "coherence-no-ps",
          "tvdpsca-d5", "tvdpsca-3-2", "tvdpsca-no-ps", "unknown-kind", "band-reversed",
-         "band-past-pi", "k_omega-0", "m_u-0", "stationarity-half-band"],
+         "band-past-pi", "k_omega-0", "m_u-0", "tvdfpca-d1.5", "stationarity-d1.5", "m_u-2.5",
+         "k_omega-2.5", "stationarity-half-band"],
 )
 def test_population_refuses_what_the_sequential_path_refuses(
     kind, d, ps, grid, error, message, sequential
@@ -438,6 +446,24 @@ def test_population_refuses_what_the_sequential_path_refuses(
     if sequential is not None:  # the sequential path refuses the same input in the same words
         with expect(error, match=re.escape(message)):
             sequential()
+
+
+def test_numpy_integers_pass_as_orders_and_counts_and_bools_do_not():
+    def truth(u, omega):
+        return DIAG4
+
+    expected = sn.measure_population(truth, "stationarity", 2, m_u=3, k_omega=2)
+    assert sn.measure_population(truth, "stationarity", np.int64(2), m_u=np.int32(3),
+                                 k_omega=np.uint8(2)) == expected
+    sdo = sn.estimate_sequential_sdo(iid4_sample(), sn.default_bandwidth_plan(256), k_omega=3)
+    again = sn.estimate_sequential_sdo(iid4_sample(), sn.default_bandwidth_plan(256),
+                                       k_omega=np.int64(3), threads=np.int8(2))
+    assert_same_path(sn.tvdfpca_sequential(again, np.int64(2)), sn.tvdfpca_sequential(sdo, 2))
+    for flag in (True, np.True_):  # a bool indexes as a mask, so it is no order
+        with pytest.raises(ValueError, match=f"d = {flag!r} must be an integer"):
+            sn.tvdfpca_sequential(sdo, flag)
+        with pytest.raises(sn.ConfigError, match=f"m_u = {flag!r} must be an integer"):
+            sn.measure_population(truth, "tvdfpca", 1, m_u=flag)
 
 
 COUPLING = np.array([[0.6, -0.8], [0.8, 0.6]])
@@ -576,7 +602,8 @@ def test_chunk_length_changes_no_bit(monkeypatch, kernel, threads):
     rng = np.random.default_rng(18)
     sample = sn.TimeSeriesSample(data=rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4)))
     plan = sn.default_bandwidth_plan(1024, kernel=sn.kernel_by_name(kernel))
-    orders = {"tvdfpca": (1, 2, 4), "tvdpsca": (1, 2), "coherence": (1, 2), "stationarity": (1, 2)}
+    orders = {"tvdfpca": (1, 2, 4), "tvdpsca": (1, 2), "coherence": (1, 2),
+              "stationarity": (1, 2, 3)}
 
     def run(rows):
         """The tensor, every path, both diagnostics and the chunk lengths at ``rows``."""
@@ -598,6 +625,11 @@ def test_chunk_length_changes_no_bit(monkeypatch, kernel, threads):
     tensor, paths, diagnostics, pass_diagnostics, lengths = run(plan.N)
     assert lengths == {plan.N} and pass_diagnostics == diagnostics
     assert (diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
+    # stationarity flags its near ties per chunk: the count of the whole eigenvalue array
+    vals = np.maximum(np.linalg.eigh(tensor)[0][..., ::-1], 0.0)
+    for d in orders["stationarity"]:
+        assert paths["stationarity", d].diagnostics["near_tie_count"] == _tie_count(vals, d)
+    assert paths["stationarity", 3].diagnostics["near_tie_count"] > 0  # slices of rank < p tie
     for rows, expected in ((1, {1}), (7, {7, plan.N % 7}), (plan.N + 5, {plan.N})):
         got = run(rows)
         assert got[4] == expected
@@ -605,6 +637,22 @@ def test_chunk_length_changes_no_bit(monkeypatch, kernel, threads):
         assert got[2] == got[3] == diagnostics
         for key, path in paths.items():
             assert_same_path(got[1][key], path)
+
+
+def test_a_p64_stationarity_pass_holds_a_few_chunks_per_thread():
+    # Chunks here are 8 rows, 2 MiB; a pass on 2 threads peaked at 15 MiB of numpy
+    # arrays (2 vCPUs), about four chunk-sized arrays per thread while a chunk is
+    # reduced. 32-row chunks (8 MiB) peak at 58 MiB.
+    rng = np.random.default_rng(20)
+    sample = sn.TimeSeriesSample(data=rng.standard_normal((4096, 64)))
+    sdo = sn.estimate_sequential_sdo(sample, sn.default_bandwidth_plan(4096), threads=2)
+    tracemalloc.start()
+    try:
+        sn.stationarity_sequential(sdo, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
 
 
 def test_threads_sharing_a_pass_lose_no_chunk(monkeypatch):
