@@ -6,8 +6,9 @@ writes machine-readable JSON reports. Configuration is a line-oriented
 rejected. Each float in a report is written as the shortest text that reads
 back as the same double, and each number in ``simulate`` CSV with 17
 significant digits, so a fixed config and seed produce byte-identical output
-and both round trip exactly. A CSV is parsed once per content: its sample is
-cached beside the pivot tables under the SHA-256 of the file's bytes.
+and both round trip exactly. A CSV is parsed once per content, in one pass
+that also names its first fault in file order: its sample is cached beside
+the pivot tables under the SHA-256 of the file's bytes.
 
 Subcommands: ``simulate`` (emit CSV), ``estimate`` (spectral tensor summary),
 ``measure`` (one deviation-measure path), ``infer`` (full inference report),
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -267,7 +267,8 @@ def ingest_csv(path: str) -> TimeSeriesSample:
     """Read a T x p numeric CSV, auto-detecting an optional header row.
 
     The ``csv`` module splits the rows, into cells of at most 131,072
-    characters, and ``float`` reads each cell; a DataError names a bad one.
+    characters, and ``float`` reads each cell, in one streamed pass that
+    raises a DataError at the file's first fault (see :func:`_parse_csv`).
 
     The parsed sample is kept beside the pivot tables as
     ``sample_v2_<sha256 of the file's bytes>.npy`` and served whenever a file
@@ -350,27 +351,50 @@ def _cached_sample(entry: Path, path: str) -> np.ndarray | None:
 def _parse_csv(path: str) -> np.ndarray:
     """The checked T x p values of a CSV file, each cell read by ``float``.
 
-    Rows stream from the ``csv`` module into one array: neither the file nor
-    its rows are held whole. On a failure :func:`_check_cells` names the fault.
+    One pass streams the rows from the ``csv`` module into one array, holding
+    neither the file nor its rows whole, and raises a DataError at the first
+    fault in file order: a byte that is not UTF-8, a cell over the field
+    limit, a ragged row, a non-numeric or a non-finite cell.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
-            rows = filter(None, csv.reader(fh))  # a blank line is an empty row
-            first = next(rows)
-            if not all(map(_is_number, first)):
-                first = next(rows)  # that was the header
-            p = len(first)
-            # a ragged row stands in as a cell that float refuses
-            rows = (row if len(row) == p else [""] for row in itertools.chain([first], rows))
-            values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
-    except (OSError, StopIteration, ValueError, csv.Error):  # ValueError: a bad cell or byte
-        values = None
-    if values is None or not np.isfinite(values).all():
-        _check_cells(path)
-    values = values.reshape(-1, p)
+        # a byte-order mark is skipped; a byte that is not UTF-8 reads as a lone surrogate
+        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            rows = enumerate(filter(None, csv.reader(fh)), start=1)  # a blank line is an empty row
+            if (first := next(rows, None)) is None:
+                raise DataError(f"{path}: empty file")
+            if not all(map(_is_number, first[1])):  # that was the header
+                _check_utf8(path, "".join(first[1]))
+                if (first := next(rows, None)) is None:
+                    raise DataError(f"{path}: no data rows")
+            p = len(first[1])
+            rows = _checked_rows(path, p, itertools.chain([first], rows))
+            values = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(-1, p)
+    except (OSError, csv.Error) as exc:  # csv.Error: a cell over its size limit
+        raise DataError(f"cannot read {path}: {exc}") from None
     if len(values) < 64:
         raise DataError(f"{path}: need at least 64 rows, got {len(values)}")
     return values
+
+
+def _checked_rows(path: str, p: int, rows: Iterator[tuple[int, list[str]]]) -> Iterator[list]:
+    """Each numbered row read by ``float``, up to the first faulty row. Only a row that is
+    ragged, holds a refused cell or sums to a non-finite value is scanned for its fault:
+    a byte that is not UTF-8, then its length, then its cells in column order."""
+    for i, row in rows:
+        try:
+            values = list(map(float, row)) if len(row) == p else [math.nan]
+        except ValueError:
+            values = [math.nan]
+        if not math.isfinite(sum(values)):  # a fault, or finite values whose sum overflows
+            _check_utf8(path, "".join(row))
+            if len(row) != p:
+                raise DataError(f"{path}: ragged row {i} has {len(row)} cells, expected {p}")
+            for j, cell in enumerate(row, start=1):
+                if not _is_number(cell):
+                    raise DataError(f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}")
+                if not math.isfinite(float(cell)):
+                    raise DataError(f"{path}: non-finite value at row {i}, column {j}: {cell!r}")
+        yield values
 
 
 def _is_number(cell: str) -> bool:
@@ -381,36 +405,22 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _check_cells(path: str) -> NoReturn:
-    """Raise DataError at the first fault of a CSV file: unreadable, empty,
-    header only, a ragged row, a non-numeric or a non-finite cell."""
-    try:
-        # decoded whole, so a bad byte's position counts from the start of the file
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataError(
-            f"cannot read {path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} "
-            f"(line {line}) is not UTF-8: {exc.reason}"
-        ) from None
-    except (OSError, csv.Error) as exc:  # csv.Error: a cell over its size limit
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    start = 0 if all(map(_is_number, rows[0])) else 1
-    if start == len(rows):
-        raise DataError(f"{path}: no data rows")
-    p = len(rows[start])
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != p:
-            raise DataError(f"{path}: ragged row {i} has {len(row)} cells, expected {p}")
-        for j, cell in enumerate(row, start=1):
-            if not _is_number(cell):
-                raise DataError(f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}")
-            if not math.isfinite(float(cell)):
-                raise DataError(f"{path}: non-finite value at row {i}, column {j}: {cell!r}")
-    raise DataError(f"cannot read {path}: it changed while it was read")
+def _check_utf8(path: str, text: str) -> None:
+    """If ``text`` holds a byte that is not UTF-8, raise the DataError that names
+    the file's first such byte by its offset and line, reading a line at a time."""
+    if not any("\udc80" <= c <= "\udcff" for c in text):  # no byte was escaped
+        return
+    offset, lineno = 0, 1
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for raw in (line.encode(errors="surrogateescape") for line in fh):  # a line's bytes
+            try:
+                raw.decode()  # no character spans two lines: they end at b"\n" or b"\r"
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"cannot read {path}: byte {raw[exc.start]:#04x} at offset "
+                    f"{offset + exc.start} (line {lineno}) is not UTF-8: {exc.reason}"
+                ) from None
+            offset, lineno = offset + len(raw), lineno + raw.endswith(b"\n")
 
 
 def _diag_or_eye(diag: tuple[float, ...] | None, p: int | None, what: str) -> np.ndarray:

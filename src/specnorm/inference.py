@@ -46,7 +46,7 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimator import _check_count, map_ordered
+from .estimator import _check_count, _integer, map_ordered
 from .measures import SequentialFunctional
 
 __all__ = [
@@ -119,28 +119,29 @@ class PivotLaw:
 
 def _checked_pairs(pairs: Sequence[tuple[int, int]], bm_steps: int) -> _Pairs:
     """The exponent pairs as ints, once they and the Brownian grid size are valid."""
-    pairs = tuple((int(f), int(g)) for f, g in pairs)
+    pairs = tuple((_integer("f_exponent", f, ConfigError), _integer("g_exponent", g, ConfigError))
+                  for f, g in pairs)
     if not pairs:
         raise ConfigError("joint pivot needs at least one exponent pair")
     if any(f < 0 or g < 0 for f, g in pairs):
         raise ConfigError("scaling exponents must be non-negative integers")
-    if bm_steps < 500:
+    if _integer("bm_steps", bm_steps, ConfigError) < 500:
         raise ConfigError(f"bm_steps = {bm_steps} too small; need at least 500")
     return pairs
 
 
 def _check_mc(replications: int, seed: int, threads: int) -> None:
     """Raise ConfigError unless the Monte Carlo engine's own arguments are valid."""
-    if replications < 10_000:
+    if _integer("replications", replications, ConfigError) < 10_000:
         raise ConfigError(f"replications = {replications} too small; need at least 10000")
-    if seed < 0:
+    if _integer("seed", seed, ConfigError) < 0:
         raise ConfigError("seed must be a non-negative integer")
     _check_count("threads", threads)
 
 
 def _check_delta(delta: float | None) -> None:
     """Raise ConfigError unless the relevance threshold ``delta`` is unset or non-negative."""
-    if delta is not None and delta < 0:
+    if delta is not None and not delta >= 0:  # NaN included
         raise ConfigError(f"delta = {delta} must be non-negative")
 
 
@@ -569,7 +570,7 @@ def confidence_interval(
     """Two-sided confidence interval [estimate + q_{a/2} V, estimate + q_{1-a/2} V]."""
     if not 0.002 <= alpha < 1.0:
         raise ConfigError(f"alpha = {alpha} outside the supported range [0.002, 1)")
-    if v < 0:
+    if not v >= 0:  # NaN included
         raise ValueError("V must be non-negative")
     lo = estimate + law.quantile(alpha / 2.0) * v
     hi = estimate + law.quantile(1.0 - alpha / 2.0) * v
@@ -593,6 +594,8 @@ def relevant_test(
     Rejects when estimate > delta + q_{1-alpha} V.
     """
     _check_delta(delta)
+    if not v >= 0:
+        raise ValueError("V must be non-negative")
     q = law.quantile(alpha, upper=True)
     threshold = delta + q * v
     return RelevantTestResult(

@@ -489,6 +489,72 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(tmp_path, ca
     }
 
 
+@pytest.mark.parametrize("later", [12, 2500], ids=["same-decoder-chunk", "later-chunk"])
+def test_the_first_fault_in_file_order_is_named(tmp_path, later):
+    # row 10 starts at byte 36; row 12 is in the decoder's first 8 KiB chunk, row 2500 is not
+    path = tmp_path / "faults.csv"
+
+    def first_fault(faults):
+        rows = [b"1,2"] * 3000
+        for i, row in faults.items():
+            rows[i - 1] = row
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(DataError) as err:
+            ingest_csv(str(path))
+        return str(err.value)
+
+    for row10 in (b"1,2,3", b"1,oops", b"1,inf"):
+        for row in (b"1,\xff", b"\xe9,2", b"1," + b"0" * 200_000):  # a bad byte, an over-limit cell
+            message = first_fault({10: row10, later: row})
+            assert "row 10" in message and "UTF-8" not in message, (row10, row, message)
+    offset = 4 * 4 + 2  # row 5 is b"1,\xff" after four rows of b"1,2\n"
+    assert first_fault({5: b"1,\xff", 10: b"1,2,3"}) == (
+        f"cannot read {path}: byte 0xff at offset {offset} (line 5) is not UTF-8: invalid start byte"
+    )
+    # a row's bad byte comes before its length and its other cells
+    for row10 in (b"1,\xff,3", b"x,\xff", b"inf,\xff"):
+        offset = 9 * 4 + row10.index(b"\xff")
+        assert f"offset {offset} (line 10)" in first_fault({10: row10, later: b"oops,2"}), row10
+    # a bad byte in the header is a fault too; a header of text is not
+    assert "offset 1 (line 1)" in first_fault({1: b"x\xff,y", 20: b"1,2,3"})
+    assert "ragged row 20" in first_fault({1: b"x,y", 20: b"1,2,3"})
+
+
+def test_a_refused_file_holds_no_more_than_a_parsed_one(tmp_path, monkeypatch):
+    # a fault in the last row is found in the pass that parses the others, so refusing the
+    # file holds what parsing it does
+    monkeypatch.setenv("SPECNORM_CACHE_DIR", str(tmp_path / "cache"))
+    data = np.random.default_rng(7).normal(size=(8192, 16))
+    clean = Path(write_csv(tmp_path, data, header=[f"x{j}" for j in range(16)]))
+    text = clean.read_bytes()
+    assert len(text) > 2_500_000
+    last = text.rstrip(b"\n").rsplit(b"\n", 1)[1]
+    faults = {
+        "non-numeric": (last.rsplit(b",", 1)[0] + b",oops", "non-numeric cell at row 8193"),
+        "non-finite": (last.rsplit(b",", 1)[0] + b",1E999", "non-finite value at row 8193"),
+        "ragged": (last + b",1", "ragged row 8193 has 17 cells"),
+        "not-utf8": (last.rsplit(b",", 1)[0] + b",\xff", "(line 8193) is not UTF-8"),
+    }
+
+    def peak(path, message=None):
+        tracemalloc.start()
+        try:
+            if message is None:
+                ingest_csv(str(path))
+            else:
+                with pytest.raises(DataError, match=re.escape(message)):
+                    ingest_csv(str(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parsed = peak(clean)
+    for name, (row, message) in faults.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text[: text.rindex(last)] + row + b"\n")
+        assert peak(path, message) < 1.25 * parsed, name
+
+
 @pytest.mark.parametrize(
     "row, rows, message",
     [("1,2,3", 70, "ragged row 10"), ("1,nan", 70, "non-finite value at row 10, column 2"),

@@ -4,7 +4,9 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +340,26 @@ def test_mc_argument_validation():
         sn.mc_quantiles(3, 2, threads=0)
     with pytest.raises(sn.ConfigError, match="seed must be a non-negative integer"):
         sn.mc_quantiles(3, 2, seed=-1)
+    # an exponent, grid size, replication count or seed that is not an integer is refused by
+    # name, neither truncated (3.5 read as 3) nor read as a number (True as 1)
+    for build in (sn.mc_quantiles, sn.exact_quantiles):
+        for args, kwargs, message in [
+            ((3.5, 2), {}, "f_exponent = 3.5 must be an integer"),
+            ((3, 2.0), {}, "g_exponent = 2.0 must be an integer"),
+            ((True, 2), {}, "f_exponent = True must be an integer"),
+            ((3, 2), dict(bm_steps=500.7), "bm_steps = 500.7 must be an integer"),
+        ]:
+            with pytest.raises(sn.ConfigError, match=re.escape(message)):
+                build(*args, use_cache=False, **kwargs)
+    with pytest.raises(sn.ConfigError, match=re.escape("replications = 10000.5 must be an integer")):
+        sn.mc_quantiles(3, 2, replications=10000.5)
+    with pytest.raises(sn.ConfigError, match=re.escape("seed = 1.5 must be an integer")):
+        sn.mc_quantiles(3, 2, seed=1.5)
+    with pytest.raises(sn.ConfigError, match=re.escape("f_exponent = 1.5 must be an integer")):
+        sn.mc_quantiles_joint([(3, 2), (1.5, 0)], replications=10_000, bm_steps=500)
+    with pytest.raises(sn.ConfigError, match=re.escape("f_exponent = 3.5 must be an integer")):
+        sn.exact_quantiles(3.5, 2, bm_steps=500)  # the cache is not read or written
+    assert not list(Path(os.environ["SPECNORM_CACHE_DIR"]).glob("pivot_exact_f3.5_*"))
 
 
 def test_pivot_law_is_roughly_symmetric(law_32):
@@ -361,6 +383,8 @@ def test_confidence_interval_alignment(law_32):
         sn.confidence_interval(0.5, 0.01, law_32, alpha=0.001)
     with pytest.raises(ValueError, match="non-negative"):
         sn.confidence_interval(0.5, -0.1, law_32)
+    with pytest.raises(ValueError, match="non-negative"):
+        sn.confidence_interval(0.5, math.nan, law_32)  # NaN fails the non-negative rule too
 
 
 def test_relevant_test_threshold_rule(law_32):
@@ -372,6 +396,11 @@ def test_relevant_test_threshold_rule(law_32):
     assert above.threshold == pytest.approx(0.1 + q * 0.02)
     with pytest.raises(sn.ConfigError, match="delta"):
         sn.relevant_test(0.5, 0.1, law_32, delta=-0.2)
+    with pytest.raises(sn.ConfigError, match="delta = nan must be non-negative"):
+        sn.relevant_test(0.5, 0.1, law_32, delta=math.nan)
+    for v in (-1.0, math.nan):  # V is checked as confidence_interval checks it
+        with pytest.raises(ValueError, match="V must be non-negative"):
+            sn.relevant_test(0.5, v, law_32, delta=0.1)
 
 
 def test_order_selection_on_synthetic_shares(law_32):
