@@ -35,7 +35,6 @@ import traceback
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -62,7 +61,8 @@ from .inference import (
     _check_mc,
     _check_nu,
     _checked_pairs,
-    _replaced_atomically,
+    _read_entry,
+    _write_entry,
     confidence_interval,
     estimate_dstar,
     exact_cache_path,
@@ -283,16 +283,24 @@ def ingest_csv(path: str) -> TimeSeriesSample:
         return TimeSeriesSample(data=_parse_csv(path))
     digest, seen = key
     entry = _cache_root(None) / f"{_SAMPLE_TAG}_{digest}.npy"
-    if (values := _cached_sample(entry, path)) is not None:
+    unusable = f"unreadable sample cache at {entry}; parsing {path} again"
+    if (values := _read_entry(entry, _is_sample, unusable, unusable, stacklevel=2)) is not None:
         return TimeSeriesSample(data=values)
     sample = TimeSeriesSample(data=_parse_csv(path))
     if _size_and_mtime(path) == seen:
-        try:
-            with _replaced_atomically(entry, "wb") as fh:
-                np.save(fh, sample.data, allow_pickle=False)
-        except OSError as exc:
-            warnings.warn(f"could not write sample cache {entry}: {exc}", stacklevel=2)
+        _write_entry(entry, sample.data, "sample", stacklevel=2)
     return sample
+
+
+def _is_sample(values: np.ndarray) -> bool:
+    """Whether a cached array is a finite T x p float64 sample of at least 64 rows."""
+    return (
+        values.dtype == np.float64
+        and values.ndim == 2
+        and values.shape[0] >= 64
+        and values.shape[1] >= 1
+        and bool(np.isfinite(values).all())
+    )
 
 
 def _size_and_mtime(path: str) -> tuple[int, int] | None:
@@ -323,29 +331,6 @@ def _content_key(path: str) -> tuple[str, tuple[int, int]] | None:
     except OSError:
         return None
     return digest.hexdigest(), (st.st_size, st.st_mtime_ns)
-
-
-def _cached_sample(entry: Path, path: str) -> np.ndarray | None:
-    """The array kept at ``entry``, if it is a finite T x p float64 sample of at
-    least 64 rows; anything else is reported as a warning and not served."""
-    if not entry.is_file():
-        return None
-    try:
-        with open(entry, "rb") as fh:
-            values = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        values = None
-    if (
-        values is not None
-        and values.dtype == np.float64
-        and values.ndim == 2
-        and values.shape[0] >= 64
-        and values.shape[1] >= 1
-        and np.isfinite(values).all()
-    ):
-        return values
-    warnings.warn(f"unreadable sample cache at {entry}; parsing {path} again", stacklevel=3)
-    return None
 
 
 def _parse_csv(path: str) -> np.ndarray:

@@ -27,9 +27,10 @@ a fixed chunk size and per-chunk generators, making results independent of
 the thread count. Each chunk is drawn and reduced in row blocks of about
 4 MiB of paths; a row's noise and arithmetic do not depend on the block, so
 the bits do not depend on the block size either. Scalar tables of either
-engine are cached on disk in a plain text format under a key that names the
-engine; lookups interpolate the table, so runs with a warm or cold cache
-produce identical bytes.
+engine are cached on disk as ``.npy`` entries, a float64 vector of the key
+then the quantiles, under a name that carries the engine and the format tag;
+lookups interpolate the table, so runs with a warm or cold cache produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import math
 import os
 import tempfile
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,8 +59,6 @@ __all__ = [
     "quantile_se",
     "pivot_cache_path",
     "exact_cache_path",
-    "save_pivot_law",
-    "load_pivot_law",
     "SelfNormV",
     "self_norm_V",
     "ConfidenceInterval",
@@ -145,6 +143,14 @@ def _check_delta(delta: float | None) -> None:
         raise ConfigError(f"delta = {delta} must be non-negative")
 
 
+def _check_estimate(estimate: float, v: float) -> None:
+    """Raise ValueError unless ``estimate`` is finite and V finite and non-negative."""
+    if not math.isfinite(estimate):
+        raise ValueError(f"estimate must be finite, got {estimate}")
+    if not 0.0 <= v < math.inf:  # NaN included
+        raise ValueError(f"V must be non-negative and finite, got {v}")
+
+
 def _check_nu(nu: float | None) -> None:
     """Raise ConfigError unless the share threshold ``nu`` is unset or in (0, 1)."""
     if nu is not None and not 0.0 < nu < 1.0:
@@ -218,6 +224,10 @@ def _tabulate(
     return PivotLaw(pairs, joint, replications, bm_steps, seed, ALPHA_GRID.copy(), quantiles)
 
 
+# Names the layout of a pivot entry and what the engines compute: a change to either must bump it.
+_PIVOT_TAG = "v2"
+
+
 def pivot_cache_path(
     f_exponent: int,
     g_exponent: int,
@@ -228,8 +238,8 @@ def pivot_cache_path(
 ) -> Path:
     """Location of the on-disk Monte Carlo quantile table for the given key."""
     name = (
-        f"pivot_f{f_exponent}_g{g_exponent}_R{replications}"
-        f"_n{bm_steps}_seed{seed}.txt"
+        f"pivot_mc_{_PIVOT_TAG}_f{f_exponent}_g{g_exponent}_R{replications}"
+        f"_n{bm_steps}_seed{seed}.npy"
     )
     return _cache_root(cache_dir) / name
 
@@ -238,7 +248,8 @@ def exact_cache_path(
     f_exponent: int, g_exponent: int, bm_steps: int, cache_dir: str | os.PathLike | None = None
 ) -> Path:
     """Location of the on-disk exact quantile table for (f, g) on ``bm_steps`` points."""
-    return _cache_root(cache_dir) / f"pivot_exact_f{f_exponent}_g{g_exponent}_n{bm_steps}.txt"
+    name = f"pivot_exact_{_PIVOT_TAG}_f{f_exponent}_g{g_exponent}_n{bm_steps}.npy"
+    return _cache_root(cache_dir) / name
 
 
 def _cache_root(cache_dir: str | os.PathLike | None) -> Path:
@@ -247,47 +258,44 @@ def _cache_root(cache_dir: str | os.PathLike | None) -> Path:
     return Path(cache_dir)
 
 
-@contextmanager
-def _replaced_atomically(path: Path, mode: str) -> Iterator[IO]:
-    """A temporary file beside ``path``, opened in ``mode``, that replaces
-    ``path`` only if the block completes; a reader never sees half a file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def _read_entry(
+    path: Path, valid: Callable[[np.ndarray], bool], unreadable: str, stale: str, stacklevel: int
+) -> np.ndarray | None:
+    """The array of the cache entry at ``path``, if there is one and ``valid``
+    accepts it. An entry that is not a ``.npy`` array warns ``unreadable``, one
+    that ``valid`` refuses warns ``stale``; neither is served. ``stacklevel`` is
+    the caller's, as it would pass it to ``warnings.warn``."""
+    if not path.is_file():
+        return None
     try:
-        with os.fdopen(fd, mode) as fh:
-            yield fh
+        with open(path, "rb") as fh:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        warnings.warn(unreadable, stacklevel=stacklevel + 1)
+        return None
+    if valid(values):
+        return values
+    warnings.warn(stale, stacklevel=stacklevel + 1)
+    return None
+
+
+def _write_entry(path: Path, values: np.ndarray, what: str, stacklevel: int) -> None:
+    """Store ``values`` as the cache entry at ``path``, through a temporary file
+    beside it that replaces ``path`` only once it is complete, so a reader never
+    sees half an entry. A failed write warns, with the caller's ``stacklevel``,
+    and leaves no temporary file."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, values, allow_pickle=False)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        warnings.warn(f"could not write {what} cache {path}: {exc}", stacklevel=stacklevel + 1)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def save_pivot_law(law: PivotLaw, path: str | os.PathLike) -> None:
-    """Write a scalar quantile table as plain text (header line, then alpha/quantile pairs)."""
-    if law.joint:
-        raise ValueError("only scalar pivot laws have a file format")
-    ((f_exp, g_exp),) = law.pairs
-    header = f"{f_exp} {g_exp} {law.replications} {law.bm_steps} {law.seed}"
-    with _replaced_atomically(Path(path), "w") as fh:
-        table = np.column_stack([law.alphas, law.quantiles])
-        np.savetxt(fh, table, fmt="%.17g", header=header, comments="")
-
-
-def load_pivot_law(path: str | os.PathLike) -> PivotLaw:
-    """Read a quantile table written by :func:`save_pivot_law`."""
-    with open(path) as fh:
-        f_exp, g_exp, reps, steps, seed = (int(x) for x in fh.readline().split())
-        alphas, quantiles = np.loadtxt(fh, ndmin=2, unpack=True)
-    return PivotLaw(
-        pairs=((f_exp, g_exp),),
-        joint=False,
-        replications=reps,
-        bm_steps=steps,
-        seed=seed,
-        alphas=alphas,
-        quantiles=quantiles,
-    )
 
 
 def quantile_se(law: PivotLaw, alpha: float) -> float:
@@ -326,63 +334,53 @@ def mc_quantiles(
     Each path enters with both signs (antithetic pairing), so the table is
     exactly symmetric: q(0.5) = 0 and q(a) = -q(1-a) up to rounding.
     Results depend only on the arguments, not on thread count or cache state.
-    A cached table is served only if its key matches and it is the grid
-    table, finite, non-decreasing and antisymmetric; otherwise it is
+    A cached table is served only if its stored key matches and it is a
+    full, finite, non-decreasing and antisymmetric table; otherwise it is
     recomputed.
     """
     pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
     _check_mc(replications, seed, threads)
-    path = pivot_cache_path(
-        f_exponent, g_exponent, replications, bm_steps, seed, cache_dir
-    )
+    path = pivot_cache_path(f_exponent, g_exponent, replications, bm_steps, seed, cache_dir)
     return _cached_or_built(
-        path if use_cache else None,
-        (pairs, replications, bm_steps, seed),
+        path if use_cache else None, pairs, replications, bm_steps, seed,
         lambda: _tabulate(pairs, False, replications, bm_steps, seed, threads),
     )
 
 
-def _cached_or_built(path: Path | None, key: tuple, build: Callable[[], PivotLaw]) -> PivotLaw:
-    """The table cached at ``path`` if it is valid for ``key``, else ``build()``,
-    stored at ``path``; with no ``path`` the cache is neither read nor written."""
-    if path is not None and (law := _cached_law(path, key)):
-        return law
+def _cached_or_built(
+    path: Path | None, pairs: _Pairs, replications: int, bm_steps: int, seed: int,
+    build: Callable[[], PivotLaw],
+) -> PivotLaw:
+    """The scalar table cached at ``path`` if it is valid for its key, else
+    ``build()``, stored at ``path``; with no ``path`` the cache is neither read
+    nor written. An entry is the float64 vector (f, g, replications, bm_steps,
+    seed, quantiles on ``ALPHA_GRID``), served only if its key is this key and
+    its table is finite, non-decreasing and antisymmetric (q(0.5) = 0 and
+    q(a) = -q(1 - a) up to rounding), as both engines build it."""
+    if path is None:
+        return build()
+    key = np.array([*pairs[0], replications, bm_steps, seed], dtype=float)
+
+    def valid(entry: np.ndarray) -> bool:
+        if entry.dtype != np.float64 or entry.shape != (len(key) + len(ALPHA_GRID),):
+            return False
+        q = entry[len(key):]
+        return (
+            np.array_equal(entry[: len(key)], key)
+            and np.isfinite(q).all()
+            and (np.diff(q) >= 0).all()
+            and q[len(q) // 2] == 0.0
+            and (np.abs(q + q[::-1]) <= 1e-10 * np.abs(q).max()).all()
+        )
+
+    entry = _read_entry(path, valid, f"unreadable quantile cache at {path}; recomputing",
+                        f"stale quantile cache at {path}; recomputing", stacklevel=3)
+    if entry is not None:
+        quantiles = entry[len(key):]
+        return PivotLaw(pairs, False, replications, bm_steps, seed, ALPHA_GRID.copy(), quantiles)
     law = build()
-    if path is not None:
-        try:
-            save_pivot_law(law, path)
-        except OSError as exc:
-            warnings.warn(f"could not write quantile cache {path}: {exc}", stacklevel=3)
+    _write_entry(path, np.concatenate([key, law.quantiles]), "quantile", stacklevel=3)
     return law
-
-
-def _cached_law(path: Path, key: tuple) -> PivotLaw | None:
-    """The scalar table cached at ``path``, if it is valid for ``key``.
-
-    ``key`` is (pairs, replications, bm_steps, seed). The table must also be
-    the ``ALPHA_GRID`` table, finite, non-decreasing and antisymmetric
-    (q(0.5) = 0 and q(a) = -q(1 - a) up to rounding), as both engines build
-    it. Anything else is reported as a warning and not served.
-    """
-    if not path.is_file():
-        return None
-    try:
-        law = load_pivot_law(path)
-    except (ValueError, OSError):
-        warnings.warn(f"unreadable quantile cache at {path}; recomputing", stacklevel=4)
-        return None
-    q = law.quantiles
-    if (
-        (law.pairs, law.replications, law.bm_steps, law.seed) == key
-        and np.array_equal(law.alphas, ALPHA_GRID)
-        and np.isfinite(q).all()
-        and (np.diff(q) >= 0).all()
-        and q[len(q) // 2] == 0.0
-        and (np.abs(q + q[::-1]) <= 1e-10 * np.abs(q).max()).all()
-    ):
-        return law
-    warnings.warn(f"stale quantile cache at {path}; recomputing", stacklevel=4)
-    return None
 
 
 def exact_quantiles(
@@ -404,8 +402,7 @@ def exact_quantiles(
     pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
     path = exact_cache_path(f_exponent, g_exponent, bm_steps, cache_dir)
     return _cached_or_built(
-        path if use_cache else None,
-        (pairs, 0, bm_steps, 0),
+        path if use_cache else None, pairs, 0, bm_steps, 0,
         lambda: PivotLaw(
             pairs, False, 0, bm_steps, 0, ALPHA_GRID.copy(), _exact_table(*pairs[0], bm_steps)
         ),
@@ -570,8 +567,7 @@ def confidence_interval(
     """Two-sided confidence interval [estimate + q_{a/2} V, estimate + q_{1-a/2} V]."""
     if not 0.002 <= alpha < 1.0:
         raise ConfigError(f"alpha = {alpha} outside the supported range [0.002, 1)")
-    if not v >= 0:  # NaN included
-        raise ValueError("V must be non-negative")
+    _check_estimate(estimate, v)
     lo = estimate + law.quantile(alpha / 2.0) * v
     hi = estimate + law.quantile(1.0 - alpha / 2.0) * v
     return ConfidenceInterval(level=1.0 - alpha, lo=lo, hi=hi)
@@ -594,8 +590,7 @@ def relevant_test(
     Rejects when estimate > delta + q_{1-alpha} V.
     """
     _check_delta(delta)
-    if not v >= 0:
-        raise ValueError("V must be non-negative")
+    _check_estimate(estimate, v)
     q = law.quantile(alpha, upper=True)
     threshold = delta + q * v
     return RelevantTestResult(

@@ -442,7 +442,8 @@ def test_an_empty_cache_dir_variable_means_the_default(tmp_path, capsys, monkeyp
         code, out = run_main(capsys, *argv)
         assert code == 0, out
     default = home / ".cache" / "specnorm"
-    assert (default / "pivot_exact_f3_g2_n500.txt").is_file()
+    assert (default / "pivot_exact_v2_f3_g2_n500.npy").is_file()
+    assert list(default.glob("*.txt")) == []
     assert len(sample_entries(default)) == 1
     assert list(work.iterdir()) == []
 

@@ -63,16 +63,17 @@ def test_self_norm_multiple_paths_and_grid_mismatch():
         sn.self_norm_V([])
 
 
-# The two scalar engines at (3, 2) on 500 points: the table, its cache file
-# and the (replications, seed) part of its key.
+# The two scalar engines at (3, 2) on 500 points: the table (cached in d, or
+# with use_cache=False not at all), its cache file and the (replications,
+# seed) part of its key.
 ENGINES = {
     "mc": (
-        lambda d: sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=d),
+        lambda d, **kw: sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, cache_dir=d, **kw),
         lambda d: sn.pivot_cache_path(3, 2, 10_000, 500, sn.DEFAULT_QUANTILE_SEED, cache_dir=d),
         (10_000, sn.DEFAULT_QUANTILE_SEED),
     ),
     "exact": (
-        lambda d: sn.exact_quantiles(3, 2, bm_steps=500, cache_dir=d),
+        lambda d, **kw: sn.exact_quantiles(3, 2, bm_steps=500, cache_dir=d, **kw),
         lambda d: sn.exact_cache_path(3, 2, 500, cache_dir=d),
         (0, 0),
     ),
@@ -80,28 +81,30 @@ ENGINES = {
 
 
 def test_quantile_table_roundtrip_and_cache(tmp_path):
-    for build, cache_path, _ in ENGINES.values():
+    # a text table of the old format, in the old slot, is never read
+    (tmp_path / "pivot_exact_f3_g2_n500.txt").write_text("3 2 0 500 0\n0.001 -3.\n")
+    for engine, (build, cache_path, (reps, seed)) in ENGINES.items():
         law = build(tmp_path)
         path = cache_path(tmp_path)
-        assert path.is_file()
-        raw = path.read_bytes()
+        assert path.name.startswith(f"pivot_{engine}_v2_f3_g2_") and path.suffix == ".npy"
+        entry = np.concatenate([[3, 2, reps, 500, seed], law.quantiles])
+        assert np.load(path).tobytes() == entry.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the fresh table passes every load check
             again = build(tmp_path)
-        assert np.array_equal(law.quantiles, again.quantiles)
-        # saving the reloaded law reproduces the file byte for byte
-        loaded = sn.load_pivot_law(path)
-        other = tmp_path / "copy.txt"
-        sn.save_pivot_law(loaded, other)
-        assert other.read_bytes() == raw
-    # one file per engine, and the exact one is keyed on f, g and n only
-    assert sn.exact_cache_path(3, 2, 500, cache_dir=tmp_path).name == "pivot_exact_f3_g2_n500.txt"
-    assert len(list(tmp_path.glob("pivot_*.txt"))) == 2
+        # the cached table is the fresh one bit for bit
+        fresh = build(None, use_cache=False)
+        assert again.quantiles.tobytes() == law.quantiles.tobytes() == fresh.quantiles.tobytes()
+        assert again.alphas.tobytes() == sn.ALPHA_GRID.tobytes()
+        assert (again.pairs, again.replications, again.bm_steps, again.seed) == (
+            ((3, 2),), reps, 500, seed)
+    # one entry per engine, and the exact one is keyed on f, g and n only
+    assert sn.exact_cache_path(3, 2, 500, cache_dir=tmp_path).name == "pivot_exact_v2_f3_g2_n500.npy"
+    assert len(list(tmp_path.glob("pivot_*.npy"))) == 2
 
 
 def test_failed_cache_write_warns_and_returns_the_built_table(tmp_path, monkeypatch):
-    uncached = [sn.mc_quantiles(3, 2, replications=10_000, bm_steps=500, use_cache=False),
-                sn.exact_quantiles(3, 2, bm_steps=500, use_cache=False)]
+    uncached = [build(None, use_cache=False) for build, _, _ in ENGINES.values()]
     (tmp_path / "file").write_text("")
     blocked = tmp_path / "file" / "cache"  # a directory no user, root included, can make
     for (build, _, _), law in zip(ENGINES.values(), uncached):
@@ -109,11 +112,11 @@ def test_failed_cache_write_warns_and_returns_the_built_table(tmp_path, monkeypa
             assert np.array_equal(build(blocked).quantiles, law.quantiles)
 
     # a write that fails partway leaves neither a table nor its temporary file
-    def disk_full(fh, *args, **kwargs):
-        fh.write("0.001 -3.")
+    def disk_full(fh, values, allow_pickle):
+        fh.write(b"\x93NUMPY")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(np, "savetxt", disk_full)
+    monkeypatch.setattr(np, "save", disk_full)
     for (build, cache_path, _), law in zip(ENGINES.values(), uncached):
         with pytest.warns(UserWarning, match="could not write quantile cache"):
             assert np.array_equal(build(tmp_path).quantiles, law.quantiles)
@@ -121,10 +124,26 @@ def test_failed_cache_write_warns_and_returns_the_built_table(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == [tmp_path / "file"]  # no *.tmp left behind
 
 
-def test_corrupt_cache_recomputes_with_warning(tmp_path):
-    # a table for different parameters in the same slot counts as stale, and
-    # so does the right key over a table that is off the grid, not a finite,
-    # non-decreasing quantile function, or not antisymmetric
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_corrupt_cache_recomputes_with_warning(tmp_path, engine):
+    build, cache_path, (reps, seed) = ENGINES[engine]
+    law = build(tmp_path)
+    path = cache_path(tmp_path)
+    written = path.read_bytes()
+
+    def rebuilt(warning: str) -> None:
+        with pytest.warns(UserWarning, match=warning):
+            again = build(tmp_path)
+        assert again.quantiles.tobytes() == law.quantiles.tobytes()
+        assert path.read_bytes() == written  # and stored afresh
+
+    for damaged in (written[:-8], written[:40], b"garbage\n"):
+        path.write_bytes(damaged)
+        rebuilt("unreadable quantile cache")
+    # a table for different parameters in the same slot counts as stale, and so
+    # does the right key over a table that is not one finite, non-decreasing and
+    # antisymmetric quantile per level, or not a float64 vector
+    key = np.array([3, 2, reps, 500, seed], dtype=float)
     grid = np.linspace(-1, 1, len(sn.ALPHA_GRID))
     nan_entry, inf_top, swapped = grid.copy(), grid.copy(), grid.copy()
     nan_entry[975] = np.nan
@@ -132,37 +151,24 @@ def test_corrupt_cache_recomputes_with_warning(tmp_path):
     swapped[[500, 501]] = swapped[[501, 500]]
     off_center = grid + 1e-3  # q(0.5) != 0
     lopsided = np.where(grid > 0, 1.01 * grid, grid)  # q(0.5) = 0, q(a) != -q(1 - a)
-    moved_alpha = sn.ALPHA_GRID.copy()
-    moved_alpha[300] = 0.25
-    for build, cache_path, (reps, seed) in ENGINES.values():
-        law = build(tmp_path)
-        path = cache_path(tmp_path)
-        path.write_text("garbage\n")
-        with pytest.warns(UserWarning, match="unreadable quantile cache"):
-            again = build(tmp_path)
-        assert np.array_equal(law.quantiles, again.quantiles)
-        for key_reps, alphas, quantiles in (
-            (99, sn.ALPHA_GRID, grid),
-            (reps, sn.ALPHA_GRID, nan_entry),
-            (reps, sn.ALPHA_GRID, inf_top),
-            (reps, sn.ALPHA_GRID, swapped),
-            (reps, sn.ALPHA_GRID, off_center),
-            (reps, sn.ALPHA_GRID, lopsided),
-            (reps, moved_alpha, grid),
-        ):
-            stale = sn.PivotLaw(
-                pairs=((3, 2),), joint=False, replications=key_reps, bm_steps=500,
-                seed=seed, alphas=alphas.copy(), quantiles=quantiles,
-            )
-            sn.save_pivot_law(stale, path)
-            with pytest.warns(UserWarning, match="stale quantile cache"):
-                again = build(tmp_path)
-            assert np.array_equal(law.quantiles, again.quantiles)
-            assert np.isfinite(again.quantile(0.976))
-    # a joint law has no file format
-    joint = sn.mc_quantiles_joint([(3, 2)], replications=10_000, bm_steps=500)
-    with pytest.raises(ValueError, match="scalar"):
-        sn.save_pivot_law(joint, tmp_path / "joint.txt")
+    other_key = key.copy()
+    other_key[2] = 99
+    for entry in (
+        np.concatenate([other_key, law.quantiles]),
+        np.concatenate([key[:4], law.quantiles]),
+        np.concatenate([key, -law.quantiles]),  # sign-flipped: decreasing
+        np.concatenate([key, nan_entry]),
+        np.concatenate([key, inf_top]),
+        np.concatenate([key, swapped]),
+        np.concatenate([key, off_center]),
+        np.concatenate([key, lopsided]),
+        np.concatenate([key, law.quantiles[1:-1]]),  # 997 levels
+        np.concatenate([key, law.quantiles]).astype(np.float32),
+        np.concatenate([key, law.quantiles])[None],
+        np.float64(0.0),
+    ):
+        np.save(path, entry)
+        rebuilt("stale quantile cache")
 
 
 def test_quantiles_independent_of_thread_count():
@@ -359,7 +365,7 @@ def test_mc_argument_validation():
         sn.mc_quantiles_joint([(3, 2), (1.5, 0)], replications=10_000, bm_steps=500)
     with pytest.raises(sn.ConfigError, match=re.escape("f_exponent = 3.5 must be an integer")):
         sn.exact_quantiles(3.5, 2, bm_steps=500)  # the cache is not read or written
-    assert not list(Path(os.environ["SPECNORM_CACHE_DIR"]).glob("pivot_exact_f3.5_*"))
+    assert not list(Path(os.environ["SPECNORM_CACHE_DIR"]).glob("pivot_*f3.5_*"))
 
 
 def test_pivot_law_is_roughly_symmetric(law_32):
@@ -385,6 +391,20 @@ def test_confidence_interval_alignment(law_32):
         sn.confidence_interval(0.5, -0.1, law_32)
     with pytest.raises(ValueError, match="non-negative"):
         sn.confidence_interval(0.5, math.nan, law_32)  # NaN fails the non-negative rule too
+
+
+@pytest.mark.parametrize("estimate, v, message", [
+    (math.nan, 0.1, "estimate must be finite, got nan"),
+    (math.inf, 0.1, "estimate must be finite, got inf"),
+    (-math.inf, 0.1, "estimate must be finite, got -inf"),
+    (0.5, math.inf, "V must be non-negative and finite, got inf"),
+    (0.5, math.nan, "V must be non-negative and finite, got nan"),
+], ids=["nan-estimate", "inf-estimate", "minus-inf-estimate", "inf-v", "nan-v"])
+def test_interval_and_test_refuse_a_non_finite_estimate_or_v(small_law, estimate, v, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sn.confidence_interval(estimate, v, small_law)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sn.relevant_test(estimate, v, small_law, delta=0.1)
 
 
 def test_relevant_test_threshold_rule(law_32):
