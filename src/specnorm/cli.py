@@ -40,11 +40,10 @@ from typing import Iterator, NoReturn, Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, _check_count
 from .estimator import (
     SequentialSDO,
     TimeSeriesSample,
-    _check_count,
     _check_exponents,
     _validate_band,
     default_bandwidth_plan,
@@ -62,6 +61,7 @@ from .inference import (
     _check_nu,
     _checked_pairs,
     _read_entry,
+    _studentized,
     _write_entry,
     confidence_interval,
     estimate_dstar,
@@ -213,29 +213,25 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"process must be one of {_PROCESSES}, got {cfg.process!r}")
     if cfg.process is not None and cfg.T is None:
         raise ConfigError("missing required key 'T' for a simulated process")
-    _check_count("p", cfg.p)
+    for key in ("p", "d", "d_max", "d0", "m", "k_omega"):  # each, where set, at least 1
+        if (value := getattr(cfg, key)) is not None:
+            _check_count(key, value)
     if cfg.measure is not None and cfg.measure not in _MEASURES:
         raise ConfigError(f"measure must be one of {_MEASURES}, got {cfg.measure!r}")
     _check_exponents(cfg.alpha, cfg.kappa, kernel_by_name(cfg.kernel))
     _validate_band((cfg.band_lo, cfg.band_hi))
-    _check_count("d", cfg.d)
-    _check_count("d_max", cfg.d_max)
     if not 0.002 <= cfg.level_alpha <= 0.5:
         raise ConfigError(
             f"level_alpha = {cfg.level_alpha} outside the supported range [0.002, 0.5]"
         )
     _check_delta(cfg.delta)
     _check_nu(cfg.nu)
-    _check_count("d0", cfg.d0)
-    if cfg.seed < 0 or cfg.quantile_seed < 0:
-        raise ConfigError("seeds must be non-negative integers")
+    _check_count("seed", cfg.seed, 0)
     if (cfg.f_exp is None) != (cfg.g_exp is None):
         raise ConfigError("keys 'f_exp' and 'g_exp' must be set together")
     # the pivot engines' own bounds on quantile_n, quantile_r and threads, before any stage runs
     _checked_pairs([(0, 0)], cfg.quantile_n)
     _check_mc(cfg.quantile_r, cfg.quantile_seed, cfg.threads)
-    _check_count("m", cfg.m)
-    _check_count("k_omega", cfg.k_omega)
     if cfg.measure in ("tvdpsca", "coherence"):
         _require_ps(cfg)
     if cfg.nu is not None and cfg.d_max is not None and cfg.measure not in (None, *_ORDERED):
@@ -254,8 +250,6 @@ def _require_ps(cfg: RunConfig) -> ProductStructure:
         p2 = len(cfg.sigma_y_diag)
     if p1 is None or p2 is None:
         raise ConfigError(f"measure = {cfg.measure}: product structure required (keys p1, p2)")
-    if p1 < 1 or p2 < 1:
-        raise ConfigError("p1 and p2 must be at least 1")
     return ProductStructure(p1=p1, p2=p2)
 
 
@@ -556,14 +550,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         law = exact_quantiles(seq.f_exponent, seq.g_exponent, bm_steps=cfg.quantile_n)
         estimate = seq.point_estimate
         delta = cfg.delta if cfg.delta is not None else 0.0
-        if v > 0:
-            pivot = (estimate - delta) / v
-        elif estimate > delta:
-            pivot = math.inf
-        elif estimate < delta:
-            pivot = -math.inf
-        else:
-            pivot = math.nan  # degenerate path exactly at the hypothesized value
+        pivot = _studentized(estimate, delta, v)  # NaN: a degenerate path at the hypothesized value
         ci = confidence_interval(estimate, v, law, cfg.level_alpha)
         rel = relevant_test(estimate, v, law, delta, cfg.level_alpha)
         order_block: dict = {"nu": None, "d_hat": None, "stats": []}

@@ -12,17 +12,16 @@ estimate; the self-normalization layer integrates over that grid.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, _check_count
 from .hermitian import psd_project_batch
 
 __all__ = [
@@ -89,7 +88,7 @@ _KERNELS = {PARZEN.name: PARZEN, FLAT_TOP.name: FLAT_TOP, "flat_top": FLAT_TOP}
 def kernel_by_name(name: str) -> Kernel:
     try:
         return _KERNELS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is no kernel's either
         raise ConfigError(
             f"unknown kernel {name!r}; choose from {sorted(set(k.name for k in _KERNELS.values()))}"
         ) from None
@@ -142,8 +141,7 @@ def default_bandwidth_plan(
     :param T: series length, at least 64.
     :param kernel: the lag window of the estimate; supplies iota and kappa_f.
     """
-    if T < 64:
-        raise ConfigError(f"series too short: T = {T} < 64")
+    T = _check_count("T", T, 64)
     _check_exponents(alpha, kappa, kernel)
     iota = kernel.iota
     N = int(round(T**alpha))
@@ -151,9 +149,7 @@ def default_bandwidth_plan(
     if N < 2:
         raise ConfigError(f"window length N = {N} too small (T = {T}, alpha = {alpha})")
     b_f = float(N ** (-kappa))
-    _check_count("M", M)
-    if M is None:
-        M = max(4, int(round(N**0.3)))
+    M = max(4, int(round(N**0.3))) if M is None else _check_count("M", M)
     if M * N > T:
         raise ConfigError(f"series too short for M windows: M * N = {M * N} > T = {T}")
 
@@ -187,20 +183,6 @@ def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> None:
         )
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha = {alpha} must lie strictly between 0 and 1")
-
-
-def _check_count(name: str, value: int | None) -> None:
-    """Raise ConfigError unless the count ``value`` is unset or an integer of at least 1."""
-    if value is not None and _integer(name, value, ConfigError) < 1:
-        raise ConfigError(f"{name} = {value} must be at least 1")
-
-
-def _integer(name: str, value: object, error: type[Exception]) -> int:
-    """``value`` by ``operator.index`` (numpy integers pass, bools do not), else ``error``."""
-    if not isinstance(value, bool):
-        with suppress(TypeError):
-            return operator.index(value)
-    raise error(f"{name} = {value!r} must be an integer")
 
 
 def midpoint_grid(plan: BandwidthPlan) -> np.ndarray:
@@ -510,9 +492,9 @@ def estimate_sequential_sdo(
     a, b = _validate_band(band)
     if plan.T != sample.T:
         raise ConfigError(f"plan built for T = {plan.T} but sample has T = {sample.T}")
-    _check_count("k_omega", k_omega)
-    _check_count("threads", threads)
-    k_omega = _default_k_omega(plan, (a, b)) if k_omega is None else k_omega
+    k_omega = (_default_k_omega(plan, (a, b)) if k_omega is None
+               else _check_count("k_omega", k_omega))
+    threads = _check_count("threads", threads)
     omegas = cell_midpoints((a, b), k_omega)
     lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
     coef = plan.kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI

@@ -17,7 +17,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _check_count
 
 __all__ = [
     "ProductStructure",
@@ -46,8 +46,8 @@ class ProductStructure:
     p2: int
 
     def __post_init__(self) -> None:
-        if self.p1 < 1 or self.p2 < 1:
-            raise ValueError(f"factor dimensions must be positive, got ({self.p1}, {self.p2})")
+        for name in ("p1", "p2"):  # stored as ints, whatever integer type they came in
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -57,17 +57,20 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, *, what: str = "matrix") -> np.ndarray:
-    """Validate square shape and Hermitian symmetry, return the exact Hermitian part.
+    """Validate a non-empty square Hermitian matrix of finite norm, return its Hermitian part.
 
     Symmetry is accepted up to absolute deviation 1e-12 * max(1, ||A||_F),
     the contract for matrices produced by floating-point arithmetic.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > _HERM_ATOL * scale:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"{what} must be square and non-empty, got shape {a.shape}")
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):  # NaN and inf entries included
+        raise ValueError(f"{what} must be finite, with a Frobenius norm inside the float range")
+    defect = float(np.max(np.abs(a - a.conj().T)))
+    if defect > _HERM_ATOL * max(1.0, norm):
         raise ValueError(f"{what} is not Hermitian: max|A - A†| = {defect:.3e}")
     return hermitian_part(a)
 

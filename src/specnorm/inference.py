@@ -45,8 +45,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .estimator import _check_count, _integer, map_ordered
+from .errors import ConfigError, NumericalError, _check_count
+from .estimator import map_ordered
 from .measures import SequentialFunctional
 
 __all__ = [
@@ -115,26 +115,19 @@ class PivotLaw:
         return float(np.interp(level, self.alphas, self.quantiles))
 
 
-def _checked_pairs(pairs: Sequence[tuple[int, int]], bm_steps: int) -> _Pairs:
-    """The exponent pairs as ints, once they and the Brownian grid size are valid."""
-    pairs = tuple((_integer("f_exponent", f, ConfigError), _integer("g_exponent", g, ConfigError))
+def _checked_pairs(pairs: Sequence[tuple[int, int]], bm_steps: int) -> tuple[_Pairs, int]:
+    """The exponent pairs and the Brownian grid size as ints, once they are valid."""
+    pairs = tuple((_check_count("f_exponent", f, 0), _check_count("g_exponent", g, 0))
                   for f, g in pairs)
     if not pairs:
         raise ConfigError("joint pivot needs at least one exponent pair")
-    if any(f < 0 or g < 0 for f, g in pairs):
-        raise ConfigError("scaling exponents must be non-negative integers")
-    if _integer("bm_steps", bm_steps, ConfigError) < 500:
-        raise ConfigError(f"bm_steps = {bm_steps} too small; need at least 500")
-    return pairs
+    return pairs, _check_count("bm_steps", bm_steps, 500)
 
 
-def _check_mc(replications: int, seed: int, threads: int) -> None:
-    """Raise ConfigError unless the Monte Carlo engine's own arguments are valid."""
-    if _integer("replications", replications, ConfigError) < 10_000:
-        raise ConfigError(f"replications = {replications} too small; need at least 10000")
-    if _integer("seed", seed, ConfigError) < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    _check_count("threads", threads)
+def _check_mc(replications: int, seed: int, threads: int) -> tuple[int, int, int]:
+    """The Monte Carlo engine's own arguments as ints, once they are valid."""
+    return (_check_count("replications", replications, 10_000), _check_count("seed", seed, 0),
+            _check_count("threads", threads))
 
 
 def _check_delta(delta: float | None) -> None:
@@ -338,9 +331,9 @@ def mc_quantiles(
     full, finite, non-decreasing and antisymmetric table; otherwise it is
     recomputed.
     """
-    pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
-    _check_mc(replications, seed, threads)
-    path = pivot_cache_path(f_exponent, g_exponent, replications, bm_steps, seed, cache_dir)
+    pairs, bm_steps = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
+    replications, seed, threads = _check_mc(replications, seed, threads)
+    path = pivot_cache_path(*pairs[0], replications, bm_steps, seed, cache_dir)
     return _cached_or_built(
         path if use_cache else None, pairs, replications, bm_steps, seed,
         lambda: _tabulate(pairs, False, replications, bm_steps, seed, threads),
@@ -399,8 +392,8 @@ def exact_quantiles(
     antisymmetric. It is cached at :func:`exact_cache_path` and, like a Monte
     Carlo table, served only if it passes the checks of :func:`mc_quantiles`.
     """
-    pairs = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
-    path = exact_cache_path(f_exponent, g_exponent, bm_steps, cache_dir)
+    pairs, bm_steps = _checked_pairs([(f_exponent, g_exponent)], bm_steps)
+    path = exact_cache_path(*pairs[0], bm_steps, cache_dir)
     return _cached_or_built(
         path if use_cache else None, pairs, 0, bm_steps, 0,
         lambda: PivotLaw(
@@ -513,8 +506,8 @@ def mc_quantiles_joint(
     Components use independent Brownian motions; cross-correlations of the
     underlying estimates cancel from the quadratic form. Not cached on disk.
     """
-    pairs = _checked_pairs(pairs, bm_steps)
-    _check_mc(replications, seed, threads)
+    pairs, bm_steps = _checked_pairs(pairs, bm_steps)
+    replications, seed, threads = _check_mc(replications, seed, threads)
     return _tabulate(pairs, True, replications, bm_steps, seed, threads)
 
 
@@ -619,18 +612,20 @@ class OrderSelection:
     stats: tuple[OrderStatistic, ...]
 
 
+def _studentized(x: float, c: float, v: float) -> float:
+    """(x - c) / V; for V = 0, +-inf by the sign of x - c, and NaN at x = c."""
+    if v > 0:
+        return (x - c) / v
+    return math.inf if x > c else -math.inf if x < c else math.nan
+
+
 def _order_statistic(path: SequentialFunctional, nu: float) -> OrderStatistic:
     s = path.point_estimate
     v = self_norm_V([path]).values[0]
-    if v == 0.0:
-        if s == nu:
-            raise NumericalError(
-                f"order statistic undefined at d = {path.d}: zero self-normalizer "
-                "with estimate exactly at the threshold"
-            )
-        stat = math.inf if s > nu else -math.inf
-    else:
-        stat = (s - nu) / v
+    stat = _studentized(s, nu, v)
+    if math.isnan(stat):
+        raise NumericalError(f"order statistic undefined at d = {path.d}: zero self-normalizer "
+                             "with estimate exactly at the threshold")
     return OrderStatistic(d=path.d, estimate=s, v=float(v), statistic=stat)
 
 
@@ -692,9 +687,10 @@ def joint_statistic(
     dev = np.asarray(deviations, dtype=float)
     v2 = v.matrix
     if dev.shape != (v2.shape[0],):
-        raise ValueError(
-            f"deviation vector of length {dev.shape} does not match V^2 of shape {v2.shape}"
-        )
+        raise ValueError(f"deviation vector of length {dev.shape} does not match V^2 "
+                         f"of shape {v2.shape}")
+    if not np.isfinite(dev).all():
+        raise ValueError(f"deviations must be finite, got {dev}")
     if len(law.pairs) != v2.shape[0]:
         raise ValueError("joint law was tabulated for a different number of paths")
     cond = np.linalg.cond(v2)

@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .estimator import SequentialSDO, _check_count, _integer, _validate_band, cell_midpoints
+from .errors import ConfigError, NumericalError, _check_count
+from .estimator import SequentialSDO, _validate_band, cell_midpoints
 from .hermitian import (
     TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch,
 )
@@ -72,8 +72,8 @@ class SequentialFunctional:
     observations; ``valid`` marks fractions where the measure is well defined
     (rank-deficient partial estimates can make coherence undefined for small
     k). The pair (f_exponent, g_exponent) identifies the pivot law of the
-    self-normalized statistic built from this path. A non-finite point
-    estimate raises :class:`NumericalError`.
+    self-normalized statistic built from this path. A non-finite value at
+    any fraction raises :class:`NumericalError`.
     """
 
     kind: str
@@ -86,11 +86,10 @@ class SequentialFunctional:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.point_estimate):
+        if (bad := np.flatnonzero(~np.isfinite(self.values))).size:
             raise NumericalError(
-                f"{self.kind} estimate at eta = 1 is not finite ({self.point_estimate}): "
-                "the data scale over- or underflows; rescale the data"
-            )
+                f"{self.kind} path at eta = {bad[0] + 1}/{len(self.values)} is not finite "
+                f"({self.values[bad[0]]}): the data scale over- or underflows; rescale the data")
 
     @property
     def point_estimate(self) -> float:
@@ -130,12 +129,12 @@ def _tie_count(desc_vals: np.ndarray, d: int) -> int:
     return int(np.count_nonzero(_near_ties(desc_vals, d)))
 
 
-def _share(sdo: SequentialSDO, num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The path num / den (0 where den is 0) and its valid fractions."""
-    valid = (den > 0) & _available(sdo)
-    if not den[-1] > 0:
+def _share(num: np.ndarray, den: np.ndarray, avail=True) -> tuple[np.ndarray, np.ndarray]:
+    """The path num / den (0 where den is 0) and where it is valid (den > 0 and ``avail``);
+    raises NumericalError unless the last den, at eta = 1, or a scalar den is positive."""
+    if not np.ravel(den)[-1] > 0:
         raise NumericalError("degenerate spectral mass: the estimate at eta = 1 is zero")
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0), valid
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0), (den > 0) & avail
 
 
 def _checked(kind: str, p: int, d: int, ps: ProductStructure | None) -> int:
@@ -157,7 +156,7 @@ def _checked(kind: str, p: int, d: int, ps: ProductStructure | None) -> int:
         cap, name = min(ps.p1, ps.p2), "min(p1, p2) = "
     else:
         raise ValueError(f"unknown measure kind {kind!r}")
-    if not 1 <= _integer("d", d, ValueError) <= cap:
+    if _check_count("d", d) > cap:
         raise ValueError(f"d = {d} must lie in [1, {name}{cap}]")
     return cap
 
@@ -230,7 +229,7 @@ def tvdfpca_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     _checked("tvdfpca", sdo.p, d, None)
     (vals,) = sdo.map_blocks(_eigenvalues, key="tvdfpca")
     num = vals[..., :d].sum(axis=-1).mean(axis=(0, 1))
-    values, valid = _share(sdo, num, vals.sum(axis=-1).mean(axis=(0, 1)))
+    values, valid = _share(num, vals.sum(axis=-1).mean(axis=(0, 1)), _available(sdo))
     return _functional("tvdfpca", sdo, d, values, valid, {"near_tie_count": _tie_count(vals, d)})
 
 
@@ -249,7 +248,7 @@ def tvdpsca_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Sequ
     den = mass.mean(axis=(0, 1))
     # at d_cap the scores carry all the mass: the share is 1 exactly, not up to roundoff
     num = den if d == d_cap else (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
-    values, valid = _share(sdo, num, den)
+    values, valid = _share(num, den, _available(sdo))
     total = (scores**2).sum(axis=-1).mean(axis=(0, 1))
     diag = {
         "isometry_defect_max": float(np.max(np.abs(total - den))),
@@ -303,6 +302,15 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
     return _functional("stationarity", sdo, d, dispersion.mean(axis=(0, 1)), _available(sdo), diag)
 
 
+def _truth_at(truth: Callable, u: float, omega: float, p: int | None) -> np.ndarray:
+    """truth(u, omega) as a complex matrix; ValueError unless a finite square (p x p) matrix."""
+    f = np.asarray(truth(float(u), float(omega)), dtype=complex)
+    if f.ndim != 2 or f.shape != (p or f.shape[0],) * 2 or not np.isfinite(f).all():
+        raise ValueError(f"truth at (u, omega) = ({u:.6g}, {omega:.6g}) is not a finite "
+                         f"{'square' if p is None else f'{p} x {p}'} matrix: shape {f.shape}")
+    return f
+
+
 def measure_population(
     truth: Callable[[float, float], np.ndarray],
     kind: str,
@@ -320,18 +328,20 @@ def measure_population(
     and k_omega band midpoints goes through the measure's own argument check
     and per-slice reducer, and the time averages take the Gauss-Legendre
     weights; a coherence cell left undefined (see ``coherence_sequential``)
-    raises NumericalError. Used as the oracle in simulation and coverage studies.
+    raises NumericalError, as does a share measure of a zero truth; a truth value
+    that is no finite p x p matrix raises ValueError. Used as the oracle in
+    simulation and coverage studies.
     """
     band = _validate_band(band)
-    _check_count("m_u", m_u)
-    _check_count("k_omega", k_omega)
+    m_u = _check_count("m_u", m_u)
+    k_omega = _check_count("k_omega", k_omega)
     nodes, gl_w = np.polynomial.legendre.leggauss(m_u)
     us, w_u, oms = (nodes + 1.0) / 2.0, gl_w / 2.0, cell_midpoints(band, k_omega)
-    p = np.asarray(truth(float(us[0]), float(oms[0]))).shape[0]
+    p = _truth_at(truth, us[0], oms[0], None).shape[0]
     d_cap = _checked(kind, p, d, ps)
     tensor = np.empty((m_u, k_omega, p, p), dtype=complex)
     for i, j in np.ndindex(m_u, k_omega):
-        tensor[i, j] = truth(float(us[i]), float(oms[j]))
+        tensor[i, j] = _truth_at(truth, us[i], oms[j], p)
     tensor = hermitian_part(tensor)
 
     def mean(x: np.ndarray) -> float:
@@ -339,11 +349,12 @@ def measure_population(
 
     if kind == "tvdfpca":
         (vals,) = _eigenvalues(tensor)
-        return float(mean(vals[..., :d].sum(axis=-1)) / mean(vals.sum(axis=-1)))
+        return float(_share(mean(vals[..., :d].sum(axis=-1)), mean(vals.sum(axis=-1)))[0])
     if kind == "tvdpsca":
         scores, mass = _separable_scores(tensor, ps)
         den = mean(mass)
-        return float((den if d == d_cap else mean((scores[..., :d] ** 2).sum(axis=-1))) / den)
+        num = den if d == d_cap else mean((scores[..., :d] ** 2).sum(axis=-1))
+        return float(_share(num, den)[0])
     if kind == "coherence":
         ratio, defined = _coherences(tensor, d, ps.p1, project=False)
         if not bool(defined.all()):

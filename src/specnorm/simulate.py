@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_count
 from .estimator import TWO_PI, TimeSeriesSample
 from .hermitian import hermitian_part
 
@@ -68,13 +68,10 @@ def _as_psd_factor(sigma: np.ndarray, name: str) -> np.ndarray:
         return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
-def _validate_common(T: int, burn_in: int, seed: int) -> None:
-    if T < 2:
-        raise ConfigError(f"T = {T} must be at least 2")
-    if burn_in < 100:
-        raise ConfigError(f"burn_in = {burn_in} must be at least 100")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+def _validate_common(spec: object, **least: int) -> None:
+    """Check T, burn_in, seed and each count in ``least`` by its bound; store each as an int."""
+    for name, bound in dict(T=2, burn_in=100, seed=0, **least).items():
+        object.__setattr__(spec, name, _check_count(name, getattr(spec, name), bound))
 
 
 def _row_times(T: int, burn_in: int) -> list[float]:
@@ -92,7 +89,7 @@ class IidSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _validate_common(self.T, self.burn_in, self.seed)
+        _validate_common(self)
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         _as_psd_factor(self.sigma, "sigma")
 
@@ -125,7 +122,7 @@ class TvFar1Spec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _validate_common(self.T, self.burn_in, self.seed)
+        _validate_common(self)
         object.__setattr__(self, "sigma_eps", np.asarray(self.sigma_eps, dtype=float))
         _as_psd_factor(self.sigma_eps, "sigma_eps")
         if not callable(self.a):
@@ -196,7 +193,7 @@ class SeparableSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _validate_common(self.T, self.burn_in, self.seed)
+        _validate_common(self)
         object.__setattr__(self, "sigma_x", np.asarray(self.sigma_x, dtype=float))
         object.__setattr__(self, "sigma_y", np.asarray(self.sigma_y, dtype=float))
         _as_psd_factor(self.sigma_x, "sigma_x")
@@ -243,9 +240,7 @@ class CoherentPairSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _validate_common(self.T, self.burn_in, self.seed)
-        if self.p1 < 1 or self.p2 < 1:
-            raise ConfigError("block dimensions must be at least 1")
+        _validate_common(self, p1=1, p2=1)
         if self.coupling is not None and not callable(self.coupling):
             object.__setattr__(self, "coupling", np.asarray(self.coupling, dtype=float))
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -199,12 +199,13 @@ def test_parse_config_numeric_ranges():
         ("delta = -0.1", "delta = -0.1"),
         ("nu = 1.2", "nu = 1.2"),
         ("d0 = 0", "d0 = 0"),
-        ("seed = -3", "non-negative"),
+        ("seed = -3", "seed = -3 must be at least 0"),
+        ("quantile_seed = -3", "seed = -3 must be at least 0"),
         ("threads = 0", "threads = 0"),
         ("m = 0", "m = 0"),
         ("k_omega = 0", "k_omega = 0"),
-        ("quantile_r = 5000", "replications = 5000 too small"),
-        ("quantile_n = 499", "bm_steps = 499 too small"),
+        ("quantile_r = 5000", "replications = 5000 must be at least 10000"),
+        ("quantile_n = 499", "bm_steps = 499 must be at least 500"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(line + "\n")
@@ -1072,7 +1073,7 @@ def test_main_select_d_requires_nu_and_d_max(tmp_path, capsys):
 def test_main_cli_seed_and_threads_validation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **INFER_KEYS)
     code, out = run_main(capsys, "infer", "--config", cfg, "--seed", "-1")
-    assert code == 2 and "seeds must be non-negative" in json.loads(out)["error"]["message"]
+    assert code == 2 and "seed = -1 must be at least 0" in json.loads(out)["error"]["message"]
     code, out = run_main(capsys, "infer", "--config", cfg, "--threads", "0")
     assert code == 2 and "threads = 0 must be at least 1" in json.loads(out)["error"]["message"]
 

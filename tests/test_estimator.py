@@ -45,7 +45,7 @@ def test_plan_hard_errors():
         sn.default_bandwidth_plan(4096, kappa=1.0)
     with pytest.raises(sn.ConfigError, match="series too short for M windows"):
         sn.default_bandwidth_plan(256, M=64)
-    with pytest.raises(sn.ConfigError, match="series too short"):
+    with pytest.raises(sn.ConfigError, match="T = 32 must be at least 64"):
         sn.default_bandwidth_plan(32)
     with pytest.raises(sn.ConfigError, match="alpha"):
         sn.default_bandwidth_plan(4096, alpha=1.2)

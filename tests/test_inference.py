@@ -336,15 +336,15 @@ def test_quantile_lookup_interpolates_and_guards_range(small_law):
 
 
 def test_mc_argument_validation():
-    with pytest.raises(sn.ConfigError, match="replications"):
+    with pytest.raises(sn.ConfigError, match="replications = 100 must be at least 10000"):
         sn.mc_quantiles(3, 2, replications=100)
-    with pytest.raises(sn.ConfigError, match="bm_steps"):
+    with pytest.raises(sn.ConfigError, match="bm_steps = 10 must be at least 500"):
         sn.mc_quantiles(3, 2, bm_steps=10)
-    with pytest.raises(sn.ConfigError, match="non-negative"):
+    with pytest.raises(sn.ConfigError, match="f_exponent = -1 must be at least 0"):
         sn.mc_quantiles(-1, 2)
-    with pytest.raises(sn.ConfigError, match="threads"):
+    with pytest.raises(sn.ConfigError, match="threads = 0 must be at least 1"):
         sn.mc_quantiles(3, 2, threads=0)
-    with pytest.raises(sn.ConfigError, match="seed must be a non-negative integer"):
+    with pytest.raises(sn.ConfigError, match="seed = -1 must be at least 0"):
         sn.mc_quantiles(3, 2, seed=-1)
     # an exponent, grid size, replication count or seed that is not an integer is refused by
     # name, neither truncated (3.5 read as 3) nor read as a number (True as 1)

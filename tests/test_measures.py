@@ -305,7 +305,11 @@ def test_non_finite_point_estimate_is_rejected():
     for last in (math.nan, math.inf):
         with pytest.raises(sn.NumericalError, match="not finite"):
             make_path([0.5, last])
-    make_path([math.nan, 0.5])  # interior values are not checked
+    # an interior value is refused too, by its fraction: a NaN there would make V NaN
+    for bad in (math.nan, -math.inf):
+        message = f"path at eta = 2/4 is not finite ({bad})"
+        with pytest.raises(sn.NumericalError, match=re.escape(message)):
+            make_path([0.5, bad, 0.5, math.nan])
 
 
 def fresh_copy(sdo, threads=1):
@@ -446,6 +450,37 @@ def test_population_refuses_what_the_sequential_path_refuses(
     if sequential is not None:  # the sequential path refuses the same input in the same words
         with expect(error, match=re.escape(message)):
             sequential()
+
+
+ZERO4 = np.zeros((4, 4))
+
+
+@pytest.mark.parametrize(
+    "kind, truth, error, message",
+    [
+        ("tvdfpca", lambda u, w: ZERO4, sn.NumericalError,
+         "degenerate spectral mass: the estimate at eta = 1 is zero"),
+        ("tvdpsca", lambda u, w: ZERO4, sn.NumericalError,
+         "degenerate spectral mass: the estimate at eta = 1 is zero"),
+        ("tvdfpca", lambda u, w: np.full((4, 4), np.nan), ValueError,
+         "truth at (u, omega) = (0.112702, 0.785398) is not a finite square matrix: shape (4, 4)"),
+        ("stationarity", lambda u, w: DIAG4 if u < 0.5 else np.diag([np.inf, 3, 2, 1]), ValueError,
+         "truth at (u, omega) = (0.5, 0.785398) is not a finite 4 x 4 matrix: shape (4, 4)"),
+        ("tvdfpca", lambda u, w: np.diagonal(DIAG4), ValueError,
+         "truth at (u, omega) = (0.112702, 0.785398) is not a finite square matrix: shape (4,)"),
+        ("tvdfpca", lambda u, w: 1.0, ValueError,
+         "truth at (u, omega) = (0.112702, 0.785398) is not a finite square matrix: shape ()"),
+        ("coherence", lambda u, w: DIAG4 if u < 0.5 else np.eye(2), ValueError,
+         "truth at (u, omega) = (0.5, 0.785398) is not a finite 4 x 4 matrix: shape (2, 2)"),
+    ],
+    ids=["tvdfpca-zero", "tvdpsca-zero", "nan", "inf-later", "vector", "scalar", "order-changes"],
+)
+def test_population_refuses_a_truth_that_is_no_finite_p_by_p_operator(kind, truth, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        sn.measure_population(truth, kind, 1, PS, m_u=3, k_omega=2)
+    if error is sn.NumericalError:  # in the words the sequential path uses for a zero estimate
+        with pytest.raises(error, match=re.escape(message)):
+            SEQUENTIAL[kind](analytic_sdo(ZERO4), 1, PS)
 
 
 def test_numpy_integers_pass_as_orders_and_counts_and_bools_do_not():

@@ -130,7 +130,7 @@ def test_coherent_pair_coupling_validation():
         sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=0.5 * rot)
     with pytest.raises(sn.ConfigError, match="shape"):
         sn.CoherentPairSpec(T=128, p1=2, p2=3, coupling=rot)
-    with pytest.raises(sn.ConfigError, match="block dimensions must be at least 1"):
+    with pytest.raises(sn.ConfigError, match="p1 = 0 must be at least 1"):
         sn.CoherentPairSpec(T=128, p1=0, p2=2)
     with pytest.raises(sn.ConfigError, match=r"has shape \(3, 3\), expected \(2, 2\)"):
         sn.CoherentPairSpec(T=128, p1=2, p2=2, coupling=lambda u: np.eye(3))
