@@ -40,7 +40,7 @@ from typing import Iterator, NoReturn, Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, DataError, NumericalError, _check_count
+from .errors import ConfigError, DataError, NumericalError, _check_count, _check_real
 from .estimator import (
     SequentialSDO,
     TimeSeriesSample,
@@ -56,9 +56,7 @@ from .inference import (
     OrderSelection,
     PivotLaw,
     _cache_root,
-    _check_delta,
     _check_mc,
-    _check_nu,
     _checked_pairs,
     _read_entry,
     _studentized,
@@ -151,9 +149,7 @@ def _parse_float(raw: str, key: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: value must be finite, got {raw!r}")
-    return value
+    return _check_real(key, value)
 
 
 def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
@@ -220,12 +216,11 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"measure must be one of {_MEASURES}, got {cfg.measure!r}")
     _check_exponents(cfg.alpha, cfg.kappa, kernel_by_name(cfg.kernel))
     _validate_band((cfg.band_lo, cfg.band_hi))
-    if not 0.002 <= cfg.level_alpha <= 0.5:
-        raise ConfigError(
-            f"level_alpha = {cfg.level_alpha} outside the supported range [0.002, 0.5]"
-        )
-    _check_delta(cfg.delta)
-    _check_nu(cfg.nu)
+    _check_real("level_alpha", cfg.level_alpha, 0.002, 0.5)
+    if cfg.delta is not None:
+        _check_real("delta", cfg.delta, 0.0)
+    if cfg.nu is not None:
+        _check_real("nu", cfg.nu, 0.0, 1.0, True, True)
     _check_count("seed", cfg.seed, 0)
     if (cfg.f_exp is None) != (cfg.g_exp is None):
         raise ConfigError("keys 'f_exp' and 'g_exp' must be set together")

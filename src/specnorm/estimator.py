@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, NumericalError, _check_count
+from .errors import ConfigError, DataError, NumericalError, _check_count, _check_real
 from .hermitian import psd_project_batch
 
 __all__ = [
@@ -142,7 +142,7 @@ def default_bandwidth_plan(
     :param kernel: the lag window of the estimate; supplies iota and kappa_f.
     """
     T = _check_count("T", T, 64)
-    _check_exponents(alpha, kappa, kernel)
+    alpha, kappa = _check_exponents(alpha, kappa, kernel)
     iota = kernel.iota
     N = int(round(T**alpha))
     N -= N % 2
@@ -173,16 +173,10 @@ def default_bandwidth_plan(
     )
 
 
-def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> None:
-    """Raise ConfigError unless kappa in (1/(2 iota + 1), 1) and alpha in (0, 1)."""
-    lo = 1.0 / (2 * kernel.iota + 1)
-    if not lo < kappa < 1.0:
-        raise ConfigError(
-            f"kappa = {kappa} outside the admissible range ({lo:.6g}, 1) "
-            f"for the {kernel.name} kernel"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha = {alpha} must lie strictly between 0 and 1")
+def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> tuple[float, float]:
+    """alpha in (0, 1) and kappa in (1/(2 iota + 1), 1) as floats, else ConfigError."""
+    kappa = _check_real("kappa", kappa, 1.0 / (2 * kernel.iota + 1), 1.0, True, True)
+    return _check_real("alpha", alpha, 0.0, 1.0, True, True), kappa
 
 
 def midpoint_grid(plan: BandwidthPlan) -> np.ndarray:
@@ -376,7 +370,12 @@ def cell_midpoints(band: tuple[float, float], k: int) -> np.ndarray:
 
 
 def _validate_band(band: tuple[float, float]) -> tuple[float, float]:
-    a, b = float(band[0]), float(band[1])
+    """The band's edges as floats, once ``band`` is a pair of reals with 0 <= a < b <= pi."""
+    try:
+        a, b = band
+    except (TypeError, ValueError):
+        raise ConfigError(f"band = {band!r} must be a pair (a, b)") from None
+    a, b = _check_real("band[0]", a), _check_real("band[1]", b)
     if not (0.0 <= a < b <= math.pi + 1e-12):
         raise ConfigError(f"frequency band must satisfy 0 <= a < b <= pi, got ({a}, {b})")
     return a, min(b, math.pi)

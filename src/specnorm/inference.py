@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count
+from .errors import ConfigError, NumericalError, _check_count, _check_real
 from .estimator import map_ordered
 from .measures import SequentialFunctional
 
@@ -106,6 +106,7 @@ class PivotLaw:
     def quantile(self, alpha: float, upper: bool = False) -> float:
         """The alpha quantile, or the 1 - alpha quantile when ``upper``; an
         untabulated level is reported as the ``alpha`` passed."""
+        alpha = _check_real("alpha", alpha)
         level = 1.0 - alpha if upper else alpha
         lo, hi = float(self.alphas[0]), float(self.alphas[-1])
         if not lo <= level <= hi:
@@ -117,6 +118,10 @@ class PivotLaw:
 
 def _checked_pairs(pairs: Sequence[tuple[int, int]], bm_steps: int) -> tuple[_Pairs, int]:
     """The exponent pairs and the Brownian grid size as ints, once they are valid."""
+    try:
+        pairs = tuple((f, g) for f, g in pairs)
+    except (TypeError, ValueError):  # no iterable, or an item that is no pair
+        raise ConfigError(f"pairs = {pairs!r} must be a sequence of pairs (f, g)") from None
     pairs = tuple((_check_count("f_exponent", f, 0), _check_count("g_exponent", g, 0))
                   for f, g in pairs)
     if not pairs:
@@ -128,26 +133,6 @@ def _check_mc(replications: int, seed: int, threads: int) -> tuple[int, int, int
     """The Monte Carlo engine's own arguments as ints, once they are valid."""
     return (_check_count("replications", replications, 10_000), _check_count("seed", seed, 0),
             _check_count("threads", threads))
-
-
-def _check_delta(delta: float | None) -> None:
-    """Raise ConfigError unless the relevance threshold ``delta`` is unset or non-negative."""
-    if delta is not None and not delta >= 0:  # NaN included
-        raise ConfigError(f"delta = {delta} must be non-negative")
-
-
-def _check_estimate(estimate: float, v: float) -> None:
-    """Raise ValueError unless ``estimate`` is finite and V finite and non-negative."""
-    if not math.isfinite(estimate):
-        raise ValueError(f"estimate must be finite, got {estimate}")
-    if not 0.0 <= v < math.inf:  # NaN included
-        raise ValueError(f"V must be non-negative and finite, got {v}")
-
-
-def _check_nu(nu: float | None) -> None:
-    """Raise ConfigError unless the share threshold ``nu`` is unset or in (0, 1)."""
-    if nu is not None and not 0.0 < nu < 1.0:
-        raise ConfigError(f"nu = {nu} must lie strictly between 0 and 1")
 
 
 def _chunk(
@@ -299,6 +284,7 @@ def quantile_se(law: PivotLaw, alpha: float) -> float:
     paths; under the scalar engine's antithetic pairing the formula is
     slightly conservative in the tails. An exact table has none: 0.0.
     """
+    alpha = _check_real("alpha", alpha)
     if law.replications == 0:
         return 0.0
     lo = max(alpha - 0.005, float(law.alphas[0]))
@@ -558,11 +544,12 @@ def confidence_interval(
     estimate: float, v: float, law: PivotLaw, alpha: float = 0.05
 ) -> ConfidenceInterval:
     """Two-sided confidence interval [estimate + q_{a/2} V, estimate + q_{1-a/2} V]."""
-    if not 0.002 <= alpha < 1.0:
-        raise ConfigError(f"alpha = {alpha} outside the supported range [0.002, 1)")
-    _check_estimate(estimate, v)
+    alpha = _check_real("alpha", alpha, 0.002, 1.0, open_high=True)
+    estimate, v = _check_real("estimate", estimate), _check_real("V", v, 0.0)
     lo = estimate + law.quantile(alpha / 2.0) * v
     hi = estimate + law.quantile(1.0 - alpha / 2.0) * v
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError(f"interval [{lo}, {hi}] overflows: estimate = {estimate}, V = {v}")
     return ConfidenceInterval(level=1.0 - alpha, lo=lo, hi=hi)
 
 
@@ -582,10 +569,12 @@ def relevant_test(
 
     Rejects when estimate > delta + q_{1-alpha} V.
     """
-    _check_delta(delta)
-    _check_estimate(estimate, v)
+    delta = _check_real("delta", delta, 0.0)
+    estimate, v = _check_real("estimate", estimate), _check_real("V", v, 0.0)
     q = law.quantile(alpha, upper=True)
     threshold = delta + q * v
+    if not math.isfinite(threshold):
+        raise NumericalError(f"threshold delta + q V overflows: delta = {delta}, V = {v}")
     return RelevantTestResult(
         reject=bool(estimate > threshold),
         delta=delta,
@@ -643,7 +632,7 @@ def estimate_dstar(
     """
     if not paths:
         raise ValueError("need at least one candidate order")
-    _check_nu(nu)
+    nu = _check_real("nu", nu, 0.0, 1.0, True, True)
     ds = [pth.d for pth in paths]
     if any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValueError("candidate paths must have strictly increasing d")

@@ -72,8 +72,9 @@ class SequentialFunctional:
     observations; ``valid`` marks fractions where the measure is well defined
     (rank-deficient partial estimates can make coherence undefined for small
     k). The pair (f_exponent, g_exponent) identifies the pivot law of the
-    self-normalized statistic built from this path. A non-finite value at
-    any fraction raises :class:`NumericalError`.
+    self-normalized statistic built from this path. Empty or non-1-D
+    ``values``, or ``eta`` or ``valid`` of another shape, raise ValueError; a
+    non-finite value at any fraction raises :class:`NumericalError`.
     """
 
     kind: str
@@ -86,6 +87,12 @@ class SequentialFunctional:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.values)
+        if len(shape) != 1 or not shape[0]:
+            raise ValueError(f"values must be a non-empty 1-D array, got shape {shape}")
+        for name in ("eta", "valid"):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must have the shape {shape} of values")
         if (bad := np.flatnonzero(~np.isfinite(self.values))).size:
             raise NumericalError(
                 f"{self.kind} path at eta = {bad[0] + 1}/{len(self.values)} is not finite "

@@ -387,23 +387,23 @@ def test_confidence_interval_alignment(law_32):
     assert (degenerate.lo, degenerate.hi) == (0.5, 0.5)
     with pytest.raises(sn.ConfigError, match="alpha"):
         sn.confidence_interval(0.5, 0.01, law_32, alpha=0.001)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(sn.ConfigError, match=re.escape("V = -0.1 must lie in [0, inf)")):
         sn.confidence_interval(0.5, -0.1, law_32)
-    with pytest.raises(ValueError, match="non-negative"):
-        sn.confidence_interval(0.5, math.nan, law_32)  # NaN fails the non-negative rule too
+    with pytest.raises(sn.ConfigError, match=re.escape("V = nan must lie in [0, inf)")):
+        sn.confidence_interval(0.5, math.nan, law_32)  # NaN lies in no interval
 
 
 @pytest.mark.parametrize("estimate, v, message", [
-    (math.nan, 0.1, "estimate must be finite, got nan"),
-    (math.inf, 0.1, "estimate must be finite, got inf"),
-    (-math.inf, 0.1, "estimate must be finite, got -inf"),
-    (0.5, math.inf, "V must be non-negative and finite, got inf"),
-    (0.5, math.nan, "V must be non-negative and finite, got nan"),
+    (math.nan, 0.1, "estimate = nan must lie in (-inf, inf)"),
+    (math.inf, 0.1, "estimate = inf must lie in (-inf, inf)"),
+    (-math.inf, 0.1, "estimate = -inf must lie in (-inf, inf)"),
+    (0.5, math.inf, "V = inf must lie in [0, inf)"),
+    (0.5, math.nan, "V = nan must lie in [0, inf)"),
 ], ids=["nan-estimate", "inf-estimate", "minus-inf-estimate", "inf-v", "nan-v"])
 def test_interval_and_test_refuse_a_non_finite_estimate_or_v(small_law, estimate, v, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(sn.ConfigError, match=re.escape(message)):
         sn.confidence_interval(estimate, v, small_law)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(sn.ConfigError, match=re.escape(message)):
         sn.relevant_test(estimate, v, small_law, delta=0.1)
 
 
@@ -416,10 +416,10 @@ def test_relevant_test_threshold_rule(law_32):
     assert above.threshold == pytest.approx(0.1 + q * 0.02)
     with pytest.raises(sn.ConfigError, match="delta"):
         sn.relevant_test(0.5, 0.1, law_32, delta=-0.2)
-    with pytest.raises(sn.ConfigError, match="delta = nan must be non-negative"):
+    with pytest.raises(sn.ConfigError, match=re.escape("delta = nan must lie in [0, inf)")):
         sn.relevant_test(0.5, 0.1, law_32, delta=math.nan)
     for v in (-1.0, math.nan):  # V is checked as confidence_interval checks it
-        with pytest.raises(ValueError, match="V must be non-negative"):
+        with pytest.raises(sn.ConfigError, match=re.escape(f"V = {v} must lie in [0, inf)")):
             sn.relevant_test(0.5, v, law_32, delta=0.1)
 
 
