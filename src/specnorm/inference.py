@@ -282,9 +282,12 @@ def quantile_se(law: PivotLaw, alpha: float) -> float:
     Uses the asymptotic formula sqrt(alpha (1-alpha) / R) / density, with the
     density estimated from neighbouring table entries. R counts simulated
     paths; under the scalar engine's antithetic pairing the formula is
-    slightly conservative in the tails. An exact table has none: 0.0.
+    slightly conservative in the tails. An exact table has none: 0.0. An
+    alpha outside the tabulated range is refused as :meth:`PivotLaw.quantile`
+    refuses it, before the window is clamped to the table.
     """
     alpha = _check_real("alpha", alpha)
+    law.quantile(alpha)
     if law.replications == 0:
         return 0.0
     lo = max(alpha - 0.005, float(law.alphas[0]))

@@ -7,7 +7,8 @@ the whole fraction grid eta in {1/N, ..., 1}:
   leading eigenvalues (band and time averaged).
 * ``tvdpsca_sequential``: share of squared Hilbert-Schmidt mass carried by
   the d leading separable components, via the Kronecker rearrangement whose
-  singular values are the component scores.
+  singular values are the component scores (their squares are read as the
+  eigenvalues of its Gram matrix).
 * ``coherence_sequential``: band average of the d-th order canonical
   coherence between two direct-sum blocks.
 * ``stationarity_sequential``: band average of the dispersion of matrix
@@ -180,8 +181,13 @@ def _eigenvalues(f: np.ndarray) -> tuple[np.ndarray]:
 
 
 def _separable_scores(f: np.ndarray, ps: ProductStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Per slice: the separable component scores and the squared Frobenius norm."""
-    return np.linalg.svd(kron_rearrange(f, ps), compute_uv=False), (np.abs(f) ** 2).sum(axis=(-2, -1))
+    """Per slice: the squared separable component scores, descending and clamped at 0
+    (the eigenvalues of the rearrangement's smaller Gram matrix), and the squared
+    Frobenius norm."""
+    r = kron_rearrange(f, ps)
+    rh = r.conj().swapaxes(-1, -2)
+    (squares,) = _eigenvalues(r @ rh if ps.p1 <= ps.p2 else rh @ r)
+    return squares, (np.abs(f) ** 2).sum(axis=(-2, -1))
 
 
 def _coherences(f: np.ndarray, d: int, p1: int, project: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -201,14 +207,13 @@ def _coherences(f: np.ndarray, d: int, p1: int, project: bool) -> tuple[np.ndarr
 
 def _restricted_roots(vals: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
     """Square roots of the PSD-clamped slices restricted to their d leading
-    components, from eigenpairs in ascending order."""
+    components, rebuilt from the d leading eigenpairs alone (eigenpairs come in
+    ascending order)."""
     p = vals.shape[-1]
     # eigenvalues within roundoff of zero (rank-deficient slices) get a zero root, not sqrt(noise)
     floor = p * np.finfo(float).eps * np.maximum(vals[..., -1:], 0.0)
     roots = np.sqrt(np.where(vals > floor, vals, 0.0))
-    if d < p:
-        roots[..., : p - d] = 0.0  # ascending order: drop the p - d smallest
-    return eig_reconstruct(vecs, roots)
+    return eig_reconstruct(vecs[..., p - d:], roots[..., p - d:])  # ascending: the d largest
 
 
 def _dispersions(f: np.ndarray, d: int, w_u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -244,22 +249,26 @@ def tvdpsca_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Sequ
     """Fraction of squared Hilbert-Schmidt mass in the d leading separable terms.
 
     Each slice is rearranged so Kronecker products become rank one; the
-    singular values of the rearrangement are the separable component scores,
-    and the denominator is computed directly as ||F_hat||_F^2, which equals
-    the full sum of squared scores because the rearrangement is a Frobenius
-    isometry. Scores and masses come from one block pass per estimate and
+    singular values of the rearrangement R are the separable component scores.
+    Only their squares enter, so they are taken as the eigenvalues of the
+    smaller Gram matrix R R^H (R^H R when p1 > p2), and no SVD is formed. The
+    denominator is computed directly as ||F_hat||_F^2, which equals the full
+    sum of squared scores because the rearrangement is a Frobenius isometry.
+    A slice counts in ``diagnostics["near_tie_count"]`` when its squared
+    scores at the d boundary are tied, tvdfpca's rule for eigenvalues.
+    Squared scores and masses come from one block pass per estimate and
     product structure, shared by every order d.
     """
     d_cap = _checked("tvdpsca", sdo.p, d, ps)
-    scores, mass = sdo.map_blocks(lambda f: _separable_scores(f, ps), key=("tvdpsca", ps))
+    squares, mass = sdo.map_blocks(lambda f: _separable_scores(f, ps), key=("tvdpsca", ps))
     den = mass.mean(axis=(0, 1))
     # at d_cap the scores carry all the mass: the share is 1 exactly, not up to roundoff
-    num = den if d == d_cap else (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
+    num = den if d == d_cap else squares[..., :d].sum(axis=-1).mean(axis=(0, 1))
     values, valid = _share(num, den, _available(sdo))
-    total = (scores**2).sum(axis=-1).mean(axis=(0, 1))
+    total = squares.sum(axis=-1).mean(axis=(0, 1))
     diag = {
         "isometry_defect_max": float(np.max(np.abs(total - den))),
-        "near_tie_count": _tie_count(scores, d),
+        "near_tie_count": _tie_count(squares, d),
     }
     return _functional("tvdpsca", sdo, d, values, valid, diag)
 
@@ -358,9 +367,9 @@ def measure_population(
         (vals,) = _eigenvalues(tensor)
         return float(_share(mean(vals[..., :d].sum(axis=-1)), mean(vals.sum(axis=-1)))[0])
     if kind == "tvdpsca":
-        scores, mass = _separable_scores(tensor, ps)
+        squares, mass = _separable_scores(tensor, ps)
         den = mean(mass)
-        num = den if d == d_cap else mean((scores[..., :d] ** 2).sum(axis=-1))
+        num = den if d == d_cap else mean(squares[..., :d].sum(axis=-1))
         return float(_share(num, den)[0])
     if kind == "coherence":
         ratio, defined = _coherences(tensor, d, ps.p1, project=False)

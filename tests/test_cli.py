@@ -1044,7 +1044,8 @@ def test_order_selection_decomposes_the_tensor_once(tmp_path, capsys, monkeypatc
     code, out = run_main(capsys, "select-d", "--config", cfg)
     report = json.loads(out)
     assert code == 0 and len(report["stats"]) >= 1
-    assert counts == {"eigh": 0, "eigvalsh": 0, "svd": report["diagnostics"]["k_omega"]}
+    # tvdpsca reads its squared scores from one eigvalsh of each block's Gram matrices
+    assert counts == {"eigh": 0, "eigvalsh": report["diagnostics"]["k_omega"], "svd": 0}
 
 
 def test_select_d_share_is_exactly_one_at_the_order_cap(tmp_path, capsys):

@@ -335,6 +335,16 @@ def test_quantile_lookup_interpolates_and_guards_range(small_law):
     assert 0 < se < 1.0
 
 
+def test_quantile_se_refuses_an_untabulated_alpha_under_its_own_value(small_law):
+    # the range is checked before the finite-difference window is clamped to the table
+    for alpha in (5.0, -1.0, 0.9995):
+        with pytest.raises(sn.ConfigError, match=rf"^alpha = {alpha} outside the tabulated range"):
+            small_law.quantile(alpha)
+        with pytest.raises(sn.ConfigError, match=rf"^alpha = {alpha} outside the tabulated range"):
+            sn.quantile_se(small_law, alpha)
+    assert 0 < sn.quantile_se(small_law, 0.999) < math.inf
+
+
 def test_mc_argument_validation():
     with pytest.raises(sn.ConfigError, match="replications = 100 must be at least 10000"):
         sn.mc_quantiles(3, 2, replications=100)

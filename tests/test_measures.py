@@ -17,7 +17,7 @@ import specnorm as sn
 from conftest import chunk_rows, make_path
 from specnorm.estimator import cell_midpoints
 from specnorm.hermitian import eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch
-from specnorm.measures import _tie_count
+from specnorm.measures import _separable_scores, _tie_count
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,29 @@ def test_separable_share_denominator_is_squared_norm(iid_sdo):
         sn.tvdpsca_sequential(sdo, 1, sn.ProductStructure(3, 2))
     with pytest.raises(ValueError, match=r"d = 5 must lie in \[1, min\(p1\^2, p2\^2\) = 4\]"):
         sn.tvdpsca_sequential(sdo, 5, sn.ProductStructure(2, 2))
+
+
+@pytest.mark.parametrize("p1, p2", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_squared_separable_scores_match_the_rearrangement_svd(p1, p2):
+    # tvdpsca reads the squared scores as the eigenvalues of the smaller Gram
+    # matrix of the Kronecker rearrangement R, never the singular values of R
+    ps = sn.ProductStructure(p1, p2)
+    rng = np.random.default_rng(31)
+    shape = (3, 5, p1 * p2, p1 * p2)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = b @ b.conj().swapaxes(-1, -2)
+    squares, mass = _separable_scores(f, ps)
+    expected = np.linalg.svd(kron_rearrange(f, ps), compute_uv=False) ** 2
+    assert squares.shape == expected.shape == (3, 5, min(p1, p2) ** 2)
+    assert np.all(np.abs(squares - expected) <= 1e-13 * mass[..., None])
+    # a separable slice X (x) Y carries all its mass in one score, and the rest tie at zero
+    x, y = (c @ c.conj().T for c in (b[1, 0, :p1, :p1], b[1, 1, :p2, :p2]))
+    sdo = analytic_sdo(np.kron(x, y), n=p1 * p2)
+    one = sn.tvdpsca_sequential(sdo, 1, ps)
+    assert np.all(np.abs(one.values - 1.0) <= 1e-14) and one.diagnostics["near_tie_count"] == 0
+    slices = sdo.m * sdo.k_omega * sdo.n_window
+    for d in range(2, min(p1, p2) ** 2):
+        assert sn.tvdpsca_sequential(sdo, d, ps).diagnostics["near_tie_count"] == slices
 
 
 def test_coherence_zero_on_block_diagonal_input():
@@ -571,8 +594,9 @@ def whole_tensor_path(sdo, kind, d, project=None):
         vals = np.maximum(np.linalg.eigvalsh(t)[..., ::-1], 0.0)
         return ratio(vals[..., :d].sum(axis=-1).mean(axis=(0, 1)), vals.sum(axis=-1).mean(axis=(0, 1)))
     if kind == "tvdpsca":
-        scores = np.linalg.svd(kron_rearrange(t, PS), compute_uv=False)
-        num = (scores[..., :d] ** 2).sum(axis=-1).mean(axis=(0, 1))
+        r = kron_rearrange(t, PS)  # squared scores: eigenvalues of the Gram R R^H (p1 = p2)
+        squares = np.maximum(np.linalg.eigvalsh(r @ r.conj().swapaxes(-1, -2))[..., ::-1], 0.0)
+        num = squares[..., :d].sum(axis=-1).mean(axis=(0, 1))
         return ratio(num, (np.abs(t) ** 2).sum(axis=(-2, -1)).mean(axis=(0, 1)))
     vals, vecs = np.linalg.eigh(t)
     if kind == "coherence":
@@ -762,6 +786,13 @@ def test_eig_reconstruct_matches_einsum_form():
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
     single = eig_reconstruct(vecs[0, 0, 0], weights[0, 0, 0])
     assert np.max(np.abs(single - expected[0, 0, 0])) <= 1e-12 * np.max(np.abs(expected))
+    # a p x d block of eigenvectors rebuilds the rank-d part, as stationarity's roots do
+    d = 2
+    block = eig_reconstruct(vecs[..., -d:], weights[..., -d:])
+    leading = np.einsum("...ij,...j,...kj->...ik", vecs[..., -d:], weights[..., -d:],
+                        vecs[..., -d:].conj())
+    assert block.shape == expected.shape
+    assert np.max(np.abs(block - leading)) <= 1e-12 * np.max(np.abs(leading))
 
 
 @settings(max_examples=25, deadline=None)
