@@ -48,7 +48,6 @@ from .estimator import (
     _validate_band,
     default_bandwidth_plan,
     estimate_sequential_sdo,
-    kernel_by_name,
 )
 from .hermitian import ProductStructure
 from .inference import (
@@ -112,7 +111,6 @@ class RunConfig:
     coupling: float | None = None
     alpha: float = 0.5
     kappa: float = 0.4
-    kernel: str = "parzen"
     m: int | None = None
     k_omega: int | None = None
     band_lo: float = 0.0
@@ -214,7 +212,7 @@ def _validate_config(cfg: RunConfig) -> None:
             _check_count(key, value)
     if cfg.measure is not None and cfg.measure not in _MEASURES:
         raise ConfigError(f"measure must be one of {_MEASURES}, got {cfg.measure!r}")
-    _check_exponents(cfg.alpha, cfg.kappa, kernel_by_name(cfg.kernel))
+    _check_exponents(cfg.alpha, cfg.kappa)
     _validate_band((cfg.band_lo, cfg.band_hi))
     _check_real("level_alpha", cfg.level_alpha, 0.002, 0.5)
     if cfg.delta is not None:
@@ -467,9 +465,7 @@ def _estimate(cfg: RunConfig) -> SequentialSDO:
     """The stages every analysis shares: data, bandwidth plan, sequential estimate."""
     sample = _sample(cfg)
     with _stage("estimate"):
-        plan = default_bandwidth_plan(
-            T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m, kernel=kernel_by_name(cfg.kernel)
-        )
+        plan = default_bandwidth_plan(T=sample.T, alpha=cfg.alpha, kappa=cfg.kappa, M=cfg.m)
         sdo = estimate_sequential_sdo(
             sample, plan, band=(cfg.band_lo, cfg.band_hi), k_omega=cfg.k_omega, threads=cfg.threads
         )

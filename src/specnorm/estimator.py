@@ -27,8 +27,6 @@ from .hermitian import psd_project_batch
 __all__ = [
     "Kernel",
     "PARZEN",
-    "FLAT_TOP",
-    "kernel_by_name",
     "BandwidthPlan",
     "default_bandwidth_plan",
     "midpoint_grid",
@@ -45,19 +43,14 @@ class Kernel:
     """Lag-window kernel: even, supported on [-1, 1], w(0) = 1, w - 1 = O(x^iota).
 
     ``kappa_f`` is the squared-kernel mass integral over [-1, 1], the constant
-    in the normalizing sequence rho_T^2 = N * b_f / kappa_f. ``psd`` says that
-    the spectral window (the Fourier transform of w) is nonnegative, so the
-    Toeplitz matrix of w(b_f h) e^{i omega h} and every partial-sum slice of
-    the estimate are positive semidefinite up to roundoff: true for Parzen
-    (Priestley, *Spectral Analysis and Time Series*, 1981, section 6.2.3),
-    false for the truncated flat-top window, whose slices can be indefinite.
+    in the normalizing sequence rho_T^2 = N * b_f / kappa_f. The estimator's
+    only lag window is :data:`PARZEN`.
     """
 
     name: str
     weight: Callable[[np.ndarray], np.ndarray]
     iota: int
     kappa_f: float
-    psd: bool
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray:
         return self.weight(np.asarray(x, dtype=float))
@@ -70,28 +63,11 @@ def _parzen(x: np.ndarray) -> np.ndarray:
     return np.where(ax <= 0.5, inner, np.where(ax <= 1.0, outer, 0.0))
 
 
-def _flat_top(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return np.clip(2.0 * (1.0 - ax), 0.0, 1.0) * (ax <= 1.0)
-
-
-# kappa_f values are the exact integrals of w^2 over [-1, 1]:
-# Parzen 151/280, trapezoidal flat-top 4/3 (verified against quadrature in tests).
-PARZEN = Kernel(name="parzen", weight=_parzen, iota=2, kappa_f=151.0 / 280.0, psd=True)
-FLAT_TOP = Kernel(
-    name="truncated_flat_top", weight=_flat_top, iota=8, kappa_f=4.0 / 3.0, psd=False
-)
-
-_KERNELS = {PARZEN.name: PARZEN, FLAT_TOP.name: FLAT_TOP, "flat_top": FLAT_TOP}
-
-
-def kernel_by_name(name: str) -> Kernel:
-    try:
-        return _KERNELS[name]
-    except (KeyError, TypeError):  # an unhashable name is no kernel's either
-        raise ConfigError(
-            f"unknown kernel {name!r}; choose from {sorted(set(k.name for k in _KERNELS.values()))}"
-        ) from None
+# kappa_f = 151/280 is the exact integral of w^2 over [-1, 1] (checked by quadrature in tests).
+# Parzen's spectral window (the Fourier transform of w) is nonnegative, so the Toeplitz matrix of
+# w(b_f h) e^{i omega h} and every partial-sum slice of the estimate are PSD up to roundoff
+# (Priestley, *Spectral Analysis and Time Series*, 1981, 6.2.3): coherence projects no estimate.
+PARZEN = Kernel(name="parzen", weight=_parzen, iota=2, kappa_f=151.0 / 280.0)
 
 
 @dataclass(frozen=True)
@@ -128,22 +104,20 @@ def default_bandwidth_plan(
     alpha: float = 0.5,
     kappa: float = 0.4,
     M: int | None = None,
-    kernel: Kernel = PARZEN,
 ) -> BandwidthPlan:
-    """Window/bandwidth plan N = T^alpha (forced even), b_f = N^-kappa.
+    """Window/bandwidth plan N = T^alpha (forced even), b_f = N^-kappa, Parzen lag window.
 
     Defaults: alpha = 0.5, kappa = 0.4, M = max(4, round(N^0.3)). The hard
-    constraints kappa in (1/(2 iota + 1), 1) and M * N <= T raise; the
+    constraints kappa in (1/(2 iota + 1), 1) = (1/5, 1) and M * N <= T raise; the
     asymptotic-regime inequalities (alpha bound of the relevant bandwidth
     case, M = o(N^{1-kappa}), N^{1-kappa} = o(M^3)) are only listed in
     ``plan.warnings``, since no finite T can satisfy an o(.) literally.
 
     :param T: series length, at least 64.
-    :param kernel: the lag window of the estimate; supplies iota and kappa_f.
     """
     T = _check_count("T", T, 64)
-    alpha, kappa = _check_exponents(alpha, kappa, kernel)
-    iota = kernel.iota
+    alpha, kappa = _check_exponents(alpha, kappa)
+    iota = PARZEN.iota
     N = int(round(T**alpha))
     N -= N % 2
     if N < 2:
@@ -169,13 +143,13 @@ def default_bandwidth_plan(
         regime.append(f"N^(1 - kappa) = {N ** (1.0 - kappa):.4g} > M^3 = {M**3}")
     return BandwidthPlan(
         T=T, alpha=alpha, kappa=kappa, N=N, b_f=b_f, M=M,
-        kernel=kernel, warnings=tuple(regime),
+        kernel=PARZEN, warnings=tuple(regime),
     )
 
 
-def _check_exponents(alpha: float, kappa: float, kernel: Kernel) -> tuple[float, float]:
-    """alpha in (0, 1) and kappa in (1/(2 iota + 1), 1) as floats, else ConfigError."""
-    kappa = _check_real("kappa", kappa, 1.0 / (2 * kernel.iota + 1), 1.0, True, True)
+def _check_exponents(alpha: float, kappa: float) -> tuple[float, float]:
+    """alpha in (0, 1) and kappa in (1/(2 iota + 1), 1) = (1/5, 1) as floats, else ConfigError."""
+    kappa = _check_real("kappa", kappa, 1.0 / (2 * PARZEN.iota + 1), 1.0, True, True)
     return _check_real("alpha", alpha, 0.0, 1.0, True, True), kappa
 
 

@@ -183,10 +183,14 @@ def _eigenvalues(f: np.ndarray) -> tuple[np.ndarray]:
 def _separable_scores(f: np.ndarray, ps: ProductStructure) -> tuple[np.ndarray, np.ndarray]:
     """Per slice: the squared separable component scores, descending and clamped at 0
     (the eigenvalues of the rearrangement's smaller Gram matrix), and the squared
-    Frobenius norm."""
+    Frobenius norm. The Gram matrix is built one window at a time, so only one
+    window's conjugate copy of R is held at once."""
     r = kron_rearrange(f, ps)
-    rh = r.conj().swapaxes(-1, -2)
-    (squares,) = _eigenvalues(r @ rh if ps.p1 <= ps.p2 else rh @ r)
+    gram = np.empty(r.shape[:-2] + (min(ps.p1, ps.p2) ** 2,) * 2, complex)
+    for r_i, gram_i in zip(r, gram):
+        rh = r_i.conj().swapaxes(-1, -2)
+        np.matmul(*((r_i, rh) if ps.p1 <= ps.p2 else (rh, r_i)), out=gram_i)
+    (squares,) = _eigenvalues(gram)
     return squares, (np.abs(f) ** 2).sum(axis=(-2, -1))
 
 
@@ -278,17 +282,17 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
 
     The operator dimension splits as p = p1 + p2 (direct sum). Per cell,
     R_hat_d = sigma_d(F12) / sqrt(lambda_d(F11) lambda_d(F22)) on a PSD
-    slice. A lag window with a nonnegative spectral window (``kernel.psd``,
-    Parzen) already gives PSD slices, so they are read as estimated; other
-    kernels and estimates without a plan (``from_tensor``) are PSD-projected
-    first, rebuilding only the slices with a negative eigenvalue. Cells
-    whose d-th marginal eigenvalue is numerically zero (below 1e-12 of the
-    marginal trace) are undefined: at eta = 1 that is an error, at interior
-    eta the cell is skipped, counted in ``diagnostics["skipped_cells"]``, and
-    the average runs over the remaining cells.
+    slice. The Parzen lag window already gives PSD slices, so an estimate's
+    slices are read as estimated; a tensor without a plan (``from_tensor``)
+    is PSD-projected first, rebuilding only the slices with a negative
+    eigenvalue. Cells whose d-th marginal eigenvalue is numerically zero
+    (below 1e-12 of the marginal trace) are undefined: at eta = 1 that is an
+    error, at interior eta the cell is skipped, counted in
+    ``diagnostics["skipped_cells"]``, and the average runs over the remaining
+    cells.
     """
     _checked("coherence", sdo.p, d, ps)
-    project = sdo.plan is None or not sdo.plan.kernel.psd
+    project = sdo.plan is None
     ratio, defined = sdo.map_blocks(lambda f: _coherences(f, d, ps.p1, project))
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")

@@ -84,7 +84,7 @@ def test_parse_config_types_comments_and_defaults():
     assert cfg.T == 256
     assert cfg.sigma_diag == (3.0, 1.5)
     assert cfg.measure == "tvdfpca"
-    assert cfg.kappa == 0.4 and cfg.kernel == "parzen"
+    assert cfg.kappa == 0.4
     assert cfg.level_alpha == 0.05 and cfg.threads == 1
 
 
@@ -108,14 +108,18 @@ def test_parse_config_line_shape_and_value_errors():
         parse_config("T = 256\nprocess = iid\n# T = 64\nT = 128\n")
 
 
-def test_parse_config_kappa_range_depends_on_kernel():
-    # Parzen admits kappa > 1/5 only; the flat-top kernel reaches down to 1/17
-    with pytest.raises(ConfigError, match="kappa"):
-        parse_config("process = iid\nT = 256\nkappa = 0.1\n")
-    cfg = parse_config("process = iid\nT = 256\nkappa = 0.1\nkernel = flat_top\n")
-    assert cfg.kappa == 0.1
-    with pytest.raises(ConfigError, match="unknown kernel"):
-        parse_config("kernel = boxcar\n")
+def test_parse_config_kappa_range_is_parzens_and_kernel_is_no_key(tmp_path, capsys):
+    # the Parzen lag window admits kappa in (1/5, 1) only, and no config chooses a kernel
+    for kappa in ("0.1", "0.2"):
+        cfg = write_cfg(tmp_path, **INFER_KEYS, kappa=kappa)
+        code, out = run_main(capsys, "infer", "--config", cfg)
+        err = json.loads(out)["error"]
+        assert code == 2 and (err["stage"], err["type"]) == ("config", "ConfigError")
+        assert f"kappa = {kappa} must lie in (0.2, 1)" in err["message"]
+    assert parse_config("process = iid\nT = 256\nkappa = 0.2001\n").kappa == 0.2001
+    for kernel in ("parzen", "flat_top"):
+        with pytest.raises(ConfigError, match="unknown configuration keys: kernel"):
+            parse_config(f"process = iid\nT = 256\nkernel = {kernel}\n")
 
 
 def test_parse_config_cross_field_rules():
@@ -157,7 +161,7 @@ def field_type(name):
 # for the keys that admit only a few values or have a lower bound above it.
 GOOD_VALUE = {int: ("3", 3), float: ("0.5", 0.5), tuple: ("0.5, 0.25", (0.5, 0.25))}
 GOOD_BY_KEY = {"coupling": ("1.0", 1.0), "quantile_r": ("10000", 10_000), "quantile_n": ("500", 500)}
-GOOD_STR = {"process": "iid", "kernel": "flat_top", "measure": "tvdfpca"}
+GOOD_STR = {"process": "iid", "measure": "tvdfpca"}
 BAD_VALUE = {
     int: ("2.5", "expected an integer"),
     float: ("x", "expected a number"),
@@ -1211,7 +1215,7 @@ def test_infer_report_is_the_same_cold_or_warm_at_any_thread_count(tmp_path, cap
     assert outs[1:] == outs[:1] * 3
 
 
-# One config per measure; the flat-top kernel leaves negative eigenvalues to clip.
+# One config per measure.
 THREADED_KEYS = {
     "tvdfpca": dict(measure="tvdfpca", nu=0.6, d_max=3),
     "tvdpsca": dict(measure="tvdpsca", p1=2, p2=2),
@@ -1222,7 +1226,7 @@ THREADED_KEYS = {
 
 @pytest.mark.parametrize("measure", list(THREADED_KEYS))
 def test_infer_report_does_not_depend_on_the_thread_count(tmp_path, capsys, measure):
-    keys = {**INFER_KEYS, "p": 4, "kernel": "flat_top", **THREADED_KEYS[measure]}
+    keys = {**INFER_KEYS, "p": 4, **THREADED_KEYS[measure]}
     cfg = write_cfg(tmp_path, **keys)
     code1, out1 = run_main(capsys, "infer", "--config", cfg, "--threads", "1")
     code2, out2 = run_main(capsys, "infer", "--config", cfg, "--threads", "2")
@@ -1233,17 +1237,19 @@ def test_infer_report_does_not_depend_on_the_thread_count(tmp_path, capsys, meas
 
 @pytest.mark.parametrize("keys", [dict(T=1024, alpha=0.6), dict(T=256)], ids=["T1024", "T256"])
 def test_psd_clip_max_is_the_estimators_in_every_report(tmp_path, capsys, keys):
-    # one figure: the largest eigenvalue clipped by the eta = 1 projection of
-    # the estimate, whichever measure reads it (flat-top: it fires at T = 256)
-    base = {**INFER_KEYS, "p": 4, "sigma_diag": "4, 2, 1, 0.5", "kernel": "flat_top",
-            "p1": 2, "p2": 2, **keys}
-    with open(write_cfg(tmp_path, **base)) as fh:
-        sample = sn.simulate(build_process_spec(parse_config(fh.read())))
-    plan = sn.default_bandwidth_plan(sample.T, alpha=base.get("alpha", 0.5), kernel=sn.FLAT_TOP)
+    # one figure: the largest eigenvalue clipped by the eta = 1 projection of the
+    # estimate, whichever measure reads it; a rank-3 sample in p = 4 makes it fire
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((keys["T"], 3)) @ rng.standard_normal((3, 4))
+    base = {"input": write_csv(tmp_path, data), "quantile_n": 500, "p1": 2, "p2": 2,
+            "alpha": keys.get("alpha", 0.5)}
+    sample = cli.ingest_csv(base["input"])
+    plan = sn.default_bandwidth_plan(sample.T, alpha=base["alpha"])
     sdo = sn.estimate_sequential_sdo(sample, plan)
     sdo.tensor  # the first read records psd_clip_max
     clip = sdo.diagnostics["psd_clip_max"]
-    assert (clip > 0) == (keys["T"] == 256)
+    # Parzen's slices are PSD up to roundoff, so the clip is roundoff of the largest eigenvalue
+    assert 0 < clip <= 8 * sample.p * np.finfo(float).eps * np.linalg.eigvalsh(sdo.tensor).max()
     for command, measure in [("estimate", "tvdfpca"), *(("infer", m) for m in cli._MEASURES)]:
         cfg = write_cfg(tmp_path, **{**base, "measure": measure})
         code, out = run_main(capsys, command, "--config", cfg)
@@ -1468,12 +1474,10 @@ def simulated_infer_configs(draw):
     """A valid simulated ``infer`` config: each process, a measure whose p1/p2 fit its p."""
     measure = draw(st.sampled_from(cli._MEASURES))
     process = draw(st.sampled_from(cli._PROCESSES))
-    kernel = draw(st.sampled_from(["parzen", "flat_top"]))
-    lo = 1.0 / (2 * estimator.kernel_by_name(kernel).iota + 1)
     keys = dict(
-        process=process, T=draw(st.integers(64, 1024)), measure=measure, kernel=kernel,
+        process=process, T=draw(st.integers(64, 1024)), measure=measure,
         alpha=draw(st.floats(0.4, 0.6)),
-        kappa=draw(st.floats(lo, 1.0, exclude_min=True, exclude_max=True)),
+        kappa=draw(st.floats(0.2, 1.0, exclude_min=True, exclude_max=True)),
         quantile_n=500, seed=draw(st.integers(0, 2**31 - 1)),
     )
     dims = st.integers(1, 3)

@@ -135,8 +135,6 @@ CASES = {
     "default_bandwidth_plan.M": (COUNTS, lambda x: sn.default_bandwidth_plan(4096, M=x)),
     "default_bandwidth_plan.alpha": (FLOATS, lambda x: sn.default_bandwidth_plan(1024, alpha=x)),
     "default_bandwidth_plan.kappa": (FLOATS, lambda x: sn.default_bandwidth_plan(1024, kappa=x)),
-    "kernel_by_name": (st.one_of(st.text(max_size=12), COUNTS, st.lists(st.integers(), max_size=2)),
-                       sn.kernel_by_name),
     "ProductStructure.tvdpsca": (COUNTS, lambda x: sn.tvdpsca_sequential(
         sdo4(), 1, sn.ProductStructure(x, x))),
     "ProductStructure.coherence": (COUNTS, lambda x: sn.coherence_sequential(
@@ -242,7 +240,6 @@ def case_and_value():
 @example(("default_bandwidth_plan.T", math.inf))
 @example(("default_bandwidth_plan.T", 10**400))
 @example(("exact_quantiles.g", 2**1023))
-@example(("kernel_by_name", []))
 @example(("IidSpec.T", np.int8(100)))
 @example(("ProductStructure.tvdpsca", np.int8(16)))
 @example(("frechet_derivative", np.zeros((0, 0))))
@@ -297,7 +294,6 @@ def test_library_calls_return_finite_numbers_or_raise_in_the_taxonomy(case):
     (lambda: sn.default_bandwidth_plan(math.inf), "T = inf must be an integer"),
     (lambda: sn.default_bandwidth_plan(32), "T = 32 must be at least 64"),
     (lambda: sn.default_bandwidth_plan(2**63), f"T = {2**63} must be below 2**63"),
-    (lambda: sn.kernel_by_name([]), "unknown kernel []"),
     (lambda: sn.exact_quantiles(3, 2, bm_steps=None), "bm_steps = None must be an integer"),
     (lambda: sn.default_bandwidth_plan(1024, alpha=None), "alpha = None must be a real number"),
     (lambda: sn.default_bandwidth_plan(1024, alpha="0.5"), "alpha = '0.5' must be a real number"),
@@ -336,7 +332,7 @@ def test_library_calls_return_finite_numbers_or_raise_in_the_taxonomy(case):
     (lambda: sn.mc_quantiles_joint([(3,)]), "pairs = [(3,)] must be a sequence of pairs (f, g)"),
 ], ids=["IidSpec-T", "TvFar1Spec-burn_in", "SeparableSpec-seed", "CoherentPairSpec-p1",
         "ProductStructure-float", "ProductStructure-str", "ProductStructure-bool",
-        "ProductStructure-zero", "plan-float", "plan-inf", "plan-short", "plan-huge", "kernel-list",
+        "ProductStructure-zero", "plan-float", "plan-inf", "plan-short", "plan-huge",
         "bm_steps-none", "plan-alpha-none", "plan-alpha-str", "plan-alpha-range",
         "plan-kappa-complex", "plan-kappa-range", "band-edge-none", "band-not-pair",
         "interval-estimate-none", "interval-v-none", "interval-alpha-none",

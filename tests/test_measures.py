@@ -236,10 +236,10 @@ def test_stationarity_warns_off_full_band():
 
 
 @functools.lru_cache(maxsize=None)
-def scaled_paths(scale, kernel):
+def scaled_paths(scale):
     """tvdfpca, tvdpsca, coherence and stationarity paths of one iid sample times ``scale``."""
     sample = sn.simulate(sn.IidSpec(T=1024, sigma=np.eye(4), seed=3))
-    plan = sn.default_bandwidth_plan(1024, alpha=0.6, kernel=kernel)
+    plan = sn.default_bandwidth_plan(1024, alpha=0.6)
     sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=scale * sample.data), plan)
     ps = sn.ProductStructure(2, 2)
     return (sn.tvdfpca_sequential(sdo, 1), sn.tvdpsca_sequential(sdo, 1, ps),
@@ -251,53 +251,51 @@ def scaled_paths(scale, kernel):
 @example(k=60)
 @example(k=-60)
 def test_measures_invariant_under_data_scaling(k):
-    for kernel in (sn.PARZEN, sn.FLAT_TOP):
-        base = scaled_paths(1.0, kernel)
-        # times 2^k is exact in floating point: the ratio paths keep their bits, and the
-        # stationarity path, quadratic in the data, is multiplied by exactly 4^k
-        *ratios, stationarity = scaled_paths(2.0**k, kernel)
-        for a, b in zip(base, ratios):
-            assert np.array_equal(a.values, b.values) and np.array_equal(a.valid, b.valid)
-        assert np.array_equal(stationarity.values, 4.0**k * base[-1].values)
-        # any other factor leaves them to roundoff
-        *ratios, stationarity = scaled_paths(3.0, kernel)
-        for a, b in zip(base, ratios):
-            mask = a.valid & b.valid
-            assert np.allclose(a.values[mask], b.values[mask], atol=1e-10)
-        assert np.allclose(stationarity.values, 9.0 * base[-1].values, rtol=1e-10)
+    base = scaled_paths(1.0)
+    # times 2^k is exact in floating point: the ratio paths keep their bits, and the
+    # stationarity path, quadratic in the data, is multiplied by exactly 4^k
+    *ratios, stationarity = scaled_paths(2.0**k)
+    for a, b in zip(base, ratios):
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.valid, b.valid)
+    assert np.array_equal(stationarity.values, 4.0**k * base[-1].values)
+    # any other factor leaves them to roundoff
+    *ratios, stationarity = scaled_paths(3.0)
+    for a, b in zip(base, ratios):
+        mask = a.valid & b.valid
+        assert np.allclose(a.values[mask], b.values[mask], atol=1e-10)
+    assert np.allclose(stationarity.values, 9.0 * base[-1].values, rtol=1e-10)
 
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        perm=st.integers(2, 4).flatmap(lambda p: st.permutations(range(p))))
-@example(seed=861596, perm=[1, 0])  # a flat-top slice eigenvalue lands on the root floor
+@example(seed=861596, perm=[1, 0])
 def test_paths_do_not_depend_on_the_coordinate_order(seed, perm):
     # F -> P F P^T leaves every spectrum, so every tvdfpca and stationarity path, unchanged
     rng = np.random.default_rng(seed)
     p = len(perm)
     data = rng.standard_normal((512, p)) @ rng.standard_normal((p, p))
-    for kernel in (sn.PARZEN, sn.FLAT_TOP):
-        plan = sn.default_bandwidth_plan(512, kernel=kernel)
-        sdo, swapped = (
-            sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=x), plan)
-            for x in (data, data[:, list(perm)])
-        )
-        # A slice eigenvalue within roundoff (p eps lam) of zero may fall on either side of
-        # the root floor after the swap, and the square root is only Hoelder-1/2 there: a root
-        # moves by up to 2 p sqrt(eps lam) in Frobenius norm, a dispersion path value by up
-        # to 16 p^1.5 sqrt(eps) lam, and V by twice that (lam: the largest slice eigenvalue).
-        lam = np.linalg.eigvalsh(sdo.tensor).max()
-        stationarity_tol = 32 * p**1.5 * math.sqrt(np.finfo(float).eps) * lam
-        for measure in (sn.tvdfpca_sequential, sn.stationarity_sequential):
-            for d in range(1, p + 1):
-                a, b = measure(sdo, d), measure(swapped, d)
-                # V is compared on the scale of the path: near share 1 it is roundoff itself
-                tol = 1e-12 * np.max(np.abs(a.values))
-                if measure is sn.stationarity_sequential:
-                    tol = stationarity_tol
-                assert np.max(np.abs(a.values - b.values)) <= tol
-                assert np.array_equal(a.valid, b.valid)
-                assert abs(sn.self_norm_V([a]).values[0] - sn.self_norm_V([b]).values[0]) <= tol
+    plan = sn.default_bandwidth_plan(512)
+    sdo, swapped = (
+        sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=x), plan)
+        for x in (data, data[:, list(perm)])
+    )
+    # A slice eigenvalue within roundoff (p eps lam) of zero may fall on either side of
+    # the root floor after the swap, and the square root is only Hoelder-1/2 there: a root
+    # moves by up to 2 p sqrt(eps lam) in Frobenius norm, a dispersion path value by up
+    # to 16 p^1.5 sqrt(eps) lam, and V by twice that (lam: the largest slice eigenvalue).
+    lam = np.linalg.eigvalsh(sdo.tensor).max()
+    stationarity_tol = 32 * p**1.5 * math.sqrt(np.finfo(float).eps) * lam
+    for measure in (sn.tvdfpca_sequential, sn.stationarity_sequential):
+        for d in range(1, p + 1):
+            a, b = measure(sdo, d), measure(swapped, d)
+            # V is compared on the scale of the path: near share 1 it is roundoff itself
+            tol = 1e-12 * np.max(np.abs(a.values))
+            if measure is sn.stationarity_sequential:
+                tol = stationarity_tol
+            assert np.max(np.abs(a.values - b.values)) <= tol
+            assert np.array_equal(a.valid, b.valid)
+            assert abs(sn.self_norm_V([a]).values[0] - sn.self_norm_V([b]).values[0]) <= tol
 
 
 def test_population_values_on_constant_truths():
@@ -548,44 +546,39 @@ def test_population_matches_the_sequential_path_on_a_u_constant_truth(truth, kin
         assert abs(population - path.point_estimate) <= 1e-12, (kind, d)
 
 
-@pytest.fixture(scope="module", params=["parzen", "flat_top"])
-def kernel_sdo(request):
-    """A p = 4 estimate; the flat-top kernel leaves negative eigenvalues to clip."""
+@pytest.fixture(scope="module")
+def parzen_sdo():
+    """A p = 4 estimate."""
     rng = np.random.default_rng(18)
     data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
-    kernel = sn.kernel_by_name(request.param)
-    plan = sn.default_bandwidth_plan(1024, kernel=kernel)
+    plan = sn.default_bandwidth_plan(1024)
     sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
     assert sdo.k_omega > 3
     return sdo
 
 
-def test_only_the_flat_top_kernel_leaves_indefinite_slices(kernel_sdo):
-    vals = np.linalg.eigvalsh(kernel_sdo.tensor)
+def test_every_slice_of_an_estimate_is_psd(parzen_sdo):
+    # Parzen's spectral window is nonnegative, so no slice, at any eta, is indefinite
+    # beyond roundoff: coherence reads an estimate's slices without a PSD projection
+    vals = np.linalg.eigvalsh(parzen_sdo.tensor)
     lowest = (vals[..., 0] / vals[..., -1]).min()
-    if kernel_sdo.plan.kernel.psd:
-        assert lowest >= -8 * kernel_sdo.p * np.finfo(float).eps
-    else:
-        assert lowest < -1e-3
+    assert lowest >= -8 * parzen_sdo.p * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("kind", list(MEASURES))
-def test_measures_do_not_depend_on_the_thread_count(kernel_sdo, kind):
+def test_measures_do_not_depend_on_the_thread_count(parzen_sdo, kind):
     for d in (1, 2):
-        one = MEASURES[kind](fresh_copy(kernel_sdo), d)
+        one = MEASURES[kind](fresh_copy(parzen_sdo), d)
         for threads in (2, 3):
-            assert_same_path(MEASURES[kind](fresh_copy(kernel_sdo, threads), d), one)
+            assert_same_path(MEASURES[kind](fresh_copy(parzen_sdo, threads), d), one)
 
 
-def whole_tensor_path(sdo, kind, d, project=None):
+def whole_tensor_path(sdo, kind, d, project=False):
     """The path of ``kind`` from decompositions of the whole (M, K, N, p, p) tensor.
 
-    Coherence reads every slice PSD-projected when ``project``, by default
-    when the estimate's kernel is not PSD.
+    Coherence reads every slice PSD-projected when ``project``.
     """
     t, p1 = sdo.tensor, PS.p1
-    if project is None:
-        project = not sdo.plan.kernel.psd
 
     def ratio(num, den):
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -618,27 +611,22 @@ def whole_tensor_path(sdo, kind, d, project=None):
 
 
 @pytest.mark.parametrize("kind", list(MEASURES))
-def test_blockwise_measures_match_the_whole_tensor(kernel_sdo, kind):
+def test_blockwise_measures_match_the_whole_tensor(parzen_sdo, kind):
     for d in (1, 2):
         for threads in (1, 2):
-            got = MEASURES[kind](fresh_copy(kernel_sdo, threads), d).values
-            expected = whole_tensor_path(kernel_sdo, kind, d)
-            if kind == "coherence" and not kernel_sdo.plan.kernel.psd:
-                # only slices with a negative eigenvalue are rebuilt
-                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-            else:
-                assert np.array_equal(got, expected)
+            got = MEASURES[kind](fresh_copy(parzen_sdo, threads), d).values
+            assert np.array_equal(got, whole_tensor_path(parzen_sdo, kind, d))
 
 
-def test_coherence_without_projection_moves_only_roundoff(kernel_sdo):
+def test_coherence_without_projection_moves_only_roundoff(parzen_sdo):
     for d in (1, 2):
-        path = sn.coherence_sequential(fresh_copy(kernel_sdo), d, PS)
-        projected = whole_tensor_path(kernel_sdo, "coherence", d, project=True)
+        path = sn.coherence_sequential(fresh_copy(parzen_sdo), d, PS)
+        projected = whole_tensor_path(parzen_sdo, "coherence", d, project=True)
         gap = np.abs(path.values - projected)[path.valid]
         assert np.all(gap <= 1e-13 * np.abs(projected[path.valid]))
 
 
-def test_coherence_projects_only_where_the_kernel_is_not_psd(kernel_sdo, monkeypatch):
+def test_coherence_projects_only_tensors_without_a_plan(parzen_sdo, monkeypatch):
     calls = []
 
     def counted(f):
@@ -646,21 +634,20 @@ def test_coherence_projects_only_where_the_kernel_is_not_psd(kernel_sdo, monkeyp
         return psd_project_batch(f)
 
     monkeypatch.setattr("specnorm.measures.psd_project_batch", counted)
-    sn.coherence_sequential(fresh_copy(kernel_sdo), 1, PS)
-    assert len(calls) == (0 if kernel_sdo.plan.kernel.psd else kernel_sdo.k_omega)
-    calls.clear()
-    sn.coherence_sequential(sn.SequentialSDO.from_tensor(kernel_sdo.tensor), 1, PS)
-    assert len(calls) == kernel_sdo.k_omega  # no plan, so no kernel to vouch for the slices
+    sn.coherence_sequential(fresh_copy(parzen_sdo), 1, PS)
+    assert not calls  # an estimate's Parzen slices are PSD already
+
+    sn.coherence_sequential(sn.SequentialSDO.from_tensor(parzen_sdo.tensor), 1, PS)
+    assert len(calls) == parzen_sdo.k_omega  # no plan, so no kernel to vouch for the slices
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("kernel", ["parzen", "flat_top"])
-def test_chunk_length_changes_no_bit(monkeypatch, kernel, threads):
+def test_chunk_length_changes_no_bit(monkeypatch, threads):
     # each chunk carries the undivided partial sum of the chunk before it into
     # its cumulative sum, so any chunk length gives the one-chunk estimate's bits
     rng = np.random.default_rng(18)
     sample = sn.TimeSeriesSample(data=rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4)))
-    plan = sn.default_bandwidth_plan(1024, kernel=sn.kernel_by_name(kernel))
+    plan = sn.default_bandwidth_plan(1024)
     orders = {"tvdfpca": (1, 2, 4), "tvdpsca": (1, 2), "coherence": (1, 2),
               "stationarity": (1, 2, 3)}
 
@@ -683,7 +670,7 @@ def test_chunk_length_changes_no_bit(monkeypatch, kernel, threads):
 
     tensor, paths, diagnostics, pass_diagnostics, lengths = run(plan.N)
     assert lengths == {plan.N} and pass_diagnostics == diagnostics
-    assert (diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
+    assert diagnostics["psd_clip_max"] == 0.0
     # stationarity flags its near ties per chunk: the count of the whole eigenvalue array
     vals = np.maximum(np.linalg.eigh(tensor)[0][..., ::-1], 0.0)
     for d in orders["stationarity"]:
@@ -745,16 +732,15 @@ def counted_stream(sample, plan, threads):
     return dataclasses.replace(sdo, blocks=blocks), built
 
 
-@pytest.mark.parametrize("kernel", ["parzen", "flat_top"])
-def test_streamed_and_collected_estimates_give_identical_measures(kernel):
+def test_streamed_and_collected_estimates_give_identical_measures():
     rng = np.random.default_rng(18)
     data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
-    plan = sn.default_bandwidth_plan(1024, kernel=sn.kernel_by_name(kernel))
+    plan = sn.default_bandwidth_plan(1024)
     sample = sn.TimeSeriesSample(data=data)
     collected = sn.estimate_sequential_sdo(sample, plan)
     assert collected.diagnostics == {}  # nothing is built before a block pass or a tensor read
     assert collected.tensor is collected.tensor  # collected once, on the first read
-    assert (collected.diagnostics["psd_clip_max"] > 0) == (kernel == "flat_top")
+    assert collected.diagnostics["psd_clip_max"] == 0.0
     # blocks collected on several threads carry the same bits and the same clip
     for threads in (2, 3):
         again = sn.estimate_sequential_sdo(sample, plan, threads=threads)
