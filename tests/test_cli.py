@@ -122,6 +122,25 @@ def test_parse_config_kappa_range_is_parzens_and_kernel_is_no_key(tmp_path, caps
             parse_config(f"process = iid\nT = 256\nkernel = {kernel}\n")
 
 
+@pytest.mark.parametrize("kernel", ["parzen", "flat_top"])
+def test_a_kernel_key_exits_2_at_stage_config(tmp_path, capsys, kernel):
+    # no config chooses the lag window, so the key is unknown whichever kernel it names
+    cfg = write_cfg(tmp_path, **INFER_KEYS, kernel=kernel)
+    code, out = run_main(capsys, "infer", "--config", cfg)
+    err = json.loads(out)["error"]
+    assert code == 2 and (err["stage"], err["type"]) == ("config", "ConfigError")
+    assert "unknown configuration keys: kernel" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "measure", "infer", "select-d"])
+def test_config_echo_is_every_config_field_and_no_kernel(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, **INFER_KEYS, nu=0.5, d_max=2)
+    code, out = run_main(capsys, command, "--config", cfg)
+    assert code == 0, out
+    echo = json.loads(out)["config_echo"]
+    assert list(echo) == [f.name for f in fields(RunConfig)] and "kernel" not in echo
+
+
 def test_parse_config_cross_field_rules():
     with pytest.raises(ConfigError, match="not both"):
         parse_config("input = x.csv\nprocess = iid\nT = 256\n")

@@ -1,5 +1,6 @@
 """Sequential spectral estimator: plans, the lag window, and partial-sum identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,19 @@ def test_parzen_partial_sums_are_psd_to_roundoff(seed, p, alpha):
     assert np.all(vals[..., 0] >= -8 * p * np.finfo(float).eps * vals[..., -1])
 
 
+def test_parzen_is_the_only_lag_window():
+    # no name, field or parameter chooses a kernel: every plan carries PARZEN
+    for name in ("FLAT_TOP", "kernel_by_name"):
+        assert not hasattr(sn, name) and name not in sn.__all__
+    assert "psd" not in {f.name for f in dataclasses.fields(sn.Kernel)}
+    for exponents in ({}, dict(alpha=0.6, kappa=0.25), dict(kappa=0.2001)):
+        assert sn.default_bandwidth_plan(4096, **exponents).kernel is sn.PARZEN
+    with pytest.raises(TypeError, match="kernel"):
+        sn.default_bandwidth_plan(1024, kernel=sn.PARZEN)
+    with pytest.raises(sn.ConfigError, match="kappa"):
+        sn.default_bandwidth_plan(4096, kappa=0.1)  # below Parzen's 1/(2 iota + 1)
+
+
 def test_sample_validation():
     with pytest.raises(sn.DataError, match="row 2, column 1"):
         sn.TimeSeriesSample(data=np.array([[1.0, 2.0], [np.nan, 0.0]]))
@@ -185,10 +199,11 @@ def lag_cumsum_estimate(sample, plan):
     return out
 
 
-def test_recursion_matches_the_lag_cumsum_formula():
+@pytest.mark.parametrize("exponents", [{}, dict(alpha=0.6, kappa=0.25)], ids=["default", "gate"])
+def test_recursion_matches_the_lag_cumsum_formula(exponents):
     rng = np.random.default_rng(10)
     data = rng.standard_normal((1024, 3)) @ rng.standard_normal((3, 3))
-    plan = sn.default_bandwidth_plan(1024)
+    plan = sn.default_bandwidth_plan(1024, **exponents)
     sample = sn.TimeSeriesSample(data=data)
     tensor = sn.estimate_sequential_sdo(sample, plan).tensor
     oracle = lag_cumsum_estimate(sample, plan)

@@ -546,12 +546,17 @@ def test_population_matches_the_sequential_path_on_a_u_constant_truth(truth, kin
         assert abs(population - path.point_estimate) <= 1e-12, (kind, d)
 
 
-@pytest.fixture(scope="module")
-def parzen_sdo():
-    """A p = 4 estimate."""
+# Two Parzen plans at T = 1024: the default (N = 32, kappa = 0.4) and a longer window
+# (N = 64, kappa = 0.3: below 1/(iota + 1), the other bandwidth case, with k_omega = 4)
+PLANS = {"parzen": {}, "parzen_long": dict(alpha=0.6, kappa=0.3)}
+
+
+@pytest.fixture(scope="module", params=list(PLANS))
+def parzen_sdo(request):
+    """A p = 4 estimate under each plan of ``PLANS``."""
     rng = np.random.default_rng(18)
     data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
-    plan = sn.default_bandwidth_plan(1024)
+    plan = sn.default_bandwidth_plan(1024, **PLANS[request.param])
     sdo = sn.estimate_sequential_sdo(sn.TimeSeriesSample(data=data), plan)
     assert sdo.k_omega > 3
     return sdo
@@ -642,12 +647,13 @@ def test_coherence_projects_only_tensors_without_a_plan(parzen_sdo, monkeypatch)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_chunk_length_changes_no_bit(monkeypatch, threads):
+@pytest.mark.parametrize("plan_name", list(PLANS))
+def test_chunk_length_changes_no_bit(monkeypatch, plan_name, threads):
     # each chunk carries the undivided partial sum of the chunk before it into
     # its cumulative sum, so any chunk length gives the one-chunk estimate's bits
     rng = np.random.default_rng(18)
     sample = sn.TimeSeriesSample(data=rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4)))
-    plan = sn.default_bandwidth_plan(1024)
+    plan = sn.default_bandwidth_plan(1024, **PLANS[plan_name])
     orders = {"tvdfpca": (1, 2, 4), "tvdpsca": (1, 2), "coherence": (1, 2),
               "stationarity": (1, 2, 3)}
 
@@ -732,10 +738,11 @@ def counted_stream(sample, plan, threads):
     return dataclasses.replace(sdo, blocks=blocks), built
 
 
-def test_streamed_and_collected_estimates_give_identical_measures():
+@pytest.mark.parametrize("plan_name", list(PLANS))
+def test_streamed_and_collected_estimates_give_identical_measures(plan_name):
     rng = np.random.default_rng(18)
     data = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 4))
-    plan = sn.default_bandwidth_plan(1024)
+    plan = sn.default_bandwidth_plan(1024, **PLANS[plan_name])
     sample = sn.TimeSeriesSample(data=data)
     collected = sn.estimate_sequential_sdo(sample, plan)
     assert collected.diagnostics == {}  # nothing is built before a block pass or a tensor read
