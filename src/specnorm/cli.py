@@ -55,8 +55,8 @@ from .inference import (
     OrderSelection,
     PivotLaw,
     _cache_root,
-    _check_mc,
-    _checked_pairs,
+    _MIN_BM_STEPS,
+    _MIN_REPLICATIONS,
     _read_entry,
     _studentized,
     _write_entry,
@@ -207,7 +207,7 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"process must be one of {_PROCESSES}, got {cfg.process!r}")
     if cfg.process is not None and cfg.T is None:
         raise ConfigError("missing required key 'T' for a simulated process")
-    for key in ("p", "d", "d_max", "d0", "m", "k_omega"):  # each, where set, at least 1
+    for key in ("p", "d", "d_max", "d0", "m", "k_omega", "threads"):  # each, where set, at least 1
         if (value := getattr(cfg, key)) is not None:
             _check_count(key, value)
     if cfg.measure is not None and cfg.measure not in _MEASURES:
@@ -222,9 +222,10 @@ def _validate_config(cfg: RunConfig) -> None:
     _check_count("seed", cfg.seed, 0)
     if (cfg.f_exp is None) != (cfg.g_exp is None):
         raise ConfigError("keys 'f_exp' and 'g_exp' must be set together")
-    # the pivot engines' own bounds on quantile_n, quantile_r and threads, before any stage runs
-    _checked_pairs([(0, 0)], cfg.quantile_n)
-    _check_mc(cfg.quantile_r, cfg.quantile_seed, cfg.threads)
+    # the pivot engines' bounds, under the config's own key names, before any stage runs
+    _check_count("quantile_n", cfg.quantile_n, _MIN_BM_STEPS)
+    _check_count("quantile_r", cfg.quantile_r, _MIN_REPLICATIONS)
+    _check_count("quantile_seed", cfg.quantile_seed, 0)
     if cfg.measure in ("tvdpsca", "coherence"):
         _require_ps(cfg)
     if cfg.nu is not None and cfg.d_max is not None and cfg.measure not in (None, *_ORDERED):
@@ -515,7 +516,7 @@ def _diagnostics(sdo: SequentialSDO, seq: SequentialFunctional | None = None) ->
         "M": plan.M,
         "k_omega": sdo.k_omega,
         "rho_sq": plan.rho_sq,
-        "kernel": plan.kernel.name,
+        "kernel": "parzen",  # the estimator's one lag window, PARZEN
         "plan_warnings": list(plan.warnings),
         "psd_clip_max": sdo.diagnostics.get("psd_clip_max", 0.0),
     }

@@ -25,7 +25,6 @@ from .errors import ConfigError, DataError, NumericalError, _check_count, _check
 from .hermitian import psd_project_batch
 
 __all__ = [
-    "Kernel",
     "PARZEN",
     "BandwidthPlan",
     "default_bandwidth_plan",
@@ -38,41 +37,28 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Lag-window kernel: even, supported on [-1, 1], w(0) = 1, w - 1 = O(x^iota).
+def PARZEN(x: np.ndarray | float) -> np.ndarray:
+    """Parzen's lag window w(x), for a scalar or an array: even, supported on [-1, 1], w(0) = 1.
 
-    ``kappa_f`` is the squared-kernel mass integral over [-1, 1], the constant
-    in the normalizing sequence rho_T^2 = N * b_f / kappa_f. The estimator's
-    only lag window is :data:`PARZEN`.
+    Its spectral window (the Fourier transform of w) is nonnegative, so the Toeplitz matrix
+    of w(b_f h) e^{i omega h} and every partial-sum slice of an estimate are PSD up to
+    roundoff (Priestley, *Spectral Analysis and Time Series*, 1981, 6.2.3).
     """
-
-    name: str
-    weight: Callable[[np.ndarray], np.ndarray]
-    iota: int
-    kappa_f: float
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray:
-        return self.weight(np.asarray(x, dtype=float))
-
-
-def _parzen(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
+    ax = np.abs(np.asarray(x, dtype=float))
     inner = 1.0 - 6.0 * ax**2 + 6.0 * ax**3
     outer = 2.0 * (1.0 - ax) ** 3
     return np.where(ax <= 0.5, inner, np.where(ax <= 1.0, outer, 0.0))
 
 
-# kappa_f = 151/280 is the exact integral of w^2 over [-1, 1] (checked by quadrature in tests).
-# Parzen's spectral window (the Fourier transform of w) is nonnegative, so the Toeplitz matrix of
-# w(b_f h) e^{i omega h} and every partial-sum slice of the estimate are PSD up to roundoff
-# (Priestley, *Spectral Analysis and Time Series*, 1981, 6.2.3): coherence projects no estimate.
-PARZEN = Kernel(name="parzen", weight=_parzen, iota=2, kappa_f=151.0 / 280.0)
+# Parzen's characteristic exponent (w - 1 = O(x^iota)), and kappa_f = 151/280, the exact
+# integral of w^2 over [-1, 1] (checked by quadrature in tests) in rho_T^2 = N * b_f / kappa_f.
+_IOTA = 2
+_KAPPA_F = 151.0 / 280.0
 
 
 @dataclass(frozen=True)
 class BandwidthPlan:
-    """Resolved estimation plan: window length N, bandwidth b_f, midpoint count M, lag window.
+    """Resolved estimation plan: window length N, bandwidth b_f, midpoint count M.
 
     ``warnings`` lists any asymptotic-regime inequality the finite-sample
     choice violates; violations degrade the quality of the normal
@@ -85,13 +71,12 @@ class BandwidthPlan:
     N: int
     b_f: float
     M: int
-    kernel: Kernel
     warnings: tuple[str, ...] = field(default=())
 
     @property
     def rho_sq(self) -> float:
         """Normalizing constant rho_T^2 = N * b_f / kappa_f."""
-        return self.N * self.b_f / self.kernel.kappa_f
+        return self.N * self.b_f / _KAPPA_F
 
     @property
     def eta_points(self) -> np.ndarray:
@@ -117,7 +102,6 @@ def default_bandwidth_plan(
     """
     T = _check_count("T", T, 64)
     alpha, kappa = _check_exponents(alpha, kappa)
-    iota = PARZEN.iota
     N = int(round(T**alpha))
     N -= N % 2
     if N < 2:
@@ -128,28 +112,25 @@ def default_bandwidth_plan(
         raise ConfigError(f"series too short for M windows: M * N = {M * N} > T = {T}")
 
     regime: list[str] = []
-    if kappa >= 1.0 / (iota + 1):
+    if kappa >= 1.0 / (_IOTA + 1):
         if alpha >= 2.0 / (4.0 - kappa):
             regime.append(f"alpha = {alpha} >= 2/(4 - kappa) = {2.0 / (4.0 - kappa):.4g}")
     else:
-        bound = 2.0 / ((2 * iota + 1) * kappa + 2.0)
+        bound = 2.0 / ((2 * _IOTA + 1) * kappa + 2.0)
         if alpha >= bound:
             regime.append(f"alpha = {alpha} >= 2/((2 iota + 1) kappa + 2) = {bound:.4g}")
-        if M > N ** ((2 * iota + 1) * kappa - 1.0):
+        if M > N ** ((2 * _IOTA + 1) * kappa - 1.0):
             regime.append(f"M = {M} > N^((2 iota + 1) kappa - 1)")
     if M > N ** (1.0 - kappa):
         regime.append(f"M = {M} > N^(1 - kappa) = {N ** (1.0 - kappa):.4g}")
     if N ** (1.0 - kappa) > M**3:
         regime.append(f"N^(1 - kappa) = {N ** (1.0 - kappa):.4g} > M^3 = {M**3}")
-    return BandwidthPlan(
-        T=T, alpha=alpha, kappa=kappa, N=N, b_f=b_f, M=M,
-        kernel=PARZEN, warnings=tuple(regime),
-    )
+    return BandwidthPlan(T=T, alpha=alpha, kappa=kappa, N=N, b_f=b_f, M=M, warnings=tuple(regime))
 
 
 def _check_exponents(alpha: float, kappa: float) -> tuple[float, float]:
     """alpha in (0, 1) and kappa in (1/(2 iota + 1), 1) = (1/5, 1) as floats, else ConfigError."""
-    kappa = _check_real("kappa", kappa, 1.0 / (2 * PARZEN.iota + 1), 1.0, True, True)
+    kappa = _check_real("kappa", kappa, 1.0 / (2 * _IOTA + 1), 1.0, True, True)
     return _check_real("alpha", alpha, 0.0, 1.0, True, True), kappa
 
 
@@ -216,12 +197,12 @@ def map_ordered(work: Callable[[int], object], n: int, threads: int = 1) -> list
 
 
 @contextmanager
-def _lapack_errors(j: int) -> Iterator[None]:
-    """Raise a LAPACK failure on frequency block j as a NumericalError naming its cell."""
+def _lapack_errors(where: str) -> Iterator[None]:
+    """Raise a LAPACK failure as a NumericalError naming ``where`` it happened."""
     try:
         yield
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK failure in frequency cell {j + 1}: {exc}") from exc
+        raise NumericalError(f"LAPACK failure in {where}: {exc}") from exc
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -283,7 +264,7 @@ class SequentialSDO:
         def run(j: int) -> float:
             clip = 0.0
             for k0, chunk, chunk_clip in self.blocks(j):
-                with _lapack_errors(j):
+                with _lapack_errors(f"frequency cell {j + 1}"):
                     parts = work(_read_only(chunk))
                 with alloc:
                     if not outs:
@@ -321,17 +302,24 @@ class SequentialSDO:
 
     @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "SequentialSDO":
-        """Wrap an explicit (M, K, N, p, p) tensor on midpoint grids over [0, 1] and [0, pi];
-        each block is one chunk."""
-        tensor = np.asarray(tensor, dtype=complex)
+        """Wrap a copy of an explicit (M, K, N, p, p) tensor, every slice PSD-projected, on
+        midpoint grids over [0, 1] and [0, pi]; each block is one chunk and carries the largest
+        eigenvalue its projection clipped. Another shape or a non-finite entry raises ValueError."""
+        tensor = np.array(tensor, dtype=complex)
         if tensor.ndim != 5 or tensor.shape[3] != tensor.shape[4]:
             raise ValueError(f"tensor must have shape (M, K, N, p, p), got {tensor.shape}")
+        if (bad := np.argwhere(~np.isfinite(tensor))).size:
+            raise ValueError(f"tensor slice {bad[0, :3].tolist()} is not a finite matrix")
         m, k, n, p = tensor.shape[:4]
+        with _lapack_errors("the wrapped tensor"):
+            tensor, lowest = psd_project_batch(tensor)
+        clips = [max(0.0, -float(low)) for low in lowest.min(axis=(0, 2))]
         sdo = cls(
             u_points=cell_midpoints((0.0, 1.0), m),
             omega_points=cell_midpoints((0.0, math.pi), k), eta_points=np.arange(1, n + 1) / n,
             band=(0.0, math.pi), p=p,
-            blocks=lambda j: [(0, tensor[:, j], 0.0)],
+            blocks=lambda j: [(0, tensor[:, j], clips[j])],
+            diagnostics={"psd_clip_max": max(clips)},
         )
         sdo._memo[_TENSOR] = (_read_only(tensor),)
         return sdo
@@ -425,7 +413,7 @@ class _BlockKernel:
                 )
             clip = 0.0
             if k1 == n:  # PSD projection of the full-window slices; slices at eta < 1 stay raw
-                with _lapack_errors(j):
+                with _lapack_errors(f"frequency cell {j + 1}"):
                     f[:, -1], lowest = psd_project_batch(f[:, -1])
                 clip = max(0.0, -float(lowest.min()))
             yield k0, f, clip
@@ -445,7 +433,7 @@ def estimate_sequential_sdo(
 
         F_hat(eta) = (1/k) sum_{s,t <= k} w_tilde(omega, s, t) x_{o+s} x_{o+t}^T
 
-    with the lag window ``plan.kernel``, on the centered window starting at
+    with Parzen's lag window w = :func:`PARZEN`, on the centered window starting at
     offset o = floor(u T) - N/2. Every stored slice is exactly Hermitian; the
     eta = 1 slices are additionally PSD-projected.
     No block is built here: each block pass builds the blocks it reduces, in eta
@@ -470,7 +458,7 @@ def estimate_sequential_sdo(
     threads = _check_count("threads", threads)
     omegas = cell_midpoints((a, b), k_omega)
     lags = np.arange(min(plan.N - 1, int(math.floor(1.0 / plan.b_f + 1e-12))) + 1)
-    coef = plan.kernel(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
+    coef = PARZEN(plan.b_f * lags) * np.exp(1j * omegas[:, None] * lags) / TWO_PI
     return SequentialSDO(
         u_points=midpoint_grid(plan), omega_points=omegas,
         eta_points=plan.eta_points, band=(a, b), plan=plan,

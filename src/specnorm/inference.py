@@ -81,6 +81,8 @@ DEFAULT_QUANTILE_SEED = 1_000_003
 
 _CHUNK = 2048  # replications per Monte Carlo chunk, fixed for determinism
 _BLOCK_BYTES = 1 << 22  # Brownian paths a chunk draws and reduces at a time
+_MIN_BM_STEPS = 500  # the least Brownian grid of a pivot table
+_MIN_REPLICATIONS = 10_000  # the least Monte Carlo sample of a pivot table
 
 _Pairs = tuple[tuple[int, int], ...]
 
@@ -126,13 +128,13 @@ def _checked_pairs(pairs: Sequence[tuple[int, int]], bm_steps: int) -> tuple[_Pa
                   for f, g in pairs)
     if not pairs:
         raise ConfigError("joint pivot needs at least one exponent pair")
-    return pairs, _check_count("bm_steps", bm_steps, 500)
+    return pairs, _check_count("bm_steps", bm_steps, _MIN_BM_STEPS)
 
 
 def _check_mc(replications: int, seed: int, threads: int) -> tuple[int, int, int]:
     """The Monte Carlo engine's own arguments as ints, once they are valid."""
-    return (_check_count("replications", replications, 10_000), _check_count("seed", seed, 0),
-            _check_count("threads", threads))
+    return (_check_count("replications", replications, _MIN_REPLICATIONS),
+            _check_count("seed", seed, 0), _check_count("threads", threads))
 
 
 def _chunk(

@@ -42,9 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, _check_count
 from .estimator import SequentialSDO, _validate_band, cell_midpoints
-from .hermitian import (
-    TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange, psd_project_batch,
-)
+from .hermitian import TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange
 
 __all__ = [
     "SequentialFunctional",
@@ -194,11 +192,9 @@ def _separable_scores(f: np.ndarray, ps: ProductStructure) -> tuple[np.ndarray, 
     return squares, (np.abs(f) ** 2).sum(axis=(-2, -1))
 
 
-def _coherences(f: np.ndarray, d: int, p1: int, project: bool) -> tuple[np.ndarray, np.ndarray]:
+def _coherences(f: np.ndarray, d: int, p1: int) -> tuple[np.ndarray, np.ndarray]:
     """Per slice: the d-th canonical coherence between the two blocks (0 where
-    undefined) and whether it is defined, on the PSD projection if ``project``."""
-    if project:
-        f, _ = psd_project_batch(f)
+    undefined) and whether it is defined."""
     p2 = f.shape[-1] - p1
     lam1 = np.maximum(np.linalg.eigvalsh(f[..., :p1, :p1])[..., p1 - d], 0.0)
     lam2 = np.maximum(np.linalg.eigvalsh(f[..., p1:, p1:])[..., p2 - d], 0.0)
@@ -282,18 +278,15 @@ def coherence_sequential(sdo: SequentialSDO, d: int, ps: ProductStructure) -> Se
 
     The operator dimension splits as p = p1 + p2 (direct sum). Per cell,
     R_hat_d = sigma_d(F12) / sqrt(lambda_d(F11) lambda_d(F22)) on a PSD
-    slice. The Parzen lag window already gives PSD slices, so an estimate's
-    slices are read as estimated; a tensor without a plan (``from_tensor``)
-    is PSD-projected first, rebuilding only the slices with a negative
-    eigenvalue. Cells whose d-th marginal eigenvalue is numerically zero
-    (below 1e-12 of the marginal trace) are undefined: at eta = 1 that is an
-    error, at interior eta the cell is skipped, counted in
-    ``diagnostics["skipped_cells"]``, and the average runs over the remaining
-    cells.
+    slice, read as the estimate holds it: Parzen's lag window gives PSD
+    slices, and ``SequentialSDO.from_tensor`` projects what it wraps. Cells
+    whose d-th marginal eigenvalue is numerically zero (below 1e-12 of the
+    marginal trace) are undefined: at eta = 1 that is an error, at interior
+    eta the cell is skipped, counted in ``diagnostics["skipped_cells"]``, and
+    the average runs over the remaining cells.
     """
     _checked("coherence", sdo.p, d, ps)
-    project = sdo.plan is None
-    ratio, defined = sdo.map_blocks(lambda f: _coherences(f, d, ps.p1, project))
+    ratio, defined = sdo.map_blocks(lambda f: _coherences(f, d, ps.p1))
     if not bool(defined[..., -1].all()):
         raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
     avail = _available(sdo)
@@ -376,7 +369,7 @@ def measure_population(
         num = den if d == d_cap else mean(squares[..., :d].sum(axis=-1))
         return float(_share(num, den)[0])
     if kind == "coherence":
-        ratio, defined = _coherences(tensor, d, ps.p1, project=False)
+        ratio, defined = _coherences(tensor, d, ps.p1)
         if not bool(defined.all()):
             raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
         return float(mean(ratio))

@@ -223,12 +223,12 @@ def test_parse_config_numeric_ranges():
         ("nu = 1.2", "nu = 1.2 must lie in (0, 1)"),
         ("d0 = 0", "d0 = 0"),
         ("seed = -3", "seed = -3 must be at least 0"),
-        ("quantile_seed = -3", "seed = -3 must be at least 0"),
-        ("threads = 0", "threads = 0"),
+        ("quantile_seed = -3", "quantile_seed = -3 must be at least 0"),
+        ("threads = 0", "threads = 0 must be at least 1"),
         ("m = 0", "m = 0"),
         ("k_omega = 0", "k_omega = 0"),
-        ("quantile_r = 5000", "replications = 5000 must be at least 10000"),
-        ("quantile_n = 499", "bm_steps = 499 must be at least 500"),
+        ("quantile_r = 5000", "quantile_r = 5000 must be at least 10000"),
+        ("quantile_n = 499", "quantile_n = 499 must be at least 500"),
     ]:
         with pytest.raises(ConfigError) as err:
             parse_config(line + "\n")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import specnorm as sn
 from conftest import chunk_rows
-from specnorm.estimator import _default_k_omega, _window_starts
+from specnorm.estimator import _KAPPA_F, _default_k_omega, _window_starts
 
 
 def white_noise(T, p, seed=0):
@@ -78,21 +79,20 @@ def test_midpoint_grid_is_symmetric_and_equispaced():
 
 
 def test_kernel_shape_and_squared_mass():
-    kernel = sn.PARZEN
     x = np.linspace(-1.5, 1.5, 7)
-    w = kernel(x)
-    assert kernel(0.0) == pytest.approx(1.0)
+    w = sn.PARZEN(x)
+    assert sn.PARZEN(0.0) == pytest.approx(1.0)
     assert np.all(w[np.abs(x) > 1.0] == 0.0)
-    assert np.allclose(kernel(x), kernel(-x))
+    assert np.allclose(sn.PARZEN(x), sn.PARZEN(-x))
     # kappa_f equals the integral of w^2 over [-1, 1]
     grid = np.linspace(-1.0, 1.0, 200_001)
-    quad = np.trapezoid(kernel(grid) ** 2, grid)
-    assert quad == pytest.approx(kernel.kappa_f, rel=1e-6)
+    quad = np.trapezoid(sn.PARZEN(grid) ** 2, grid)
+    assert quad == pytest.approx(_KAPPA_F, rel=1e-6)
     # the spectral window sum_h w(b h) cos(omega h) is nonnegative, at any bandwidth
     omega = np.linspace(0.0, math.pi, 2001)[:, None]
     for b in (0.25, 64.0**-0.4, 0.037):
         lags = np.arange(-math.ceil(1 / b), math.ceil(1 / b) + 1)
-        window = (kernel(b * lags) * np.cos(omega * lags)).sum(axis=1)
+        window = (sn.PARZEN(b * lags) * np.cos(omega * lags)).sum(axis=1)
         assert window.min() >= -1e-12 * window.max()
 
 
@@ -107,12 +107,14 @@ def test_parzen_partial_sums_are_psd_to_roundoff(seed, p, alpha):
 
 
 def test_parzen_is_the_only_lag_window():
-    # no name, field or parameter chooses a kernel: every plan carries PARZEN
-    for name in ("FLAT_TOP", "kernel_by_name"):
+    # no type, name, field or parameter chooses a lag window: PARZEN is a plain function
+    for name in ("Kernel", "FLAT_TOP", "kernel_by_name"):
         assert not hasattr(sn, name) and name not in sn.__all__
-    assert "psd" not in {f.name for f in dataclasses.fields(sn.Kernel)}
+    assert [f.name for f in dataclasses.fields(sn.BandwidthPlan)] == [
+        "T", "alpha", "kappa", "N", "b_f", "M", "warnings"]
     for exponents in ({}, dict(alpha=0.6, kappa=0.25), dict(kappa=0.2001)):
-        assert sn.default_bandwidth_plan(4096, **exponents).kernel is sn.PARZEN
+        plan = sn.default_bandwidth_plan(4096, **exponents)
+        assert plan.rho_sq == plan.N * plan.b_f / (151.0 / 280.0)
     with pytest.raises(TypeError, match="kernel"):
         sn.default_bandwidth_plan(1024, kernel=sn.PARZEN)
     with pytest.raises(sn.ConfigError, match="kappa"):
@@ -274,3 +276,24 @@ def test_from_tensor_wraps_analytic_input():
     assert np.allclose(sdo.eta_points, np.arange(1, 6) / 5)
     with pytest.raises(ValueError, match="shape"):
         sn.SequentialSDO.from_tensor(np.zeros((3, 4, 5, 2, 3)))
+
+
+def test_from_tensor_keeps_its_own_copy_and_leaves_the_callers_array_writeable():
+    tensor = np.tile(np.eye(2, dtype=complex), (2, 2, 3, 1, 1))
+    sdo = sn.SequentialSDO.from_tensor(tensor)
+    assert sdo.tensor is not tensor and np.array_equal(sdo.tensor, tensor)
+    assert tensor.flags.writeable and not sdo.tensor.flags.writeable
+    tensor[...] = 5.0  # the caller's array is still the caller's, and the wrap does not see it
+    assert np.array_equal(sdo.tensor[0, 0, 0], np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("eta", [2, 5])
+def test_from_tensor_refuses_a_non_finite_entry_before_any_decomposition(bad, eta, monkeypatch):
+    # LAPACK reads a NaN slice as finite eigenvalues, so an unchecked NaN gave finite, wrong paths
+    tensor = np.tile(np.eye(4, dtype=complex), (2, 2, 6, 1, 1))
+    tensor[1, 0, eta, 2, 3] = bad
+    monkeypatch.setattr("specnorm.estimator.psd_project_batch", None)  # a call would TypeError
+    message = f"tensor slice [1, 0, {eta}] is not a finite matrix"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sn.SequentialSDO.from_tensor(tensor)

@@ -147,6 +147,9 @@ CASES = {
     "estimate_sequential_sdo.band": (BANDS, lambda x: sn.tvdfpca_sequential(
         sn.estimate_sequential_sdo(sample(), sn.default_bandwidth_plan(256), band=x, k_omega=2), 1)),
     "TimeSeriesSample.data": (ARRAYS, lambda x: sn.TimeSeriesSample(data=x)),
+    "SequentialSDO.from_tensor": (
+        st.one_of(ARRAYS, hnp.arrays(np.float64, (2, 2, 4, 2, 2), elements=ELEMENTS)),
+        lambda x: sn.tvdfpca_sequential(sn.SequentialSDO.from_tensor(x), 1)),
     "measure_population.d": (COUNTS, lambda x: sn.measure_population(
         lambda u, w: DIAG4, "stationarity", x, m_u=3, k_omega=2)),
     "measure_population.m_u": (sizes(12), lambda x: sn.measure_population(
@@ -245,6 +248,8 @@ def case_and_value():
 @example(("frechet_derivative", np.zeros((0, 0))))
 @example(("psd_project", np.full((2, 2), np.nan)))
 @example(("measure_population.truth", np.full((4, 4), np.nan)))
+@example(("SequentialSDO.from_tensor", np.where(np.arange(64).reshape(2, 2, 4, 2, 2) == 61, np.nan,
+                                                np.tile(np.eye(2), (2, 2, 4, 1, 1)))))
 @example(("measure_population.truth", np.zeros((4, 4))))
 @example(("default_bandwidth_plan.alpha", None))
 @example(("default_bandwidth_plan.alpha", "0.5"))

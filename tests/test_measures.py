@@ -365,9 +365,8 @@ def test_measures_do_not_depend_on_what_filled_the_caches():
 def test_cached_spectra_and_tensor_are_read_only():
     tensor = np.broadcast_to(np.diag([4.0, 3.0, 2.0, 1.0]) + 0j, (2, 2, 3, 4, 4)).copy()
     sdo = sn.SequentialSDO.from_tensor(tensor)
-    assert sdo.tensor is tensor  # wrapped without a copy, so the caller's array is frozen
     (vals,) = sdo.map_blocks(lambda f: (np.linalg.eigvalsh(f)[..., ::-1],), key="spectrum")
-    for arr in (tensor, sdo.tensor, vals):
+    for arr in (sdo.tensor, vals):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     # a kept pass is run once, then shared, whatever the work asked later
@@ -631,19 +630,48 @@ def test_coherence_without_projection_moves_only_roundoff(parzen_sdo):
         assert np.all(gap <= 1e-13 * np.abs(projected[path.valid]))
 
 
-def test_coherence_projects_only_tensors_without_a_plan(parzen_sdo, monkeypatch):
+def test_only_the_estimator_projects(parzen_sdo, monkeypatch):
     calls = []
 
     def counted(f):
         calls.append(f.shape)
         return psd_project_batch(f)
 
-    monkeypatch.setattr("specnorm.measures.psd_project_batch", counted)
-    sn.coherence_sequential(fresh_copy(parzen_sdo), 1, PS)
-    assert not calls  # an estimate's Parzen slices are PSD already
+    monkeypatch.setattr("specnorm.estimator.psd_project_batch", counted)
+    assert not hasattr(sn.measures, "psd_project_batch")
+    m, k, n, p = parzen_sdo.m, parzen_sdo.k_omega, parzen_sdo.n_window, parzen_sdo.p
+    for kind in MEASURES:  # an estimate's block pass projects its eta = 1 slices, nothing more
+        calls.clear()
+        MEASURES[kind](fresh_copy(parzen_sdo), 1)
+        assert calls == [(m, p, p)] * k, kind
 
-    sn.coherence_sequential(sn.SequentialSDO.from_tensor(parzen_sdo.tensor), 1, PS)
-    assert len(calls) == parzen_sdo.k_omega  # no plan, so no kernel to vouch for the slices
+    calls.clear()
+    wrapped = sn.SequentialSDO.from_tensor(parzen_sdo.tensor)
+    for kind in MEASURES:
+        MEASURES[kind](wrapped, 1)
+    assert calls == [(m, k, n, p, p)]  # every slice of a wrapped tensor, once, when it is wrapped
+
+
+def test_a_wrapped_indefinite_tensor_is_measured_on_its_projection():
+    rng = np.random.default_rng(33)
+    b = rng.standard_normal((2, 3, 6, 4, 4)) + 1j * rng.standard_normal((2, 3, 6, 4, 4))
+    tensor = hermitian_part(b) + 1.5 * np.eye(4)  # Hermitian, indefinite in most slices
+    lowest = np.linalg.eigvalsh(tensor)[..., 0]
+    assert 0 < (lowest < 0).mean() < 1
+    projected, _ = psd_project_batch(tensor)
+    wrapped = sn.SequentialSDO.from_tensor(tensor)
+    assert wrapped.tensor.tobytes() == projected.tobytes()
+    assert wrapped.diagnostics["psd_clip_max"] == max(0.0, -float(lowest.min()))
+    # the explicit projection, wrapped as is: every block one chunk and no projection
+    explicit = dataclasses.replace(wrapped, blocks=lambda j: [(0, projected[:, j], 0.0)],
+                                   diagnostics={})
+    for kind in MEASURES:
+        for d in (1, 2):
+            got, want = MEASURES[kind](fresh_copy(wrapped), d), MEASURES[kind](explicit, d)
+            assert got.values.tobytes() == want.values.tobytes(), (kind, d)
+            assert np.array_equal(got.valid, want.valid) and got.diagnostics == want.diagnostics
+    clips = [max(0.0, -float(lowest[:, j].min())) for j in range(3)]
+    assert [clip for j in range(3) for _, _, clip in wrapped.blocks(j)] == clips  # per block
 
 
 @pytest.mark.parametrize("threads", [1, 2])
