@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -22,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, NumericalError, _check_count, _check_real
-from .hermitian import psd_project_batch
+from .hermitian import _lapack_errors, psd_project_batch, require_hermitian
 
 __all__ = [
     "PARZEN",
@@ -196,15 +195,6 @@ def map_ordered(work: Callable[[int], object], n: int, threads: int = 1) -> list
         return list(pool.map(work, range(n)))
 
 
-@contextmanager
-def _lapack_errors(where: str) -> Iterator[None]:
-    """Raise a LAPACK failure as a NumericalError naming ``where`` it happened."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK failure in {where}: {exc}") from exc
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -302,14 +292,14 @@ class SequentialSDO:
 
     @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "SequentialSDO":
-        """Wrap a copy of an explicit (M, K, N, p, p) tensor, every slice PSD-projected, on
-        midpoint grids over [0, 1] and [0, pi]; each block is one chunk and carries the largest
-        eigenvalue its projection clipped. Another shape or a non-finite entry raises ValueError."""
-        tensor = np.array(tensor, dtype=complex)
-        if tensor.ndim != 5 or tensor.shape[3] != tensor.shape[4]:
-            raise ValueError(f"tensor must have shape (M, K, N, p, p), got {tensor.shape}")
-        if (bad := np.argwhere(~np.isfinite(tensor))).size:
-            raise ValueError(f"tensor slice {bad[0, :3].tolist()} is not a finite matrix")
+        """Wrap the Hermitian part of an explicit (M, K, N, p, p) tensor, a new array with every
+        slice PSD-projected, on midpoint grids over [0, 1] and [0, pi]; each block is one chunk
+        and carries the largest eigenvalue its projection clipped. Another number of axes raises
+        ConfigError, as does a tensor that :func:`require_hermitian` refuses."""
+        tensor = np.asarray(tensor, dtype=complex)
+        if tensor.ndim != 5:
+            raise ConfigError(f"tensor must have shape (M, K, N, p, p), got {tensor.shape}")
+        tensor = require_hermitian(tensor, what="tensor")
         m, k, n, p = tensor.shape[:4]
         with _lapack_errors("the wrapped tensor"):
             tensor, lowest = psd_project_batch(tensor)

@@ -3,21 +3,21 @@
 Positive semidefinite projections (one batched kernel) and square roots,
 the Kronecker rearrangement that turns Kronecker products into rank-1
 matrices, and Frechet derivatives of matrix functions in Daleckii-Krein
-form. Operators are plain complex ``numpy`` arrays; every function validates
-Hermitian symmetry where the contract requires it and returns exactly
-Hermitian output.
+form. Operators are plain complex ``numpy`` arrays; every matrix argument passes
+:func:`require_hermitian`, every LAPACK failure :func:`_lapack_errors`.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import NumericalError, _check_count
+from .errors import ConfigError, NumericalError, _check_count
 
 __all__ = [
     "ProductStructure",
@@ -33,7 +33,7 @@ __all__ = [
 # TIE_TOL * max(1, lambda_1).
 TIE_TOL = 1e-8
 
-_HERM_ATOL = 1e-12
+_HERM_TOL = 1e-12
 
 _R = TypeVar("_R")
 
@@ -51,43 +51,58 @@ class ProductStructure:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A†)/2 as a new complex array."""
-    a = np.asarray(a)
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    """(A + A†)/2 as a new array, summed from halves so no finite entry overflows."""
+    half = np.asarray(a) / 2.0
+    return half + half.conj().swapaxes(-1, -2)
+
+
+def _largest_entry(a: np.ndarray) -> np.ndarray:
+    """Each matrix's largest max(|Re|, |Im|) (NaN or inf where an entry is); a modulus squares."""
+    return np.abs(np.ascontiguousarray(a).view(a.real.dtype)).max(axis=(-2, -1))
+
+
+def _named(what: str, bad: np.ndarray) -> str:
+    """``what``, with the index of its first matrix flagged in ``bad`` when it is a stack."""
+    return what if bad.ndim == 0 else f"{what} slice {np.argwhere(bad)[0].tolist()}"
 
 
 def require_hermitian(a: np.ndarray, *, what: str = "matrix") -> np.ndarray:
-    """Validate a non-empty square Hermitian matrix of finite norm, return its Hermitian part.
-
-    Symmetry is accepted up to absolute deviation 1e-12 * max(1, ||A||_F),
-    the contract for matrices produced by floating-point arithmetic.
-    """
+    """The Hermitian part, as a new array, of one square matrix or a stack of them, each
+    non-empty, finite and Hermitian within 1e-12 of its own scale: no entry of (A - A†)/2 above
+    1e-12 times A's largest, sizes taken as max(|Re|, |Im|). Nothing is squared, so 2^k A passes
+    exactly when A does and nothing finite overflows; exactly Hermitian input keeps its bits.
+    Else a ConfigError names ``what`` and, in a stack, the first matrix refused."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise ValueError(f"{what} must be square and non-empty, got shape {a.shape}")
-    with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        norm = float(np.linalg.norm(a))
-    if not np.isfinite(norm):  # NaN and inf entries included
-        raise ValueError(f"{what} must be finite, with a Frobenius norm inside the float range")
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > _HERM_ATOL * max(1.0, norm):
-        raise ValueError(f"{what} is not Hermitian: max|A - A†| = {defect:.3e}")
-    return hermitian_part(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
+        raise ConfigError(f"{what} must be a square matrix or a stack of them, with no empty "
+                          f"axis, got shape {a.shape}")
+    scale = _largest_entry(a)
+    if not (finite := np.isfinite(scale)).all():
+        raise ConfigError(f"{_named(what, ~finite)} is not a finite matrix")
+    herm = hermitian_part(a)
+    skew = _largest_entry(a - herm)  # (A - A†)/2; H lies between A and A†, so nothing overflows
+    if (bad := skew > _HERM_TOL * scale).any():
+        raise ConfigError(f"{_named(what, bad)} is not Hermitian: (A - A†)/2 has an entry of "
+                          f"{skew[bad][0]:.3e} > 1e-12 times its largest entry {scale[bad][0]:.3e}")
+    return np.where(a == a.conj().swapaxes(-1, -2), a, herm)
+
+
+@contextmanager
+def _lapack_errors(where: str) -> Iterator[None]:
+    """Raise a LAPACK failure as a NumericalError naming ``where`` it happened."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failure in {where}: {exc}") from exc
 
 
 def _decompose(a: np.ndarray, decompose: Callable[[np.ndarray], _R]) -> _R:
-    """``decompose`` applied to the validated Hermitian part of ``a``.
-
-    :raises ValueError: if ``a`` is not square and Hermitian.
-    :raises NumericalError: if the decomposition does not converge.
-    """
+    """``decompose`` of the Hermitian part of one matrix ``a`` that the rule accepts."""
     a = require_hermitian(a)
-    try:
+    if a.ndim != 2:
+        raise ConfigError(f"expected one matrix, got a stack of shape {a.shape}")
+    with _lapack_errors(f"a {a.shape[0]}x{a.shape[0]} Hermitian eigendecomposition"):
         return decompose(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition failed for {a.shape[0]}x{a.shape[1]} Hermitian matrix"
-        ) from exc
 
 
 def psd_project_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,14 +135,15 @@ def psd_project(a: np.ndarray) -> np.ndarray:
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Unique PSD square root of a PSD matrix.
 
-    Eigenvalues inside the numerical-noise band [-1e-8 * ||A||_F, 0) are
-    clamped to zero; anything more negative means genuinely indefinite input.
+    Eigenvalues inside the numerical-noise band [-1e-8 * lambda_max, 0), which
+    squares nothing, are clamped to zero; anything more negative means
+    genuinely indefinite input, at any scale.
 
     :raises NumericalError: if the smallest eigenvalue is below the noise band.
     """
     vals, vecs = _decompose(a, np.linalg.eigh)
     lam_min = float(vals[0])
-    if lam_min < -1e-8 * float(np.linalg.norm(np.asarray(a))):
+    if lam_min < -1e-8 * float(vals[-1]):
         raise NumericalError(
             f"matrix is not positive semidefinite (lambda_min = {lam_min:.3e})"
         )
@@ -196,13 +212,12 @@ def frechet_derivative(a: np.ndarray, delta: np.ndarray, phi: str) -> np.ndarray
         within ``TIE_TOL * max(1, lambda_1)`` of zero or negative, or when the
         decomposition does not converge.
     """
-    delta = require_hermitian(np.asarray(delta), what="direction")
+    delta = require_hermitian(delta, what="direction")
     lam, u = _decompose(a, np.linalg.eigh)
     if phi == "square":
         loewner = lam[:, None] + lam[None, :]
     elif phi == "sqrt":
-        scale = max(1.0, float(lam[-1])) if lam.size else 1.0
-        if float(lam[0]) <= TIE_TOL * scale:
+        if float(lam[0]) <= TIE_TOL * max(1.0, float(lam[-1])):
             raise NumericalError("sqrt derivative undefined at singular point")
         root = np.sqrt(lam)
         loewner = 1.0 / (root[:, None] + root[None, :])

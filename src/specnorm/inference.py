@@ -520,7 +520,9 @@ def self_norm_V(paths: Sequence[SequentialFunctional]) -> SelfNormV:
     Each path contributes D(k/N) = (k/N)^f (s_hat(k/N) - s_hat(1)); entries
     where the path is undefined contribute zero (their weight vanishes in
     the limit). V^2_{ij} averages D_i D_j over the grid, a left-matching
-    Riemann sum of the limiting integral.
+    Riemann sum of the limiting integral, formed from D / 2^e (largest entry below 1)
+    and scaled back. Powers of two scale exactly (Higham 2002, 2.1), so V keeps its
+    bits wherever V^2 is finite and stays finite where V^2 overflows to inf.
     """
     if not paths:
         raise ValueError("need at least one path")
@@ -533,9 +535,12 @@ def self_norm_V(paths: Sequence[SequentialFunctional]) -> SelfNormV:
         dev = pth.eta ** pth.f_exponent * (pth.values - pth.values[-1])
         dev = np.where(pth.valid, dev, 0.0)
         d_rows[i] = dev
-    v2 = (d_rows @ d_rows.T) / n
-    diag = np.maximum(np.diag(v2), 0.0)
-    return SelfNormV(matrix=v2, values=np.sqrt(diag))
+    e = int(np.frexp(np.abs(d_rows).max())[1])
+    scaled = np.ldexp(d_rows, -e)
+    v2 = (scaled @ scaled.T) / n
+    with np.errstate(over="ignore"):  # V^2 past the float range reads inf
+        return SelfNormV(matrix=np.ldexp(v2, 2 * e),
+                         values=np.ldexp(np.sqrt(np.maximum(np.diag(v2), 0.0)), e))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, _check_count
 from .estimator import SequentialSDO, _validate_band, cell_midpoints
-from .hermitian import TIE_TOL, ProductStructure, eig_reconstruct, hermitian_part, kron_rearrange
+from .hermitian import (TIE_TOL, ProductStructure, _lapack_errors, eig_reconstruct, kron_rearrange,
+                        require_hermitian)
 
 __all__ = [
     "SequentialFunctional",
@@ -316,9 +317,9 @@ def stationarity_sequential(sdo: SequentialSDO, d: int) -> SequentialFunctional:
 
 
 def _truth_at(truth: Callable, u: float, omega: float, p: int | None) -> np.ndarray:
-    """truth(u, omega) as a complex matrix; ValueError unless a finite square (p x p) matrix."""
+    """truth(u, omega) as a complex matrix; ValueError unless a square (p x p) one."""
     f = np.asarray(truth(float(u), float(omega)), dtype=complex)
-    if f.ndim != 2 or f.shape != (p or f.shape[0],) * 2 or not np.isfinite(f).all():
+    if f.ndim != 2 or f.shape != (p or f.shape[0],) * 2:
         raise ValueError(f"truth at (u, omega) = ({u:.6g}, {omega:.6g}) is not a finite "
                          f"{'square' if p is None else f'{p} x {p}'} matrix: shape {f.shape}")
     return f
@@ -335,14 +336,15 @@ def measure_population(
 ) -> float:
     """Population value of a deviation measure by numerical quadrature.
 
-    ``truth`` maps (u, omega) to the exact spectral density matrix. Its
-    Hermitian part on m_u Gauss-Legendre nodes in u (matrix square roots are
-    not smooth at a vanishing spectrum, where midpoint rules lose accuracy)
-    and k_omega band midpoints goes through the measure's own argument check
-    and per-slice reducer, and the time averages take the Gauss-Legendre
-    weights; a coherence cell left undefined (see ``coherence_sequential``)
-    raises NumericalError, as does a share measure of a zero truth; a truth value
-    that is no finite p x p matrix raises ValueError. Used as the oracle in
+    ``truth`` maps (u, omega) to the exact spectral density matrix. Its values
+    on m_u Gauss-Legendre nodes u_i (matrix square roots are not smooth at a
+    vanishing spectrum, where midpoint rules lose accuracy) and k_omega band
+    midpoints omega_j, a stack whose slice [i, j] :func:`require_hermitian`
+    checks, go as their Hermitian part through the measure's own argument
+    check and per-slice reducer; the time averages take the Gauss-Legendre
+    weights. A value that is no p x p matrix raises ValueError; an undefined
+    coherence cell (see ``coherence_sequential``), a zero truth of a share
+    measure or a LAPACK failure raise NumericalError. Used as the oracle in
     simulation and coverage studies.
     """
     band = _validate_band(band)
@@ -355,23 +357,24 @@ def measure_population(
     tensor = np.empty((m_u, k_omega, p, p), dtype=complex)
     for i, j in np.ndindex(m_u, k_omega):
         tensor[i, j] = _truth_at(truth, us[i], oms[j], p)
-    tensor = hermitian_part(tensor)
+    tensor = require_hermitian(tensor, what="truth")
 
     def mean(x: np.ndarray) -> float:
         return (w_u @ x).mean()
 
-    if kind == "tvdfpca":
-        (vals,) = _eigenvalues(tensor)
-        return float(_share(mean(vals[..., :d].sum(axis=-1)), mean(vals.sum(axis=-1)))[0])
-    if kind == "tvdpsca":
-        squares, mass = _separable_scores(tensor, ps)
-        den = mean(mass)
-        num = den if d == d_cap else mean(squares[..., :d].sum(axis=-1))
-        return float(_share(num, den)[0])
-    if kind == "coherence":
-        ratio, defined = _coherences(tensor, d, ps.p1)
-        if not bool(defined.all()):
-            raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
-        return float(mean(ratio))
-    _warn_off_full_band(*band)
-    return float(mean(_dispersions(tensor, d, w_u)[0]))
+    with _lapack_errors("the population tensor"):
+        if kind == "tvdfpca":
+            (vals,) = _eigenvalues(tensor)
+            return float(_share(mean(vals[..., :d].sum(axis=-1)), mean(vals.sum(axis=-1)))[0])
+        if kind == "tvdpsca":
+            squares, mass = _separable_scores(tensor, ps)
+            den = mean(mass)
+            num = den if d == d_cap else mean(squares[..., :d].sum(axis=-1))
+            return float(_share(num, den)[0])
+        if kind == "coherence":
+            ratio, defined = _coherences(tensor, d, ps.p1)
+            if not bool(defined.all()):
+                raise NumericalError(f"rank-deficient marginal spectrum at order d = {d}")
+            return float(mean(ratio))
+        _warn_off_full_band(*band)
+        return float(mean(_dispersions(tensor, d, w_u)[0]))

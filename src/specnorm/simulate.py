@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, _check_count
 from .estimator import TWO_PI, TimeSeriesSample
-from .hermitian import hermitian_part
+from .hermitian import _lapack_errors, hermitian_part, require_hermitian
 
 __all__ = [
     "IidSpec",
@@ -48,19 +48,16 @@ _STABILITY_GRID = 201
 
 
 def _as_psd_factor(sigma: np.ndarray, name: str) -> np.ndarray:
-    """Validate a covariance matrix and return L with L L' = sigma."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ConfigError(f"{name} must be a square matrix, got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
-        raise ConfigError(f"{name} must be finite")
+    """L with L L' = sigma, once sigma is one PSD matrix that :func:`require_hermitian` accepts."""
+    sigma = require_hermitian(sigma, what=name)
+    if sigma.ndim != 2:
+        raise ConfigError(f"{name} must be one matrix, got a stack of shape {sigma.shape}")
     scale = max(1.0, float(np.abs(sigma).max()))
-    if not np.allclose(sigma, sigma.T, atol=1e-10 * scale):
-        raise ConfigError(f"{name} must be symmetric")
     try:
         return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(sigma)
+    except np.linalg.LinAlgError:  # not positive definite: factor it from its eigenpairs
+        with _lapack_errors(f"the eigendecomposition of {name}"):
+            vals, vecs = np.linalg.eigh(sigma)
         if vals.min() < -1e-10 * scale:
             raise ConfigError(
                 f"{name} must be positive semidefinite; smallest eigenvalue {vals.min():.3g}"

@@ -923,6 +923,20 @@ def test_main_out_of_range_scale_exits_4(tmp_path, capsys, scale, p, keys, stage
     assert err["stage"] == stage and err["type"] == "NumericalError"
 
 
+@pytest.mark.parametrize("keys", [
+    dict(process="iid", sigma_diag="1e200, 1e200, 1, 1", measure="stationarity"),
+    dict(process="separable", sigma_x_diag="1e200, 1", sigma_y_diag="1, 1", measure="tvdfpca"),
+], ids=["iid-1e200-stationarity", "separable-1e200-tvdfpca"])
+def test_main_reports_a_finite_config_at_1e200(tmp_path, capsys, keys):
+    # V^2 of the stationarity path overflows, V does not; the covariance check is scale-free
+    cfg = write_cfg(tmp_path, T=1024, quantile_n=500, **keys)
+    code = main(["infer", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "", (out, err)
+    report = json.loads(out)
+    assert math.isfinite(report["estimate"]) and math.isfinite(report["V"]) and report["V"] > 0
+
+
 IID_256 = dict(process="iid", T=256, p=2)
 QUICK = dict(quantile_r=10_000, quantile_n=500)
 

@@ -297,3 +297,22 @@ def test_from_tensor_refuses_a_non_finite_entry_before_any_decomposition(bad, et
     message = f"tensor slice [1, 0, {eta}] is not a finite matrix"
     with pytest.raises(ValueError, match=re.escape(message)):
         sn.SequentialSDO.from_tensor(tensor)
+
+
+def test_from_tensor_refuses_the_lower_triangle_of_a_psd_tensor():
+    # LAPACK reads one triangle, so the lower triangle alone gave tvdfpca the Hermitian
+    # tensor's path, and coherence read its zero cross block as 0.0
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((2, 2, 3, 4, 4)) + 1j * rng.standard_normal((2, 2, 3, 4, 4))
+    tensor = b @ b.conj().swapaxes(-1, -2)
+    sn.SequentialSDO.from_tensor(tensor)
+    with pytest.raises(sn.ConfigError, match=re.escape("tensor slice [0, 0, 0] is not Hermitian")):
+        sn.SequentialSDO.from_tensor(np.tril(tensor))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3, 2, 2), (2, 0, 3, 2, 2), (2, 2, 0, 2, 2),
+                                   (2, 2, 3, 0, 0), (0, 0, 0, 0, 0)])
+def test_from_tensor_refuses_an_empty_axis_by_name(shape):
+    message = f"tensor must be a square matrix or a stack of them, with no empty axis, got shape {shape}"
+    with pytest.raises(sn.ConfigError, match=re.escape(message)):
+        sn.SequentialSDO.from_tensor(np.zeros(shape))

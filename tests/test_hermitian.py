@@ -1,5 +1,7 @@
 """Dense Hermitian linear algebra: decompositions, projections, rearrangement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,61 @@ def test_require_hermitian_accepts_roundoff_and_rejects_structure():
         sn.require_hermitian(h + 1e-3 * np.eye(5, k=1))
     with pytest.raises(ValueError, match="square"):
         sn.require_hermitian(np.ones((2, 3)))
+
+
+def scale_cases():
+    """A Hermitian, a roundoff-asymmetric (accepted) and a non-Hermitian complex matrix."""
+    h = rand_hermitian(np.random.default_rng(12), 4)
+    roundoff = h.copy()
+    roundoff[0, 1] += 3e-15
+    return {"hermitian": h, "roundoff": roundoff, "not-hermitian": h + 1e-6 * np.eye(4, k=1)}
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "roundoff", "not-hermitian"])
+def test_require_hermitian_is_scale_free(kind):
+    # the suite turns a RuntimeWarning into an error, so no scale may warn
+    a = scale_cases()[kind]
+    try:
+        out = sn.require_hermitian(a)
+    except sn.ConfigError:
+        out = None
+    assert (out is None) == (kind == "not-hermitian")
+    for k in range(-500, 501, 50):
+        scaled = 2.0**k * a
+        if out is None:
+            with pytest.raises(sn.ConfigError, match="matrix is not Hermitian"):
+                sn.require_hermitian(scaled)
+        else:
+            assert sn.require_hermitian(scaled).tobytes() == (2.0**k * out).tobytes(), k
+
+
+def test_require_hermitian_returns_its_exactly_hermitian_part():
+    tiny, huge = 5e-324, np.finfo(float).max
+    exact = np.array([[huge, tiny - 1e300j], [tiny + 1e300j, -huge]])
+    out = sn.require_hermitian(exact)
+    assert out is not exact and out.tobytes() == exact.tobytes()  # bit for bit, a new array
+    near = exact.copy()
+    near[0, 1] = np.nextafter(tiny, 1.0) - 1e300j  # one ulp from Hermitian, at both ends of the range
+    out = sn.require_hermitian(near)
+    assert np.array_equal(out, out.conj().T) and np.isfinite(out).all()
+    with pytest.raises(sn.ConfigError, match="not Hermitian"):  # a difference past the float range
+        sn.require_hermitian(np.array([[0.0, huge], [-huge, 0.0]]))
+
+
+def test_require_hermitian_names_the_first_refused_slice_of_a_stack():
+    stack = np.tile(np.eye(3, dtype=complex), (2, 3, 1, 1))
+    assert np.array_equal(sn.require_hermitian(stack), stack)
+    stack[1, 2, 0, 2] = 1e-3
+    stack[1, 1, 0, 0] = np.nan
+    with pytest.raises(sn.ConfigError, match=re.escape("stack slice [1, 1] is not a finite matrix")):
+        sn.require_hermitian(stack, what="stack")
+    stack[1, 1, 0, 0] = 1.0
+    message = "stack slice [1, 2] is not Hermitian: (A - A†)/2 has an entry of 5.000e-04"
+    with pytest.raises(sn.ConfigError, match=re.escape(message)):
+        sn.require_hermitian(stack, what="stack")
+    for shape in [(0, 0), (2, 0, 0), (0, 3, 3), (3,), (2, 3)]:
+        with pytest.raises(sn.ConfigError, match=re.escape(f"got shape {shape}")):
+            sn.require_hermitian(np.zeros(shape))
 
 
 def test_psd_project_clamps_and_preserves_psd_input():
@@ -93,8 +150,27 @@ def test_lapack_failure_surfaces_as_numerical_error(monkeypatch, call):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    with pytest.raises(sn.NumericalError, match="eigendecomposition failed for 2x2") as info:
+    message = ("LAPACK failure in a 2x2 Hermitian eigendecomposition: "
+               "Eigenvalues did not converge")
+    with pytest.raises(sn.NumericalError, match=re.escape(message)) as info:
         call(np.diag([2.0, -1.0]))  # indefinite, so psd_project reaches eigh too
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("kind", ["tvdfpca", "tvdpsca", "coherence", "stationarity"])
+def test_lapack_failure_in_a_population_measure_surfaces_as_numerical_error(monkeypatch, kind):
+    # the reducers decompose the whole (u, omega) stack; the quadrature nodes take one matrix
+    for name in ("eigvalsh", "eigh", "svd"):
+        def failing(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return _decompose(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, failing)
+    message = "LAPACK failure in the population tensor: Eigenvalues did not converge"
+    with pytest.raises(sn.NumericalError, match=re.escape(message)) as info:
+        sn.measure_population(lambda u, w: np.eye(4), kind, 1, sn.ProductStructure(2, 2),
+                              m_u=3, k_omega=2)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -105,6 +181,20 @@ def test_matrix_sqrt_psd_squares_back():
     assert np.allclose(root @ root, a, atol=1e-10 * np.linalg.norm(a))
     with pytest.raises(sn.NumericalError, match="not positive semidefinite"):
         sn.matrix_sqrt_psd(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, 1e307])
+def test_matrix_sqrt_psd_refuses_indefinite_input_at_every_scale(scale):
+    with pytest.raises(sn.NumericalError, match="not positive semidefinite"):
+        sn.matrix_sqrt_psd(np.diag([scale, -scale]))
+    root = sn.matrix_sqrt_psd(np.diag([scale, 4.0 * scale]))
+    assert np.array_equal(root, np.diag([1.0, 2.0]) * np.sqrt(scale))
+
+
+def test_decomposing_helpers_take_one_matrix():
+    for call in (sn.psd_project, sn.matrix_sqrt_psd):
+        with pytest.raises(sn.ConfigError, match=re.escape("got a stack of shape (2, 2, 2)")):
+            call(np.tile(np.eye(2), (2, 1, 1)))
 
 
 def test_kron_rearrange_rank_one_on_kronecker_products():

@@ -51,6 +51,21 @@ def test_self_norm_degenerate_and_invalid_paths():
     assert masked < full
 
 
+def test_self_norm_is_scale_free_and_finite_where_its_square_overflows():
+    # the suite turns a RuntimeWarning into an error, so no scale may warn
+    a = make_path(np.linspace(0.2, 0.9, 64))
+    b = make_path(np.linspace(0.9, 0.1, 64), f_exp=2)
+    v = sn.self_norm_V([a, b])
+    for k in range(-500, 501, 50):
+        scaled = [dataclasses.replace(pth, values=2.0**k * pth.values) for pth in (a, b)]
+        v_k = sn.self_norm_V(scaled)
+        assert v_k.values.tobytes() == (2.0**k * v.values).tobytes(), k
+        assert v_k.matrix.tobytes() == (4.0**k * v.matrix).tobytes(), k
+    huge = sn.self_norm_V([dataclasses.replace(pth, values=1e200 * pth.values) for pth in (a, b)])
+    assert np.isinf(huge.matrix).all()  # V^2 is past the float range, V is not
+    assert huge.values == pytest.approx(1e200 * v.values, rel=1e-14)
+
+
 def test_self_norm_multiple_paths_and_grid_mismatch():
     a = make_path(np.linspace(0.0, 1.0, 32))
     b = make_path(np.linspace(1.0, 0.0, 32), f_exp=2)

@@ -8,9 +8,10 @@ valid. Counts are drawn as ints, non-integral and non-finite floats, numpy integ
 bools, None and huge and negative values; reals as floats (NaN and +-inf included),
 numpy floats and integers, and non-reals: None, strings, complex numbers, Decimals,
 bools, 0-d arrays and integers past the float range; arrays with NaN and infinite
-entries and of wrong shapes. A size that passes its check makes an array that large,
-so sizes are drawn at most a few thousand, and a spec longer than that is built but
-not drawn. Finite entries stay within 1e50: the measures multiply and square spectra,
+entries and of wrong shapes, and complex stacks of matrices, some axis empty or not,
+that are Hermitian, Hermitian up to roundoff or far from it. A size that passes its
+check makes an array that large, so sizes are drawn at most a few thousand, and a
+spec longer than that is built but not drawn. Finite entries stay within 1e50: the measures multiply and square spectra,
 and an operator with entries past about 1e154 still overflows in them with a
 RuntimeWarning (an open item of the numerics at any scale). Each escape this contract
 has had is pinned as an example.
@@ -72,6 +73,18 @@ PAIRS = st.one_of(st.lists(st.one_of(st.tuples(SMALL, COUNTS), st.tuples(SMALL),
 ELEMENTS = st.one_of(st.floats(-1e50, 1e50), st.sampled_from([math.nan, math.inf, -math.inf]))
 ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
                     elements=ELEMENTS)
+
+
+def stacks(min_lead, max_lead):
+    """Complex stacks of p x p matrices over min_lead to max_lead leading axes, any side 0
+    included: Hermitian PSD, Hermitian up to roundoff, or far from Hermitian."""
+    def build(lead, p, seed, defect):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((*lead, p, p)) + 1j * rng.standard_normal((*lead, p, p))
+        return sn.hermitian_part(b @ b.conj().swapaxes(-1, -2)) + defect * b
+
+    return st.builds(build, st.lists(st.integers(0, 3), min_size=min_lead, max_size=max_lead),
+                     st.integers(0, 3), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-14, 1e-3]))
 
 
 def gram(a):
@@ -148,7 +161,7 @@ CASES = {
         sn.estimate_sequential_sdo(sample(), sn.default_bandwidth_plan(256), band=x, k_omega=2), 1)),
     "TimeSeriesSample.data": (ARRAYS, lambda x: sn.TimeSeriesSample(data=x)),
     "SequentialSDO.from_tensor": (
-        st.one_of(ARRAYS, hnp.arrays(np.float64, (2, 2, 4, 2, 2), elements=ELEMENTS)),
+        st.one_of(ARRAYS, hnp.arrays(np.float64, (2, 2, 4, 2, 2), elements=ELEMENTS), stacks(3, 3)),
         lambda x: sn.tvdfpca_sequential(sn.SequentialSDO.from_tensor(x), 1)),
     "measure_population.d": (COUNTS, lambda x: sn.measure_population(
         lambda u, w: DIAG4, "stationarity", x, m_u=3, k_omega=2)),
@@ -191,7 +204,7 @@ CASES = {
     "estimate_dstar.alpha": (FLOATS, lambda x: sn.estimate_dstar(
         [sn.tvdfpca_sequential(sdo4(), 1)], law(), 0.5, x)),
     "test_order_upper.d0": (COUNTS, lambda x: sn.test_order_upper(selection(), x)),
-    "require_hermitian": (ARRAYS, sn.require_hermitian),
+    "require_hermitian": (st.one_of(ARRAYS, stacks(0, 3)), sn.require_hermitian),
     "psd_project": (st.one_of(ARRAYS, square(3)), sn.psd_project),
     "matrix_sqrt_psd": (st.one_of(ARRAYS, square(3)), sn.matrix_sqrt_psd),
     "frechet_derivative": (st.one_of(ARRAYS, square(2)), lambda x: sn.frechet_derivative(
@@ -250,6 +263,8 @@ def case_and_value():
 @example(("measure_population.truth", np.full((4, 4), np.nan)))
 @example(("SequentialSDO.from_tensor", np.where(np.arange(64).reshape(2, 2, 4, 2, 2) == 61, np.nan,
                                                 np.tile(np.eye(2), (2, 2, 4, 1, 1)))))
+@example(("SequentialSDO.from_tensor", np.tril(np.tile(DIAG4 + 1.0, (2, 2, 4, 1, 1)))))
+@example(("SequentialSDO.from_tensor", np.zeros((2, 2, 3, 0, 0))))
 @example(("measure_population.truth", np.zeros((4, 4))))
 @example(("default_bandwidth_plan.alpha", None))
 @example(("default_bandwidth_plan.alpha", "0.5"))

@@ -483,9 +483,12 @@ ZERO4 = np.zeros((4, 4))
         ("tvdpsca", lambda u, w: ZERO4, sn.NumericalError,
          "degenerate spectral mass: the estimate at eta = 1 is zero"),
         ("tvdfpca", lambda u, w: np.full((4, 4), np.nan), ValueError,
-         "truth at (u, omega) = (0.112702, 0.785398) is not a finite square matrix: shape (4, 4)"),
+         "truth slice [0, 0] is not a finite matrix"),
         ("stationarity", lambda u, w: DIAG4 if u < 0.5 else np.diag([np.inf, 3, 2, 1]), ValueError,
-         "truth at (u, omega) = (0.5, 0.785398) is not a finite 4 x 4 matrix: shape (4, 4)"),
+         "truth slice [1, 0] is not a finite matrix"),
+        ("tvdfpca", lambda u, w: DIAG4 + (w > 1.0) * np.eye(4, k=1), ValueError,
+         "truth slice [0, 1] is not Hermitian: (A - A†)/2 has an entry of 5.000e-01 > 1e-12 "
+         "times its largest entry 4.000e+00"),
         ("tvdfpca", lambda u, w: np.diagonal(DIAG4), ValueError,
          "truth at (u, omega) = (0.112702, 0.785398) is not a finite square matrix: shape (4,)"),
         ("tvdfpca", lambda u, w: 1.0, ValueError,
@@ -493,7 +496,8 @@ ZERO4 = np.zeros((4, 4))
         ("coherence", lambda u, w: DIAG4 if u < 0.5 else np.eye(2), ValueError,
          "truth at (u, omega) = (0.5, 0.785398) is not a finite 4 x 4 matrix: shape (2, 2)"),
     ],
-    ids=["tvdfpca-zero", "tvdpsca-zero", "nan", "inf-later", "vector", "scalar", "order-changes"],
+    ids=["tvdfpca-zero", "tvdpsca-zero", "nan", "inf-later", "not-hermitian", "vector", "scalar",
+         "order-changes"],
 )
 def test_population_refuses_a_truth_that_is_no_finite_p_by_p_operator(kind, truth, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -501,6 +505,16 @@ def test_population_refuses_a_truth_that_is_no_finite_p_by_p_operator(kind, trut
     if error is sn.NumericalError:  # in the words the sequential path uses for a zero estimate
         with pytest.raises(error, match=re.escape(message)):
             SEQUENTIAL[kind](analytic_sdo(ZERO4), 1, PS)
+
+
+def test_population_reads_the_hermitian_part_of_a_truth_asymmetric_by_roundoff():
+    rng = np.random.default_rng(21)
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    raw = b @ DIAG4 @ b.conj().T
+    assert not np.array_equal(raw, raw.conj().T)
+    for kind in ("tvdfpca", "stationarity"):
+        assert sn.measure_population(lambda u, w: raw, kind, 2, m_u=3, k_omega=2) == (
+            sn.measure_population(lambda u, w: hermitian_part(raw), kind, 2, m_u=3, k_omega=2))
 
 
 def test_numpy_integers_pass_as_orders_and_counts_and_bools_do_not():

@@ -81,15 +81,29 @@ def test_common_validation_errors():
         sn.IidSpec(T=128, sigma=np.eye(2), seed=-1)
     with pytest.raises(sn.ConfigError, match="positive semidefinite"):
         sn.IidSpec(T=128, sigma=np.diag([1.0, -1.0]))
-    with pytest.raises(sn.ConfigError, match="symmetric"):
+    with pytest.raises(sn.ConfigError, match="sigma is not Hermitian"):
         sn.IidSpec(T=128, sigma=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(sn.ConfigError, match="square matrix, got shape"):
+    # asymmetric by 8e-6 relative: np.allclose's default rtol = 1e-5 once let it through
+    with pytest.raises(sn.ConfigError, match="sigma_eps is not Hermitian"):
+        sn.TvFar1Spec(T=128, a=0.5 * np.eye(2), sigma_eps=np.array([[1.0, 0.5 + 8e-6], [0.5, 1.0]]))
+    with pytest.raises(sn.ConfigError, match=r"sigma must be a square matrix or a stack of them"):
         sn.IidSpec(T=128, sigma=np.ones((2, 3)))
-    with pytest.raises(sn.ConfigError, match="sigma must be finite"):
+    with pytest.raises(sn.ConfigError, match=r"sigma must be one matrix, got a stack of shape"):
+        sn.IidSpec(T=128, sigma=np.ones((2, 2, 2)))
+    with pytest.raises(sn.ConfigError, match="sigma is not a finite matrix"):
         sn.IidSpec(T=128, sigma=np.diag([np.inf, 1.0]))
     big = np.diag([1e200, 1.0])  # finite factors whose Kronecker product overflows
-    with pytest.raises(sn.ConfigError, match=r"sigma_x \(x\) sigma_y must be finite"):
+    with pytest.raises(sn.ConfigError, match=r"sigma_x \(x\) sigma_y is not a finite matrix"):
         sn.SeparableSpec(T=128, sigma_x=big, sigma_y=big)
+
+
+def test_lapack_failure_in_a_covariance_factor_is_a_numerical_error(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)  # a singular covariance has no Cholesky factor
+    with pytest.raises(sn.NumericalError, match="LAPACK failure in the eigendecomposition of sigma"):
+        sn.IidSpec(T=128, sigma=np.diag([1.0, 0.0]))
 
 
 def test_ar_stability_guard_runs_before_sampling():
